@@ -10,8 +10,11 @@ Four subcommands:
 Rationals are written as "p/q" strings everywhere; floats are rejected so
 exactness survives the round trip.  Exit codes: 0 success / all identities
 pass, 1 at least one identity failed, 2 invalid input (parse error,
-genericity violation, ...).  The environment variable AWLAB_SEED, when
-set, overrides --seed for the commands that take one.
+genericity violation, --trials below 1, ...), 3 internal error (any other
+exception, e.g. EigenSolveError or ZeroDivisionError, reported as one
+"internal error: ..." line on stderr, so a crash never looks like a failed
+identity).  The environment variable AWLAB_SEED, when set, overrides --seed
+for the commands that take one.
 """
 
 from __future__ import annotations
@@ -240,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, HorizonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

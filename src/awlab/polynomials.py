@@ -14,8 +14,10 @@ of Y = T1 T0 with eigenvalue mu_n, normalized so the z^n coefficient is 1.
 In the basis 1, z^-1, z, z^-2, z^2, ... the matrix of Y on the window
 spanned by z^-k .. z^k is upper triangular with the mu values on the
 diagonal.  The builders verify that structure at runtime instead of
-assuming it; genericity (G5, G6) then makes each eigenspace
-one-dimensional, and any departure raises EigenSolveError.
+assuming it, so both E_n and the oracle P_n come from back-substitution
+in the triangular matrix of Y/D, with an explicit distinct-diagonal
+check: genericity (G5, G6) promises distinct eigenvalues, and a repeated
+one raises EigenSolveError.
 """
 
 from __future__ import annotations
@@ -59,36 +61,27 @@ def exponent_at(i: int) -> int:
     return i // 2
 
 
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a square matrix, by exact elimination."""
-    m = [row[:] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        hit = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    basis = []
-    for free in (c for c in range(n_cols) if c not in pivots):
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][free]
-        basis.append(vec)
-    return basis
+def _eigenvector(rows: tuple[tuple[Fraction, ...], ...], index: int,
+                 value: Fraction, name: str) -> list[Fraction]:
+    """Eigenvector of an upper triangular matrix by back-substitution.
+
+    `value` must be the diagonal entry at `index` and differ from every
+    other diagonal entry in the window; then the eigenspace is a line, and
+    the vector returned spans it with entry 1 at `index` and zeros past it.
+    A repeated diagonal value raises EigenSolveError.
+    """
+    found = [i for i, row in enumerate(rows) if row[i] == value]
+    if found != [index]:
+        raise EigenSolveError(
+            f"{name} sits on the diagonal at indices {found}, expected only "
+            f"{index}; the eigenspace is not a line")
+    v = [Fraction(0)] * len(rows)
+    v[index] = Fraction(1)
+    for i in range(index - 1, -1, -1):
+        row = rows[i]
+        v[i] = sum(row[j] * v[j] for j in range(i + 1, index + 1)) \
+            / (value - row[i])
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -96,28 +89,36 @@ def y_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of Y on span(z^-k .. z^k) in the position ordering.
 
     Entry [i][j] is the z^exponent_at(i) coefficient of Y z^exponent_at(j).
-    The builder checks that the window is stable under Y, that the matrix
-    comes out upper triangular, and that the diagonal carries mu; any
-    violation raises EigenSolveError.
+    The ordering is nested, so y_matrix(k - 1) is the leading block and
+    only the columns of z^-k and z^k are new.  For each new column the
+    builder checks that the window is stable under Y, that nothing sits
+    below the diagonal, and that the diagonal carries mu; any violation
+    raises EigenSolveError.
     """
     if k < 0:
         raise ValueError("window size must be nonnegative")
+    # walk the smaller windows bottom-up: each lookup finds the one below it
+    # cached, so the recursion is never more than one level deep
+    block: tuple[tuple[Fraction, ...], ...] = ()
+    for j in range(k):
+        block = y_matrix(j, p)
     size = 2 * k + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
+    new = size - len(block)
+    rows = [list(row) + [Fraction(0)] * new for row in block]
+    rows += [[Fraction(0)] * size for _ in range(new)]
+    for j in range(len(block), size):
         image = apply_Y(LaurentPoly.monomial(exponent_at(j)), p)
         for deg, coeff in image.items():
             if abs(deg) > k:
                 raise EigenSolveError(
                     f"Y z^{exponent_at(j)} escapes the window at z^{deg}"
                 )
-            rows[position(deg)][j] = coeff
-    for j in range(size):
-        for i in range(j + 1, size):
-            if rows[i][j]:
+            i = position(deg)
+            if i > j:
                 raise EigenSolveError(
                     f"Y matrix has nonzero entry ({i},{j}) below the diagonal"
                 )
+            rows[i][j] = coeff
         want = mu_n(exponent_at(j), p)
         if rows[j][j] != want:
             raise EigenSolveError(
@@ -206,28 +207,15 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
 def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
     """P_n constructed the slow way, as the lambda_n eigenvector of D.
 
-    Solves (D - lambda_n) v = 0 on the symmetric window of degree n and
-    normalizes the top coefficient to 1.  Exists to cross-check
-    askey_wilson_P through an unrelated computation.
+    Back-substitution in the triangular matrix of D on the symmetric
+    window of degree n, with an explicit check that lambda_n differs from
+    every other diagonal entry; the top coefficient comes out as 1.
+    Exists to cross-check askey_wilson_P through an unrelated computation.
     """
     if n < 0:
         raise ValueError("askey_wilson_P_oracle needs n >= 0")
     p.require_horizon(n)
-    rows = d_matrix(n, p)
-    lam = lambda_n(n, p)
-    shifted = [
-        [rows[i][j] - (lam if i == j else 0) for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    basis = _nullspace(shifted)
-    if len(basis) != 1:
-        raise EigenSolveError(
-            f"lambda_{n} eigenspace has dimension {len(basis)}, expected 1"
-        )
-    v = basis[0]
-    if not v[n]:
-        raise EigenSolveError(f"lambda_{n} eigenvector has no degree-{n} part")
-    v = [x / v[n] for x in v]
+    v = _eigenvector(d_matrix(n, p), n, lambda_n(n, p), f"lambda_{n}")
     coeffs = {0: v[0]}
     for i in range(1, n + 1):
         coeffs[i] = v[i]
@@ -239,29 +227,14 @@ def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
 def nonsymmetric_E(n: int, p: ParamSet) -> LaurentPoly:
     """Eigenvector of Y = T1 T0 with eigenvalue mu_n, z^n coefficient 1.
 
-    Solved exactly on the window z^-|n| .. z^|n|.  Genericity (G5) makes
-    the eigenspace one-dimensional; a different dimension or a vanishing
-    z^n coefficient raises EigenSolveError.
+    Back-substitution in the triangular matrix of Y on the window
+    z^-|n| .. z^|n|, with an explicit check that mu_n differs from every
+    other diagonal entry in the window (G5 promises it); a repeated
+    diagonal value raises EigenSolveError.
     """
     p.require_horizon(n)
-    k = abs(n)
-    size = 2 * k + 1
-    rows = y_matrix(k, p)
-    mu = mu_n(n, p)
-    shifted = [
-        [rows[i][j] - (mu if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
-    basis = _nullspace(shifted)
-    if len(basis) != 1:
-        raise EigenSolveError(
-            f"mu_{n} eigenspace has dimension {len(basis)}, expected 1"
-        )
-    v = basis[0]
-    lead = v[position(n)]
-    if not lead:
-        raise EigenSolveError(f"mu_{n} eigenvector has no z^{n} part")
-    return LaurentPoly({exponent_at(i): v[i] / lead for i in range(size)})
+    v = _eigenvector(y_matrix(abs(n), p), position(n), mu_n(n, p), f"mu_{n}")
+    return LaurentPoly({exponent_at(i): c for i, c in enumerate(v)})
 
 
 def symmetrize(f: LaurentPoly, p: ParamSet) -> LaurentPoly:

@@ -447,6 +447,12 @@ def random_asymmetric_laurent(rng: random.Random, degree_window: int = 6,
     return f
 
 
+def _require_trials(trials: int) -> None:
+    # zero trials would let a randomized check pass without testing anything
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
                           degree_window: int = 6) -> IdentityReport:
     """Defining relations of the T0/T1 pair on random inputs.
@@ -458,6 +464,7 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     symmetric).  The coefficient identities r_i + s_i(r_i) = t_i + 1 are
     checked once, as cleared-denominator Laurent identities.
     """
+    _require_trials(trials)
     started = time.perf_counter()
     rng = random.Random(f"{seed}:hecke-relations")
     q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
@@ -527,6 +534,7 @@ def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
                         degree_window: int = 6) -> IdentityReport:
     """(T1 + 1)(T0 - t0) agrees with the direct form of D' on random f,
     and D' agrees with D on random symmetric f."""
+    _require_trials(trials)
     started = time.perf_counter()
     rng = random.Random(f"{seed}:factorization")
     for _ in range(trials):
@@ -552,6 +560,7 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
     where D'z and D (z+1/z) multiply first and then apply the operator,
     while (z+1/z) D applies D first.
     """
+    _require_trials(trials)
     started = time.perf_counter()
     rng = random.Random(f"{seed}:bridge-symmetric")
     q = p.q
@@ -628,7 +637,8 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
     """Run every identity check over its full valid n-range.
 
     Deterministic given (p, n_max, trials, seed).  n_max defaults to the
-    horizon p was certified for and may not exceed it.  `fault` corrupts
+    horizon p was certified for and may not exceed it; trials must be at
+    least 1, so no randomized check passes vacuously.  `fault` corrupts
     one scalar family (see FAULT_TARGETS) at the checking layer so that
     exactly the dependent checks fail; the negative controls stay
     relative to the clean scalars.
@@ -639,6 +649,7 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
         raise HorizonError(
             f"suite horizon {n_max} exceeds the certified horizon {p.n_max}"
         )
+    _require_trials(trials)
     v = _ScalarView(p, fault)
     clean = _ScalarView(p)
 

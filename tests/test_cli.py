@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from awlab import beta_n, lambda_n, mu_n
+import awlab.cli
+from awlab import EigenSolveError, beta_n, lambda_n, mu_n
 from awlab.cli import InputError, main, parse_param_string
 
 P8_STR = "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11"
@@ -156,6 +157,39 @@ def test_verify_rejects_degenerate_point(capsys):
                "--nmax", "2"])
     assert rc == 2
     assert "GenericityError(G1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    # with no trials the randomized checks would pass without testing anything
+    rc = main(["verify", "--params", P8_STR, "--nmax", "2",
+               "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "trials must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_internal_error_exits_3(capsys):
+    # abcd = q passes G1..G6 but alpha_0 is then 0/0 (a known gap in the
+    # certificate); the crash must not look like a failed identity (exit 1)
+    rc = main(["table", "alpha", "--nmax", "3",
+               "--params", "q=1/2,a=2,b=3,c=5,d=1/60"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ZeroDivisionError")
+    assert len(err.splitlines()) == 1
+
+
+def test_eigen_solve_error_exits_3(capsys, monkeypatch):
+    def broken(n, p):
+        raise EigenSolveError("mu_1 repeats on the diagonal")
+
+    monkeypatch.setattr(awlab.cli, "nonsymmetric_E", broken)
+    rc = main(["gen", "E", "--n", "1", "--params", P8_STR])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "internal error: EigenSolveError: mu_1 repeats on the diagonal\n")
 
 
 def test_verify_requires_exactly_one_source(capsys):

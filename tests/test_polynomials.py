@@ -1,6 +1,8 @@
 """Polynomial families: dual constructions, eigenrelations, recurrence."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,22 @@ def test_y_matrix_diagonal_carries_mu(p8):
         # strictly lower entries vanish: the matrix is upper triangular
         for j in range(i):
             assert mat[i][j] == 0
+
+
+def test_y_matrix_nests(p8):
+    # the position ordering is nested, so each window extends the last
+    for k in range(1, 5):
+        small, big = y_matrix(k - 1, p8), y_matrix(k, p8)
+        assert tuple(row[:2 * k - 1] for row in big[:2 * k - 1]) == small
+
+
+def test_y_matrix_columns_are_images_of_monomials(p8):
+    k = 4
+    mat = y_matrix(k, p8)
+    for j in range(2 * k + 1):
+        column = LaurentPoly({exponent_at(i): mat[i][j]
+                              for i in range(2 * k + 1)})
+        assert column == apply_Y(LaurentPoly.monomial(exponent_at(j)), p8)
 
 
 def test_d_matrix_diagonal_carries_lambda(p8):
@@ -179,14 +197,34 @@ def test_degenerate_point_raises_eigen_solve_error():
     # abcd = 1/q makes mu_1 = mu_{-1}, so the Y eigenspace is a plane;
     # the point sits outside what check_genericity would certify
     bad = ParamSet(F(1, 2), F(2), F(1), F(1), F(1), 2)
-    with pytest.raises(EigenSolveError):
-        nonsymmetric_E(1, bad)
-    # abcd = 1/q^2 makes lambda_1 = lambda_2 and starves the eigenvector
-    # of its top-degree part
+    assert mu_n(1, bad) == mu_n(-1, bad)
+    # E_-1 sits below z^1 in the window, so only a check of the whole
+    # diagonal, not just the entries above it, sees the collision
+    for n in (-1, 1):
+        with pytest.raises(EigenSolveError):
+            nonsymmetric_E(n, bad)
+    # abcd = 1/q^2 makes lambda_1 = lambda_2, a repeated diagonal entry
+    # of the D matrix
     bad2 = ParamSet(F(1, 2), F(4), F(1), F(1), F(1), 3)
     assert lambda_n(1, bad2) == lambda_n(2, bad2)
     with pytest.raises(EigenSolveError):
         askey_wilson_P_oracle(2, bad2)
+
+
+def test_eigenvectors_match_golden_fixture(p8):
+    # recorded from the general Gauss-Jordan nullspace solver that the
+    # triangular back-substitution replaced; exact arithmetic means the
+    # coefficients must agree exactly
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "p8_eigenvectors.json").read_text())
+    assert golden["params"] == p8.as_json_dict()
+    assert sorted(map(int, golden["E"])) == list(range(-8, 9))
+    assert sorted(map(int, golden["P_oracle"])) == list(range(9))
+    for n, coeffs in golden["E"].items():
+        assert nonsymmetric_E(int(n), p8).to_json_dict()["coeffs"] == coeffs
+    for n, coeffs in golden["P_oracle"].items():
+        assert askey_wilson_P_oracle(int(n), p8).to_json_dict()["coeffs"] \
+            == coeffs
 
 
 def test_polynomial_document_shape(p8):

@@ -98,6 +98,16 @@ def test_trial_based_checks_pass(p8):
     assert check_bridge_identity(p8, trials=10).passed
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trials_below_one_are_rejected(p8, trials):
+    for check in (check_hecke_relations, check_factorization,
+                  check_bridge_identity):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check(p8, trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suite(p8, n_max=2, trials=trials)
+
+
 def test_random_laurent_generators():
     rng = random.Random(0)
     for _ in range(40):
