@@ -1,18 +1,23 @@
 """awlab: exact Askey-Wilson polynomial constructions and identity checks.
 
-Everything is computed over the rational numbers with fractions.Fraction;
-there is no floating point anywhere, and every verified identity holds with
-a residual that is literally the zero polynomial.
+Everything is computed exactly over the rational numbers: every public
+value is a fractions.Fraction (Laurent polynomials keep integer numerators
+over a common denominator inside); there is no floating point anywhere, and
+every verified identity holds with a residual that is literally the zero
+polynomial.
 
 Layers, bottom up:
 
   scalars      parameter handling, genericity certification, the closed-form
                constants (lambda, mu, alpha, beta, kappa)
-  laurent      sparse exact Laurent polynomials and unreduced fractions
+  laurent      sparse exact Laurent polynomials (integer numerators over
+               one denominator) and unreduced fractions
   hecke        the operators: substitutions, T0/T1, Y, D, D'
   polynomials  the symmetric family P_n and nonsymmetric family E_n
-  verify       identity checks with residual witnesses, fault injection,
-               negative controls, and the suite runner
+  identities   per-index identity checks with residual witnesses, and the
+               scalar view that injects faults
+  verify       randomized relation checks, negative controls, and the
+               suite runner
   cli          the `awlab` command
 """
 
@@ -25,6 +30,21 @@ from .hecke import (
     apply_t0_T0_inv,
     apply_t1_T1_inv,
     apply_Y,
+)
+from .identities import (
+    FAULT_TARGETS,
+    IdentityReport,
+    check_alpha_beta,
+    check_E_eigen,
+    check_hecke_ladder,
+    check_intertwiner,
+    check_leading_coefficient,
+    check_lowering_via_d,
+    check_projection,
+    check_q_difference,
+    check_raising_via_d,
+    check_recurrence,
+    check_symmetrization,
 )
 from .laurent import (
     BOTH_ZERO,
@@ -68,22 +88,9 @@ from .scalars import (
     random_param_sets,
 )
 from .verify import (
-    FAULT_TARGETS,
-    IdentityReport,
-    check_alpha_beta,
     check_bridge_identity,
-    check_E_eigen,
     check_factorization,
-    check_hecke_ladder,
     check_hecke_relations,
-    check_intertwiner,
-    check_leading_coefficient,
-    check_lowering_via_d,
-    check_projection,
-    check_q_difference,
-    check_raising_via_d,
-    check_recurrence,
-    check_symmetrization,
     run_suite,
     suite_plan,
 )

@@ -38,7 +38,8 @@ from .scalars import (
     parse_scalar,
     random_param_sets,
 )
-from .verify import FAULT_TARGETS, run_suite, suite_plan
+from .identities import FAULT_TARGETS
+from .verify import run_suite, suite_plan
 
 _PARAM_KEYS = ("q", "a", "b", "c", "d")
 

@@ -1,6 +1,14 @@
 """Sparse exact Laurent polynomials in one variable z, and fractions of them.
 
-A LaurentPoly is an immutable map from integer degree to nonzero Fraction.
+A LaurentPoly is an immutable polynomial with rational coefficients, stored
+as integer numerators {degree: int} over one positive integer denominator.
+The form is canonical: the denominator is positive, it is coprime to the
+content (the gcd of the numerators), no numerator is zero, and the zero
+polynomial has denominator 1.  Arithmetic combines integers and reduces
+each result once, so no Fraction is built per coefficient; `coeff`,
+`items`, the constructor and the JSON and text forms speak Fraction, and
+nothing outside this module sees the integer form.
+
 The four substitutions used by the operator layer act monomial-wise:
 
     z -> q*z :  z^k -> q^k z^k          z -> 1/z :  z^k -> z^-k
@@ -15,7 +23,8 @@ remainder there is an invariant violation, reported as NotDivisibleError.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from math import gcd, lcm
+from typing import Mapping
 
 from .scalars import Scalar, format_scalar, parse_scalar
 
@@ -47,35 +56,66 @@ class _BothZero:
 BOTH_ZERO = _BothZero()
 
 
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial {degree: coefficient}."""
+def _gcd_with(g: int, values) -> int:
+    """gcd of g and all of values, stopping as soon as it reaches 1."""
+    for v in values:
+        g = gcd(g, v)
+        if g == 1:
+            break
+    return g
 
-    __slots__ = ("_coeffs",)
+
+class LaurentPoly:
+    """Immutable sparse Laurent polynomial sum_k (num[k] / den) z^k.
+
+    `_num` maps degree to a nonzero integer numerator and `_den` is the
+    common positive denominator, coprime to the numerators' content.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar | int] | None = None):
-        d: dict[int, Fraction] = {}
+        fracs: dict[int, Fraction] = {}
         if coeffs:
             for k, v in coeffs.items():
                 if type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
-                    d[int(k)] = v
-        self._coeffs = d
+                    fracs[int(k)] = v
+        # over the lcm of lowest-terms denominators, every prime of the lcm
+        # misses some numerator, so the result is already canonical
+        den = lcm(*(v.denominator for v in fracs.values()))
+        self._num = {k: v.numerator * (den // v.denominator)
+                     for k, v in fracs.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, d: dict[int, Fraction]) -> "LaurentPoly":
-        # internal fast path: d must already be canonical (no zero values)
+    def _raw(cls, num: dict[int, int], den: int) -> "LaurentPoly":
+        # internal fast path: (num, den) must already be canonical
         self = object.__new__(cls)
-        self._coeffs = d
+        self._num = num
+        self._den = den
         return self
 
     @classmethod
+    def _reduced(cls, num: dict[int, int], den: int) -> "LaurentPoly":
+        """Canonical form of num/den; num holds no zeros, den is nonzero."""
+        if den < 0:
+            den = -den
+            num = {k: -v for k, v in num.items()}
+        g = _gcd_with(den, num.values())
+        if g == 1:
+            return cls._raw(num, den)
+        # an empty num leaves g == den, which gives zero the denominator 1
+        return cls._raw({k: v // g for k, v in num.items()}, den // g)
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({0: Fraction(1)})
+        return cls._raw({0: 1}, 1)
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
@@ -86,59 +126,73 @@ class LaurentPoly:
         return cls({degree: coeff})
 
     def coeff(self, degree: int) -> Fraction:
-        return self._coeffs.get(degree, _ZERO)
+        v = self._num.get(degree)
+        return _ZERO if v is None else Fraction(v, self._den)
 
     def items(self) -> list[tuple[int, Fraction]]:
         """(degree, coefficient) pairs in increasing degree order."""
-        return sorted(self._coeffs.items())
+        den = self._den
+        return [(k, Fraction(v, den)) for k, v in sorted(self._num.items())]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(sorted(self._num))
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def min_deg(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
+        return min(self._num) if self._num else None
 
     @property
     def max_deg(self) -> int | None:
-        return max(self._coeffs) if self._coeffs else None
+        return max(self._num) if self._num else None
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({k: -v for k, v in self._coeffs.items()})
+        return LaurentPoly._raw({k: -v for k, v in self._num.items()}, self._den)
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        d = dict(self._coeffs)
-        for k, v in other._coeffs.items():
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        if m1 == 1:
+            d = dict(self._num)
+        else:
+            d = {k: v * m1 for k, v in self._num.items()}
+        for k, v in other._num.items():
+            if m2 != 1:
+                v *= m2
             s = d.get(k)
             if s is None:
                 d[k] = v
             else:
-                s = s + v
+                s += v
                 if s:
                     d[k] = s
                 else:
                     del d[k]
-        return LaurentPoly._raw(d)
+        return LaurentPoly._reduced(d, d1 * m1)
 
     __radd__ = __add__
 
@@ -157,13 +211,14 @@ class LaurentPoly:
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self._coeffs.items():
-            for k2, v2 in other._coeffs.items():
+        out: dict[int, int] = {}
+        for k1, v1 in self._num.items():
+            for k2, v2 in other._num.items():
                 k = k1 + k2
                 s = out.get(k)
                 out[k] = v1 * v2 if s is None else s + v1 * v2
-        return LaurentPoly._raw({k: v for k, v in out.items() if v})
+        return LaurentPoly._reduced({k: v for k, v in out.items() if v},
+                                    self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -171,34 +226,53 @@ class LaurentPoly:
         c = Fraction(c)
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly._raw({k: v * c for k, v in self._coeffs.items()})
+        # both factors are in lowest terms, so the result's gcd splits into
+        # gcd(c's numerator, den) and gcd(content, c's denominator)
+        n, d = c.numerator, c.denominator
+        g_n = gcd(n, self._den)
+        g_d = _gcd_with(d, self._num.values())
+        n //= g_n
+        return LaurentPoly._raw({k: v // g_d * n for k, v in self._num.items()},
+                                self._den // g_n * (d // g_d))
 
     def substitute(self, rule: str, q: Scalar | None = None) -> "LaurentPoly":
         """Apply one of the monomial-wise substitutions named above."""
         if rule == SUB_INV:
-            return LaurentPoly._raw({-k: v for k, v in self._coeffs.items()})
+            return LaurentPoly._raw({-k: v for k, v in self._num.items()},
+                                    self._den)
         if q is None:
             raise ValueError(f"substitution {rule!r} needs the scalar q")
         q = Fraction(q)
         if q == 0:
             raise ValueError("substitution needs q != 0")
+        # z^k picks up the factor (qn/qd)^k and moves to degree sign*k
         if rule == SUB_QZ:
-            return LaurentPoly._raw({k: v * q**k for k, v in self._coeffs.items()})
-        if rule == SUB_Z_OVER_Q:
-            return LaurentPoly._raw({k: v * q**-k for k, v in self._coeffs.items()})
-        if rule == SUB_Q_OVER_Z:
-            return LaurentPoly._raw({-k: v * q**k for k, v in self._coeffs.items()})
-        raise ValueError(f"unknown substitution rule {rule!r}")
+            qn, qd, sign = q.numerator, q.denominator, 1
+        elif rule == SUB_Z_OVER_Q:
+            qn, qd, sign = q.denominator, q.numerator, 1
+        elif rule == SUB_Q_OVER_Z:
+            qn, qd, sign = q.numerator, q.denominator, -1
+        else:
+            raise ValueError(f"unknown substitution rule {rule!r}")
+        if not self._num:
+            return self
+        # one denominator qn^lo * qd^hi for every degree in [-lo, hi]
+        lo = max(0, -min(self._num))
+        hi = max(0, max(self._num))
+        return LaurentPoly._reduced(
+            {sign * k: v * qn ** (k + lo) * qd ** (hi - k)
+             for k, v in self._num.items()},
+            self._den * qn**lo * qd**hi)
 
     def is_symmetric(self) -> bool:
         """True when the polynomial is invariant under z -> 1/z."""
-        return all(self._coeffs.get(-k) == v for k, v in self._coeffs.items())
+        return all(self._num.get(-k) == v for k, v in self._num.items())
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for k, v in sorted(self._coeffs.items(), reverse=True):
+        for k, v in reversed(self.items()):
             if k == 0:
                 term = format_scalar(v)
             else:
@@ -230,33 +304,48 @@ class LaurentPoly:
 
 
 def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """The h with h * den == num; NotDivisibleError when none exists."""
+    """The h with h * den == num; NotDivisibleError when none exists.
+
+    Fraction-free long division.  Write num = N/n and den = (c/m) D with
+    N, D integer and D primitive (c is the content of den's numerators).
+    By Gauss's lemma, if D divides N over Q then the quotient N/D has
+    integer coefficients; so every step of the division of N by D is an
+    exact integer divmod, and h = (m/(n c)) N/D is formed once at the end.
+    A step with a nonzero integer remainder proves that no quotient exists;
+    the division then goes on over Q, only so that the error carries the
+    remainder that rational long division leaves.
+    """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    rem = dict(num._coeffs)
-    out: dict[int, Fraction] = {}
-    d_items = list(den._coeffs.items())
+    content = _gcd_with(0, den._num.values())
     d_max = den.max_deg
-    d_lead = den.coeff(d_max)
-    # an exact quotient cannot reach below this exponent
-    min_exp = num.min_deg - den.min_deg
-    while rem:
-        r_max = max(rem)
-        k = r_max - d_max
-        if k < min_exp:
-            raise NotDivisibleError(LaurentPoly(rem))
-        c = rem[r_max] / d_lead
-        out[k] = c
-        for dk, dv in d_items:
-            key = dk + k
-            nv = rem.get(key, _ZERO) - c * dv
-            if nv:
-                rem[key] = nv
-            elif key in rem:
-                del rem[key]
-    return LaurentPoly._raw(out)
+    d_lead = den._num[d_max] // content
+    d_tail = [(k - d_max, v // content) for k, v in den._num.items() if k != d_max]
+    rem = dict(num._num)
+    out: dict[int, int] = {}
+    # an exact quotient cannot reach below degree num.min_deg - den.min_deg,
+    # so no division step is taken below this remainder degree
+    lowest = num.min_deg - den.min_deg + d_max
+    for r_deg in range(num.max_deg, lowest - 1, -1):
+        r = rem.pop(r_deg, 0)
+        if not r:
+            continue
+        c, inexact = divmod(r, d_lead)
+        if inexact:
+            # no quotient exists, so the remainder cannot vanish; go on over Q
+            c = Fraction(r, d_lead)
+        out[r_deg - d_max] = c
+        for off, dv in d_tail:
+            key = r_deg + off
+            rem[key] = rem.get(key, 0) - c * dv
+    if not any(rem.values()):
+        m = den._den
+        return LaurentPoly._reduced({k: v * m for k, v in out.items()},
+                                    num._den * content)
+    raise NotDivisibleError(LaurentPoly(
+        {k: Fraction(v, num._den) for k, v in rem.items()}))
 
 
 def proportional(f: LaurentPoly, g: LaurentPoly):

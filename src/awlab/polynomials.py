@@ -168,7 +168,9 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
           * prod_{j<k} (1 - a q^j z)(1 - a q^j / z)
 
     with (x)_k the q-Pochhammer symbol.  The normalization makes the z^n
-    coefficient exactly 1.
+    coefficient exactly 1.  The k-th summand's scalar comes from the
+    (k-1)-th by one ratio of six linear factors at q^(k-1); the ratio is
+    never taken at k = n, where 1 - ab q^n need not be certified nonzero.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")
@@ -176,6 +178,7 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     q, a = p.q, p.a
     x_ab, x_ac, x_ad = a * p.b, a * p.c, a * p.d
     x_s = p.abcd * q ** (n - 1)
+    q_inv_n = q**-n
     prefactor = (
         q_pochhammer(x_ab, n, q)
         * q_pochhammer(x_ac, n, q)
@@ -186,21 +189,17 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     z_inv = LaurentPoly.monomial(-1)
     total = LaurentPoly.zero()
     factor = LaurentPoly.one()
+    coeff = Fraction(1)
+    q_k = Fraction(1)  # q^k
     for k in range(n + 1):
-        coeff = (
-            q_pochhammer(x_s, k, q)
-            * q_pochhammer(q**-n, k, q)
-            * q**k
-            / (
-                q_pochhammer(x_ab, k, q)
-                * q_pochhammer(x_ac, k, q)
-                * q_pochhammer(x_ad, k, q)
-                * q_pochhammer(q, k, q)
-            )
-        )
         total = total + factor.scale(coeff)
-        aq = a * q**k
+        aq = a * q_k
         factor = factor * (1 - aq * z) * (1 - aq * z_inv)
+        if k < n:
+            coeff = coeff * (1 - x_s * q_k) * (1 - q_inv_n * q_k) * q / (
+                (1 - x_ab * q_k) * (1 - x_ac * q_k) * (1 - x_ad * q_k)
+                * (1 - q_k * q))
+            q_k *= q
     return total.scale(prefactor)
 
 

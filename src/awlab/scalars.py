@@ -1,6 +1,6 @@
 """Exact rational scalars and the certified parameter points they live on.
 
-Everything in this package is computed over `fractions.Fraction`, so equality
+Every scalar in this package is an exact `fractions.Fraction`, so equality
 means equality and a zero residual is exactly the zero polynomial.  This
 module owns parsing and formatting of rationals, the genericity conditions
 G1..G6 that keep every downstream denominator nonzero, and the closed-form
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 Scalar = Fraction
@@ -56,27 +55,46 @@ def _as_scalar(name: str, value) -> Scalar:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class ParamSet:
     """A certified parameter point (q, a, b, c, d) with horizon n_max.
 
     Construct through `check_genericity`; the constructor itself only derives
     the deformation scalars t0 = -cd/q and t1 = -ab.  Instances are immutable
-    and hashable, which the memo caches downstream rely on.
+    and hashable on (q, a, b, c, d, n_max), which the memo caches downstream
+    rely on.
     """
 
-    q: Scalar
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
-    n_max: int
-    t0: Scalar = field(init=False, compare=False, repr=False)
-    t1: Scalar = field(init=False, compare=False, repr=False)
+    __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t0", -self.c * self.d / self.q)
-        object.__setattr__(self, "t1", -self.a * self.b)
+    def __init__(self, q: Scalar, a: Scalar, b: Scalar, c: Scalar, d: Scalar,
+                 n_max: int):
+        for name, value in zip(self.__slots__, (q, a, b, c, d, n_max,
+                                                -c * d / q, -a * b)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a ParamSet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a ParamSet")
+
+    def _key(self) -> tuple:
+        return (self.q, self.a, self.b, self.c, self.d, self.n_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"ParamSet(q={self.q!r}, a={self.a!r}, b={self.b!r}, "
+                f"c={self.c!r}, d={self.d!r}, n_max={self.n_max!r})")
+
+    def __reduce__(self):
+        return (ParamSet, self._key())
 
     @property
     def abcd(self) -> Scalar:
@@ -278,6 +296,12 @@ def random_param_set(rng: random.Random, n_max: int, max_height: int = 64,
 
 
 def random_param_sets(seed: int, trials: int, n_max: int) -> list[ParamSet]:
-    """trials certified points, deterministic for a given seed."""
+    """trials certified points, deterministic for a given seed.
+
+    A count below 1 is a ValueError, so a typo cannot pass for an empty
+    result.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     return [random_param_set(rng, n_max) for _ in range(trials)]

@@ -223,6 +223,16 @@ def test_random_params_deterministic(capsys):
     assert all(d["nmax"] == 3 for d in docs)
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_random_params_rejects_count_below_one(capsys, trials):
+    # an empty draw must not look like success
+    rc = main(["random-params", "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "trials must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("AWLAB_SEED", "7")
     rc = main(["random-params", "--seed", "1", "--trials", "2",
@@ -252,3 +262,15 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["coeffs"] == {"-1": "1", "0": "-430/577", "1": "1"}
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # both weigh on start-up time and memory, and awlab needs neither
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, awlab.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

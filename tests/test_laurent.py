@@ -1,6 +1,7 @@
 """Laurent polynomial arithmetic, substitution, division, serialization."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from awlab import (
     limit_at_infinity,
     proportional,
 )
+
+import fraction_laurent as ref
 
 Q = F(1, 2)
 
@@ -249,3 +252,127 @@ def test_str_formatting():
     assert str(LaurentPoly({1: 1, 0: F(-430, 577), -1: 1})) \
         == "z - 430/577 + z^-1"
     assert str(LaurentPoly({2: F(1, 2), -2: -1})) == "1/2*z^2 - z^-2"
+
+
+# --- the integer-numerator core against the Fraction reference -------------
+
+fraction_dicts = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), small_fractions, max_size=7)
+nonzero_fraction_dicts = fraction_dicts.filter(lambda d: any(d.values()))
+# q of either sign, as the substitutions see it from the operator layer
+q_values = st.fractions(min_value=-3, max_value=3,
+                        max_denominator=7).filter(lambda x: x != 0)
+scalars = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def _assert_canonical(p):
+    assert p._den > 0
+    assert all(type(v) is int and v for v in p._num.values())
+    content = 0
+    for v in p._num.values():
+        content = gcd(content, v)
+    assert gcd(content, p._den) == 1   # gcd(0, den) == den pins zero to 1
+
+
+def _agrees(p, ref):
+    _assert_canonical(p)
+    assert p.items() == sorted(ref.items())
+    assert all(type(v) is F for _, v in p.items())
+
+
+@given(fraction_dicts, fraction_dicts, scalars)
+def test_arithmetic_matches_fraction_reference(f, g, c):
+    pf, pg = LaurentPoly(f), LaurentPoly(g)
+    rf, rg = ref.clean(f), ref.clean(g)
+    _agrees(pf, rf)
+    _agrees(pf + pg, ref.add(rf, rg))
+    _agrees(pf - pg, ref.sub(rf, rg))
+    _agrees(-pf, ref.neg(rf))
+    _agrees(pf * pg, ref.mul(rf, rg))
+    _agrees(pf.scale(c), ref.scale(rf, c))
+    _agrees(pf * c, ref.scale(rf, c))
+
+
+@given(fraction_dicts, q_values)
+def test_substitutions_match_fraction_reference(f, q):
+    pf, rf = LaurentPoly(f), ref.clean(f)
+    for rule in (SUB_INV, SUB_QZ, SUB_Z_OVER_Q, SUB_Q_OVER_Z):
+        _agrees(pf.substitute(rule, q), ref.substitute(rf, rule, q))
+
+
+@given(fraction_dicts, nonzero_fraction_dicts)
+@settings(max_examples=150)
+def test_exact_quotient_matches_fraction_reference(f, g):
+    pf, pg = LaurentPoly(f), LaurentPoly(g)
+    rf, rg = ref.clean(f), ref.clean(g)
+    for num, rnum in ((pf, rf), (pf * pg, ref.mul(rf, rg))):
+        try:
+            expected = ref.exact_quotient(rnum, rg)
+        except ref.RefNotDivisible as err:
+            with pytest.raises(NotDivisibleError) as got:
+                exact_quotient(num, pg)
+            _agrees(got.value.remainder, err.remainder)
+        else:
+            _agrees(exact_quotient(num, pg), expected)
+
+
+@given(fraction_dicts, q_values)
+def test_zero_results_are_canonical(f, q):
+    pf = LaurentPoly(f)
+    for zero in (pf - pf, pf + (-pf), pf.scale(0), pf * LaurentPoly.zero(),
+                 (pf - pf).substitute(SUB_QZ, q)):
+        _assert_canonical(zero)
+        assert zero.items() == []
+        assert zero == LaurentPoly.zero() == 0
+        assert hash(zero) == hash(LaurentPoly.zero())
+
+
+@given(fraction_dicts, fraction_dicts, q_values)
+def test_equal_values_by_different_routes_hash_equal(f, g, q):
+    pf, pg = LaurentPoly(f), LaurentPoly(g)
+    pairs = [
+        (pf * pg, pg * pf),
+        ((pf + pg) - pg, pf),
+        (pf.scale(F(6, 35)).scale(F(35, 6)), pf),
+        (pf.substitute(SUB_QZ, q).substitute(SUB_Z_OVER_Q, q), pf),
+        (pf.substitute(SUB_Q_OVER_Z, q).substitute(SUB_Q_OVER_Z, q), pf),
+        (LaurentPoly(dict(pf.items())), pf),
+    ]
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+def test_negative_q_keeps_denominator_positive():
+    f = LaurentPoly({-3: F(2, 5), 1: 1, 4: F(-7, 3)})
+    q = F(-2, 3)
+    for rule in (SUB_QZ, SUB_Z_OVER_Q, SUB_Q_OVER_Z):
+        g = f.substitute(rule, q)
+        _assert_canonical(g)
+        _agrees(g, ref.substitute(ref.clean(dict(f.items())), rule, q))
+
+
+def test_exact_quotient_divisor_with_content_and_rational_coefficients():
+    # numerators 18z^2 + 4z - 10 over 15: content 2, not primitive
+    den = LaurentPoly({2: F(6, 5), 1: F(4, 15), 0: F(-2, 3)})
+    h = LaurentPoly({-2: F(5, 7), 0: F(-3, 4), 3: F(11, 6)})
+    num = h * den
+    got = exact_quotient(num, den)
+    assert got == h
+    _agrees(got, ref.exact_quotient(dict(num.items()), dict(den.items())))
+    assert exact_quotient(num, h) == den
+
+
+@pytest.mark.parametrize("num, den, remainder", [
+    # the first division step is inexact over the integers (1/2, 1/2, 2/3)
+    ({3: 1, 0: 1}, {1: 2, 0: 1}, {0: F(7, 8)}),
+    ({4: 1, 0: 3}, {2: 2, 0: 1}, {0: F(13, 4)}),
+    ({3: F(1, 3), 0: F(2, 5), -1: 1}, {1: F(4, 3), 0: F(2, 9)},
+     {-1: F(18149, 19440)}),
+    # the degree bound stops it before any step
+    ({2: 1}, {1: 2, 0: 1}, {2: 1}),
+])
+def test_not_divisible_remainder_is_pinned(num, den, remainder):
+    with pytest.raises(NotDivisibleError) as err:
+        exact_quotient(LaurentPoly(num), LaurentPoly(den))
+    assert err.value.remainder.items() == sorted(remainder.items())

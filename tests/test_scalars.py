@@ -1,5 +1,7 @@
 """Scalar layer: parsing, genericity certification, eigenvalue families."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +60,22 @@ def test_param_set_derived_hecke_scalars(p8):
 def test_param_set_is_frozen(p8):
     with pytest.raises(AttributeError):
         p8.q = F(1, 3)
+
+
+def test_param_set_value_semantics(p8):
+    assert repr(p8) == (
+        "ParamSet(q=Fraction(1, 2), a=Fraction(1, 3), b=Fraction(1, 5), "
+        "c=Fraction(1, 7), d=Fraction(1, 11), n_max=8)")
+    same = ParamSet(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), 8)
+    assert same == p8 and hash(same) == hash(p8)
+    assert ParamSet(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), 9) != p8
+    assert p8 != (p8.q, p8.a, p8.b, p8.c, p8.d, p8.n_max)
+    with pytest.raises(AttributeError):
+        p8.t0 = F(0)
+    with pytest.raises(AttributeError):
+        del p8.n_max
+    assert pickle.loads(pickle.dumps(p8)) == p8
+    assert copy.copy(p8) == p8
 
 
 def test_param_set_json_round_trip(p8):
@@ -226,6 +244,12 @@ def test_random_param_sets_deterministic():
     assert len(first) == 3
     # a different seed gives a different draw
     assert random_param_sets(7, 3, 5) != first
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_random_param_sets_rejects_count_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        random_param_sets(42, trials, 5)
 
 
 def test_random_param_sets_are_certified():

@@ -7,6 +7,8 @@ import pytest
 from awlab import (
     FAULT_TARGETS,
     HorizonError,
+    IdentityReport,
+    LaurentPoly,
     check_alpha_beta,
     check_bridge_identity,
     check_E_eigen,
@@ -199,3 +201,17 @@ def test_fault_injection_flips_exactly_dependent_checks(fault, p8):
             assert not r.residual_witness.is_zero()
         if r.identity_id.startswith("control-"):
             assert r.passed
+
+
+def test_identity_report_value_semantics(p8):
+    witness = LaurentPoly({1: 2})
+    report = IdentityReport("alpha-beta", p8, 3, False, witness, 0.25)
+    assert repr(report) == (
+        f"IdentityReport(identity_id='alpha-beta', params={p8!r}, n=3, "
+        f"passed=False, residual_witness={witness!r}, elapsed=0.25)")
+    assert report == IdentityReport("alpha-beta", p8, 3, False, witness, 0.25)
+    assert report != IdentityReport("alpha-beta", p8, 3, False, witness, 0.5)
+    with pytest.raises(TypeError):
+        hash(report)
+    assert report.as_json_dict(7)["residual"] == {"var": "z",
+                                                  "coeffs": {"1": "2"}}
