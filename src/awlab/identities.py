@@ -343,7 +343,12 @@ def check_alpha_beta(n: int, p: ParamSet) -> IdentityReport:
 
 
 def check_E_eigen(n: int, p: ParamSet) -> IdentityReport:
-    """Y E_n = mu_n E_n, checked by a full operator application."""
+    """Y E_n = mu_n E_n, checked by a full operator application.
+
+    E_n is built as (Y - mu_-n) P_|n| / (mu_n - mu_-n) for n > 0 and from
+    P_|n| - E_|n| for n < 0, so for n != 0 this checks
+    (Y - mu_n)(Y - mu_-n) P_|n| = 0.
+    """
     started = time.perf_counter()
     en = nonsymmetric_E(n, p)
     residual = apply_Y(en, p) - en.scale(mu_n(n, p))

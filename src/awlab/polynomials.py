@@ -11,13 +11,22 @@ test suite checks that they do.
 
 The nonsymmetric family E_n is defined spectrally: E_n is the eigenvector
 of Y = T1 T0 with eigenvalue mu_n, normalized so the z^n coefficient is 1.
-In the basis 1, z^-1, z, z^-2, z^2, ... the matrix of Y on the window
-spanned by z^-k .. z^k is upper triangular with the mu values on the
-diagonal.  The builders verify that structure at runtime instead of
-assuming it, so both E_n and the oracle P_n come from back-substitution
-in the triangular matrix of Y/D, with an explicit distinct-diagonal
-check: genericity (G5, G6) promises distinct eigenvalues, and a repeated
-one raises EigenSolveError.
+It is built by spectral projection of P_m, m = |n|: P_m lies in the span
+of E_m and E_-m, whose Y-eigenvalues mu_m and mu_-m differ at a certified
+point (G5), so one application of Y separates them,
+
+    E_m  = (Y P_m - mu_-m P_m) / (mu_m - mu_-m),
+    E_-m = (P_m - E_m) / c_m,  c_m = (1 - q^m)(1 - cd q^(m-1))
+                                     / (1 - abcd q^(2m-1)),
+
+with c_m read off as the z^-m coefficient of P_m - E_m and E_0 = 1.  The
+slow route stays as `nonsymmetric_E_oracle`: in the basis 1, z^-1, z,
+z^-2, z^2, ... the matrix of Y on the window spanned by z^-k .. z^k is
+upper triangular with the mu values on the diagonal, the builder verifies
+that structure at runtime instead of assuming it, and the eigenvector
+comes from back-substitution.  The oracle P_n is built the same way from
+the matrix of D.  Both back-substitutions check that the eigenvalue sits
+on the diagonal once (G5, G6); a repeated one raises EigenSolveError.
 """
 
 from __future__ import annotations
@@ -169,8 +178,9 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
 
     with (x)_k the q-Pochhammer symbol.  The normalization makes the z^n
     coefficient exactly 1.  The k-th summand's scalar comes from the
-    (k-1)-th by one ratio of six linear factors at q^(k-1); the ratio is
-    never taken at k = n, where 1 - ab q^n need not be certified nonzero.
+    (k-1)-th by one ratio of six linear factors at q^(k-1).  Neither the
+    ratio nor the factor product is taken past the last summand k = n,
+    where 1 - ab q^n need not be certified nonzero.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")
@@ -193,9 +203,9 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     q_k = Fraction(1)  # q^k
     for k in range(n + 1):
         total = total + factor.scale(coeff)
-        aq = a * q_k
-        factor = factor * (1 - aq * z) * (1 - aq * z_inv)
         if k < n:
+            aq = a * q_k
+            factor = factor * (1 - aq * z) * (1 - aq * z_inv)
             coeff = coeff * (1 - x_s * q_k) * (1 - q_inv_n * q_k) * q / (
                 (1 - x_ab * q_k) * (1 - x_ac * q_k) * (1 - x_ad * q_k)
                 * (1 - q_k * q))
@@ -226,10 +236,41 @@ def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
 def nonsymmetric_E(n: int, p: ParamSet) -> LaurentPoly:
     """Eigenvector of Y = T1 T0 with eigenvalue mu_n, z^n coefficient 1.
 
+    Spectral projection of P_|n| (see the module docstring): one
+    application of Y per |n|, with E_-m built from the cached E_m.  The
+    normalizer c_m of E_-m equals (1 - q^m)(1 - cd q^(m-1)) /
+    (1 - abcd q^(2m-1)), which G1, G4 and G3 keep nonzero at a certified
+    point.  Off the certified set, mu_m == mu_-m or c_m == 0 raises
+    EigenSolveError.
+    """
+    p.require_horizon(n)
+    if n == 0:
+        return LaurentPoly.one()
+    m = abs(n)
+    if n < 0:
+        rest = askey_wilson_P(m, p) - nonsymmetric_E(m, p)
+        c = rest.coeff(-m)
+        if c == 0:
+            raise EigenSolveError(
+                f"P_{m} - E_{m} has no z^-{m} term, so it is no multiple "
+                f"of E_-{m}")
+        return rest.scale(1 / c)
+    top, other = mu_n(m, p), mu_n(-m, p)
+    if top == other:
+        raise EigenSolveError(
+            f"mu_{m} = mu_-{m} = {top}; the eigenspace is not a line")
+    pm = askey_wilson_P(m, p)
+    return (apply_Y(pm, p) - pm.scale(other)).scale(1 / (top - other))
+
+
+def nonsymmetric_E_oracle(n: int, p: ParamSet) -> LaurentPoly:
+    """E_n constructed the slow way, as the mu_n eigenvector of Y.
+
     Back-substitution in the triangular matrix of Y on the window
     z^-|n| .. z^|n|, with an explicit check that mu_n differs from every
     other diagonal entry in the window (G5 promises it); a repeated
-    diagonal value raises EigenSolveError.
+    diagonal value raises EigenSolveError.  Exists to cross-check
+    nonsymmetric_E through an unrelated computation.
     """
     p.require_horizon(n)
     v = _eigenvector(y_matrix(abs(n), p), position(n), mu_n(n, p), f"mu_{n}")

@@ -139,7 +139,11 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
 
     G1  q is not 0, 1 or -1 (with rational q this rules out all roots of 1).
     G2  a, b, c, d are nonzero.
-    G3  abcd * q^j != 1 for 0 <= j <= 2*n_max + 2.
+    G3  abcd * q^j != 1 for -2 <= j <= 2*n_max + 2.  The two negative
+        exponents cover n = 0: the closed form of alpha_0 divides by
+        (1 - abcd q^-2)(1 - abcd q^-1), and at abcd = q the eigenvalue
+        mu_0 = abcd/q is 1, so the n = 0 projection and Hecke raising
+        multiples vanish.  Such points are rejected, not special-cased.
     G4  (xy) * q^j != 1 for every pair xy from {ab, ac, ad, bc, bd, cd} and
         0 <= j <= n_max.
     G5  the mu_n are pairwise distinct for -n_max-1 <= n <= n_max+1.
@@ -158,7 +162,7 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
             raise GenericityError("G2", f"{name} must be nonzero")
     a, b, c, d = named["a"], named["b"], named["c"], named["d"]
     abcd = a * b * c * d
-    for j in range(2 * n_max + 3):
+    for j in range(-2, 2 * n_max + 3):
         if abcd * q**j == 1:
             raise GenericityError("G3", f"abcd*q^{j} = 1")
     pairs = {"ab": a * b, "ac": a * c, "ad": a * d,

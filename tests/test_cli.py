@@ -170,15 +170,28 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert captured.out == ""
 
 
-def test_internal_error_exits_3(capsys):
-    # abcd = q passes G1..G6 but alpha_0 is then 0/0 (a known gap in the
-    # certificate); the crash must not look like a failed identity (exit 1)
-    rc = main(["table", "alpha", "--nmax", "3",
-               "--params", "q=1/2,a=2,b=3,c=5,d=1/60"])
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a crash inside a construction must not look like a failed identity
+    # (exit 1) or like bad input (exit 2)
+    def broken(n, p):
+        raise ZeroDivisionError("Fraction(0, 0)")
+
+    monkeypatch.setattr(awlab.cli, "askey_wilson_P", broken)
+    rc = main(["gen", "P", "--n", "2", "--params", P8_STR])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error: ZeroDivisionError")
-    assert len(err.splitlines()) == 1
+    assert err == "internal error: ZeroDivisionError: Fraction(0, 0)\n"
+
+
+@pytest.mark.parametrize("d", ["1/60", "1/120"])
+def test_abcd_at_q_and_q_squared_is_rejected(capsys, d):
+    # abcd = q and abcd = q^2: alpha_0 is 0/0 there, and at abcd = q the
+    # n = 0 projection and Hecke raising multiples vanish; G3 covers both
+    params = f"q=1/2,a=2,b=3,c=5,d={d}"
+    for argv in (["table", "alpha", "--nmax", "3", "--params", params],
+                 ["verify", "--nmax", "3", "--trials", "1", "--params", params]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("GenericityError(G3)")
 
 
 def test_eigen_solve_error_exits_3(capsys, monkeypatch):

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from awlab import (
     EigenSolveError,
+    GenericityError,
     HorizonError,
     LaurentPoly,
     ParamSet,
@@ -27,6 +30,7 @@ from awlab import (
 from awlab.polynomials import (
     d_matrix,
     exponent_at,
+    nonsymmetric_E_oracle,
     polynomial_document,
     position,
     y_matrix,
@@ -225,6 +229,52 @@ def test_eigenvectors_match_golden_fixture(p8):
     for n, coeffs in golden["P_oracle"].items():
         assert askey_wilson_P_oracle(int(n), p8).to_json_dict()["coeffs"] \
             == coeffs
+
+
+def e_normalizer_closed_form(m, p):
+    """c_m in P_m = E_m + c_m E_-m."""
+    q = p.q
+    return (1 - q**m) * (1 - p.c * p.d * q ** (m - 1)) \
+        / (1 - p.abcd * q ** (2 * m - 1))
+
+
+def test_e_minus_m_normalizer_matches_closed_form(p8, seeded_points):
+    # G1, G4 and G3 keep every factor of the closed form nonzero, so the
+    # normalizer of E_-m never vanishes at a certified point
+    negative_q = check_genericity(F(-2, 3), F(3, 5), F(-7, 2), F(5, 11),
+                                  F(2, 13), 6)
+    for p in (p8, negative_q, *seeded_points):
+        for m in range(1, p.n_max + 1):
+            pm, em = askey_wilson_P(m, p), nonsymmetric_E(m, p)
+            c = (pm - em).coeff(-m)
+            assert c == e_normalizer_closed_form(m, p) != 0
+            assert pm == em + nonsymmetric_E(-m, p).scale(c)
+
+
+def test_e_minus_m_normalizer_guard_fires_off_the_certified_set():
+    # cd = 1 makes c_1 = 0: P_1 is E_1 itself and has no E_-1 component
+    bad = ParamSet(F(1, 2), F(3), F(5), F(2), F(1, 2), 1)
+    with pytest.raises(GenericityError):
+        check_genericity(bad.q, bad.a, bad.b, bad.c, bad.d, 1)
+    assert nonsymmetric_E(1, bad) == askey_wilson_P(1, bad)
+    with pytest.raises(EigenSolveError):
+        nonsymmetric_E(-1, bad)
+
+
+small_nonzero = st.fractions(min_value=-7, max_value=7, max_denominator=7) \
+    .filter(bool)
+
+
+@given(q=small_nonzero, a=small_nonzero, b=small_nonzero, c=small_nonzero,
+       d=small_nonzero, n_max=st.integers(min_value=1, max_value=5))
+@settings(deadline=None)
+def test_spectral_projection_matches_eigen_solve(q, a, b, c, d, n_max):
+    try:
+        p = check_genericity(q, a, b, c, d, n_max)
+    except GenericityError:
+        assume(False)
+    for n in range(-n_max, n_max + 1):
+        assert nonsymmetric_E(n, p) == nonsymmetric_E_oracle(n, p)
 
 
 def test_polynomial_document_shape(p8):
