@@ -96,67 +96,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOTH_ZERO",
-    "EigenSolveError",
-    "ExtractionError",
-    "FAULT_TARGETS",
-    "GenericityError",
-    "HorizonError",
-    "IdentityReport",
-    "LaurentFraction",
-    "LaurentPoly",
-    "NotDivisibleError",
-    "NotSymmetricError",
-    "ParamSet",
-    "SUB_INV",
-    "SUB_QZ",
-    "SUB_Q_OVER_Z",
-    "SUB_Z_OVER_Q",
-    "Scalar",
-    "alpha_n",
-    "apply_D",
-    "apply_D_prime",
-    "apply_T0",
-    "apply_T1",
-    "apply_Y",
-    "apply_t0_T0_inv",
-    "apply_t1_T1_inv",
-    "askey_wilson_P",
-    "askey_wilson_P_oracle",
-    "beta_n",
-    "check_E_eigen",
-    "check_alpha_beta",
-    "check_bridge_identity",
-    "check_factorization",
-    "check_genericity",
-    "check_hecke_ladder",
-    "check_hecke_relations",
-    "check_intertwiner",
-    "check_leading_coefficient",
-    "check_lowering_via_d",
-    "check_projection",
-    "check_q_difference",
-    "check_raising_via_d",
-    "check_recurrence",
-    "check_symmetrization",
-    "e1",
-    "e3",
-    "exact_quotient",
-    "format_scalar",
-    "kappa_n",
-    "lambda_n",
-    "limit_at_infinity",
-    "mu_n",
-    "nonsymmetric_E",
-    "param_set_from_json",
-    "parse_scalar",
-    "proportional",
-    "q_pochhammer",
-    "random_param_sets",
-    "recurrence_ratio",
-    "run_suite",
-    "suite_plan",
-    "symmetrize",
-]

@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="polynomial index")
     gen.add_argument("--params", required=True,
                      help="q=..,a=..,b=..,c=..,d=.. with p/q rational values")
-    gen.add_argument("--json", action="store_true",
-                     help="accepted for uniformity; gen output is always JSON")
     gen.set_defaults(func=cmd_gen)
 
     table = sub.add_parser("table", help="tabulate one scalar family")

@@ -384,9 +384,6 @@ class LaurentFraction:
         self.num = num
         self.den = den
 
-    def __neg__(self) -> "LaurentFraction":
-        return LaurentFraction(-self.num, self.den)
-
     def __add__(self, other) -> "LaurentFraction":
         if not isinstance(other, LaurentFraction):
             other = LaurentFraction(other)
@@ -396,22 +393,10 @@ class LaurentFraction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentFraction":
-        if not isinstance(other, LaurentFraction):
-            other = LaurentFraction(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentFraction":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentFraction":
         if not isinstance(other, LaurentFraction):
             other = LaurentFraction(other)
         return LaurentFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def substitute(self, rule: str, q: Scalar | None = None) -> "LaurentFraction":
         return LaurentFraction(

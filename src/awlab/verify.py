@@ -2,11 +2,18 @@
 
 `run_suite` runs every identity check (awlab.identities, plus the
 randomized-input checks defined here) over its full index range at one
-certified point.  Two safeguards keep the suite honest:
+certified point.  The suite is one table, `_SUITE`: a row per identity
+family gives its id, its n values as a function of the horizon, and its
+check.  `suite_plan` (which the CLI's SKIP lines come from) and
+`run_suite` both walk that table.  The three random-input rows call
+their check by its module-level name at run time rather than holding the
+function, so a wrapper bound over that name later (a profiler, a tracer)
+still sees every call.  Two safeguards keep the suite honest:
 
-* Negative controls deliberately perturb one constant and pass only when
-  the perturbed check fails with a nonzero witness.  They guard against
-  vacuous passes (a zero polynomial satisfies every linear identity).
+* Negative controls, the rows whose id starts with "control-",
+  deliberately perturb one constant and pass only when the perturbed
+  check fails with a nonzero witness.  They guard against vacuous
+  passes (a zero polynomial satisfies every linear identity).
 
 * Fault injection (`run_suite(..., fault="beta")`) adds 1 to one scalar
   family at the reporting layer, leaving the constructions untouched.
@@ -245,6 +252,56 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
 # the suite
 # ---------------------------------------------------------------------------
 
+# (id, n values at horizon N or None for a random-input family, check).
+# Per-index checks take (n, p, v), v being the suite's scalar view;
+# random-input checks take (p, trials=, seed=, degree_window=).  The
+# "control-" rows build their own views from the clean scalars.
+_SUITE = (
+    ("q-difference-eigen", lambda N: range(N + 1), _q_difference),
+    ("y-eigen", lambda N: range(1 - N, N) if N else (0,),
+     lambda n, p, v: check_E_eigen(n, p)),
+    ("three-term-recurrence", lambda N: range(2, N), _recurrence),
+    ("raising-via-d", lambda N: range(2, N), _raising_via_d),
+    ("lowering-via-d", lambda N: range(2, N), _lowering_via_d),
+    ("raising-via-hecke", range, _raising_via_hecke),
+    ("lowering-via-hecke", lambda N: range(2, N), _lowering_via_hecke),
+    ("lowering-via-hecke-n1", lambda N: (1,) if N >= 1 else (),
+     lambda n, p, v: _lowering_via_hecke_n1(p, v)),
+    ("leading-coefficient", range,
+     lambda n, p, v: check_leading_coefficient(n, p)),
+    ("alpha-beta", lambda N: range(1, N + 1), _alpha_beta),
+    ("symmetrization", lambda N: [n for n in range(1 - N, N) if n],
+     lambda n, p, v: check_symmetrization(n, p)),
+    ("projection", range, lambda n, p, v: check_projection(n, p)),
+    ("intertwiner", lambda N: range(1 - N, N), _intertwiner),
+    # looked up by name when called, so wrappers bound later still apply
+    ("hecke-relations", None, lambda p, **kw: check_hecke_relations(p, **kw)),
+    ("factorization", None, lambda p, **kw: check_factorization(p, **kw)),
+    ("bridge-symmetric", None, lambda p, **kw: check_bridge_identity(p, **kw)),
+    ("control-lambda-q-difference", lambda N: (2,) if N >= 2 else (),
+     lambda n, p, v: _q_difference(n, p, _ScalarView(p, "lambda"))),
+    ("control-alpha-recurrence", lambda N: (2,) if N >= 3 else (),
+     lambda n, p, v: _recurrence(n, p, _ScalarView(p, "alpha"))),
+    ("control-swap-raising-via-d", lambda N: (2,) if N >= 3 else (),
+     lambda n, p, v: _raising_via_d(n, p, _ScalarView(p),
+                                    lam_prev=lambda_n(n + 1, p),
+                                    lam_next=lambda_n(n - 1, p))),
+    ("control-kappa-intertwiner", lambda N: (1,) if N >= 2 else (),
+     lambda n, p, v: _intertwiner(n, p, _ScalarView(p, "kappa"))),
+    ("control-beta-raising-via-hecke", lambda N: (1,) if N >= 2 else (),
+     lambda n, p, v: _raising_via_hecke(n, p, _ScalarView(p, "beta"))),
+)
+
+
+def _rows(n_max: int, negative_controls: bool):
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    for identity_id, n_values, check in _SUITE:
+        if negative_controls or not identity_id.startswith("control-"):
+            ns = None if n_values is None else tuple(n_values(n_max))
+            yield identity_id, ns, check
+
+
 def suite_plan(n_max: int,
                negative_controls: bool = True) -> list[tuple[str, tuple[int, ...] | None]]:
     """Identity families with the n values the suite runs at this horizon.
@@ -253,44 +310,8 @@ def suite_plan(n_max: int,
     n-range is empty at this horizon carry an empty tuple, so callers can
     report them as skipped rather than silently absent.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    window = tuple(range(-(n_max - 1), n_max)) if n_max >= 1 else (0,)
-    plan: list[tuple[str, tuple[int, ...] | None]] = [
-        ("q-difference-eigen", tuple(range(n_max + 1))),
-        ("y-eigen", window),
-        ("three-term-recurrence", tuple(range(2, n_max))),
-        ("raising-via-d", tuple(range(2, n_max))),
-        ("lowering-via-d", tuple(range(2, n_max))),
-        ("raising-via-hecke", tuple(range(n_max))),
-        ("lowering-via-hecke", tuple(range(2, n_max))),
-        ("lowering-via-hecke-n1", (1,) if n_max >= 1 else ()),
-        ("leading-coefficient", tuple(range(n_max))),
-        ("alpha-beta", tuple(range(1, n_max + 1))),
-        ("symmetrization", tuple(n for n in window if n != 0)),
-        ("projection", tuple(range(n_max))),
-        ("intertwiner", window if n_max >= 1 else ()),
-        ("hecke-relations", None),
-        ("factorization", None),
-        ("bridge-symmetric", None),
-    ]
-    if negative_controls:
-        plan += [
-            ("control-lambda-q-difference", (2,) if n_max >= 2 else ()),
-            ("control-alpha-recurrence", (2,) if n_max >= 3 else ()),
-            ("control-swap-raising-via-d", (2,) if n_max >= 3 else ()),
-            ("control-kappa-intertwiner", (1,) if n_max >= 2 else ()),
-            ("control-beta-raising-via-hecke", (1,) if n_max >= 2 else ()),
-        ]
-    return plan
-
-
-def _control(identity_id: str, p: ParamSet, n: int,
-             inner: IdentityReport) -> IdentityReport:
-    """A negative control passes exactly when the perturbed check failed."""
-    passed = not inner.passed
-    witness = None if passed else LaurentPoly.one()
-    return IdentityReport(identity_id, p, n, passed, witness, inner.elapsed)
+    return [(identity_id, ns)
+            for identity_id, ns, _ in _rows(n_max, negative_controls)]
 
 
 def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
@@ -304,7 +325,8 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
     least 1, so no randomized check passes vacuously.  `fault` corrupts
     one scalar family (see FAULT_TARGETS) at the checking layer so that
     exactly the dependent checks fail; the negative controls stay
-    relative to the clean scalars.
+    relative to the clean scalars, and each passes exactly when its
+    perturbed check fails.
     """
     if n_max is None:
         n_max = p.n_max
@@ -314,59 +336,19 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
         )
     _require_trials(trials)
     v = _ScalarView(p, fault)
-    clean = _ScalarView(p)
-
-    per_n = {
-        "q-difference-eigen": lambda n: _q_difference(n, p, v),
-        "y-eigen": lambda n: check_E_eigen(n, p),
-        "three-term-recurrence": lambda n: _recurrence(n, p, v),
-        "raising-via-d": lambda n: _raising_via_d(n, p, v),
-        "lowering-via-d": lambda n: _lowering_via_d(n, p, v),
-        "raising-via-hecke": lambda n: _raising_via_hecke(n, p, v),
-        "lowering-via-hecke": lambda n: _lowering_via_hecke(n, p, v),
-        "lowering-via-hecke-n1": lambda n: _lowering_via_hecke_n1(p, v),
-        "leading-coefficient": lambda n: check_leading_coefficient(n, p),
-        "alpha-beta": lambda n: _alpha_beta(n, p, v),
-        "symmetrization": lambda n: check_symmetrization(n, p),
-        "projection": lambda n: check_projection(n, p),
-        "intertwiner": lambda n: _intertwiner(n, p, v),
-    }
-    trial_based = {
-        "hecke-relations": lambda: check_hecke_relations(
-            p, trials, seed=seed, degree_window=degree_window),
-        "factorization": lambda: check_factorization(
-            p, trials, seed=seed, degree_window=degree_window),
-        "bridge-symmetric": lambda: check_bridge_identity(
-            p, trials, seed=seed, degree_window=degree_window),
-    }
-    controls = {
-        "control-lambda-q-difference": lambda n: _control(
-            "control-lambda-q-difference", p, n,
-            _q_difference(n, p, _ScalarView(p, "lambda"))),
-        "control-alpha-recurrence": lambda n: _control(
-            "control-alpha-recurrence", p, n,
-            _recurrence(n, p, _ScalarView(p, "alpha"))),
-        "control-swap-raising-via-d": lambda n: _control(
-            "control-swap-raising-via-d", p, n,
-            _raising_via_d(n, p, clean,
-                           lam_prev=lambda_n(n + 1, p),
-                           lam_next=lambda_n(n - 1, p))),
-        "control-kappa-intertwiner": lambda n: _control(
-            "control-kappa-intertwiner", p, n,
-            _intertwiner(n, p, _ScalarView(p, "kappa"))),
-        "control-beta-raising-via-hecke": lambda n: _control(
-            "control-beta-raising-via-hecke", p, n,
-            _raising_via_hecke(n, p, _ScalarView(p, "beta"))),
-    }
 
     reports: list[IdentityReport] = []
-    for identity_id, ns in suite_plan(n_max, negative_controls):
+    for identity_id, ns, check in _rows(n_max, negative_controls):
         if ns is None:
-            reports.append(trial_based[identity_id]())
-        elif identity_id in controls:
-            for n in ns:
-                reports.append(controls[identity_id](n))
-        else:
-            for n in ns:
-                reports.append(per_n[identity_id](n))
+            reports.append(check(p, trials=trials, seed=seed,
+                                 degree_window=degree_window))
+            continue
+        for n in ns:
+            report = check(n, p, v)
+            if identity_id.startswith("control-"):
+                passed = not report.passed
+                report = IdentityReport(
+                    identity_id, p, n, passed,
+                    None if passed else LaurentPoly.one(), report.elapsed)
+            reports.append(report)
     return reports

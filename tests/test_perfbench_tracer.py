@@ -56,5 +56,6 @@ def test_tracer_instruments_every_spanned_name():
     # the wrappers really sit on the call paths the suite takes
     for name in ("verify.run_suite", "polynomials.askey_wilson_P",
                  "polynomials.nonsymmetric_E", "hecke.apply_Y",
-                 "laurent.exact_quotient", "verify.check_hecke_relations"):
+                 "laurent.exact_quotient", "verify.check_hecke_relations",
+                 "verify.check_factorization", "verify.check_bridge_identity"):
         assert result["calls"].get(name, 0) > 0, name
