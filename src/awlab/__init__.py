@@ -11,8 +11,9 @@ Layers, bottom up:
   scalars      parameter handling, genericity certification, the closed-form
                constants (lambda, mu, alpha, beta, kappa)
   laurent      sparse exact Laurent polynomials (integer numerators over
-               one denominator) and unreduced fractions
-  hecke        the operators: substitutions, T0/T1, Y, D, D'
+               one denominator) and the fused operator kernels on them
+  hecke        the operators: substitutions, T0/T1, Y, D, D', and the
+               unreduced fractions that hold their coefficients
   polynomials  the symmetric family P_n and nonsymmetric family E_n
   identities   per-index identity checks with residual witnesses, and the
                scalar view that injects faults
@@ -22,6 +23,7 @@ Layers, bottom up:
 """
 
 from .hecke import (
+    LaurentFraction,
     NotSymmetricError,
     apply_D,
     apply_D_prime,
@@ -30,6 +32,7 @@ from .hecke import (
     apply_t0_T0_inv,
     apply_t1_T1_inv,
     apply_Y,
+    limit_at_infinity,
 )
 from .identities import (
     FAULT_TARGETS,
@@ -52,11 +55,9 @@ from .laurent import (
     SUB_Q_OVER_Z,
     SUB_QZ,
     SUB_Z_OVER_Q,
-    LaurentFraction,
     LaurentPoly,
     NotDivisibleError,
     exact_quotient,
-    limit_at_infinity,
     proportional,
 )
 from .polynomials import (

@@ -10,10 +10,11 @@ Four subcommands:
 Rationals are written as "p/q" strings everywhere; floats are rejected so
 exactness survives the round trip.  Exit codes: 0 success / all identities
 pass, 1 at least one identity failed, 2 invalid input (parse error,
-genericity violation, --trials below 1, ...), 3 internal error (any other
-exception, e.g. EigenSolveError or ZeroDivisionError, reported as one
-"internal error: ..." line on stderr, so a crash never looks like a failed
-identity).  The environment variable AWLAB_SEED, when set, overrides --seed
+genericity violation, --trials or --degree-window below 1, ...), 3
+internal error (any other exception, e.g. EigenSolveError,
+ZeroDivisionError or NotSymmetricError, which is a ValueError but never
+caused by input, reported as one "internal error: ..." line on stderr, so
+a crash never looks like a failed identity or bad input).  The environment variable AWLAB_SEED, when set, overrides --seed
 for the commands that take one.
 """
 
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 
+from .hecke import NotSymmetricError
 from .polynomials import askey_wilson_P, nonsymmetric_E, polynomial_document
 from .scalars import (
     GenericityError,
@@ -240,11 +242,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"GenericityError({exc.condition}): {exc.detail}", file=sys.stderr)
         return 2
     except (InputError, HorizonError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # NotSymmetricError is a ValueError, but no command takes a polynomial
+        if not isinstance(exc, NotSymmetricError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        error = exc
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        error = exc
+    print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -27,12 +27,12 @@ from .hecke import (
     apply_T1,
     apply_Y,
     aw_fraction,
+    limit_at_infinity,
 )
 from .laurent import (
     BOTH_ZERO,
     SUB_INV,
     LaurentPoly,
-    limit_at_infinity,
     proportional,
 )
 from .polynomials import askey_wilson_P, nonsymmetric_E, recurrence_ratio

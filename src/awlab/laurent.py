@@ -1,4 +1,4 @@
-"""Sparse exact Laurent polynomials in one variable z, and fractions of them.
+"""Sparse exact Laurent polynomials in one variable z, and kernels on them.
 
 A LaurentPoly is an immutable polynomial with rational coefficients, stored
 as integer numerators {degree: int} over one positive integer denominator.
@@ -14,10 +14,11 @@ The four substitutions used by the operator layer act monomial-wise:
     z -> q*z :  z^k -> q^k z^k          z -> 1/z :  z^k -> z^-k
     z -> z/q :  z^k -> q^-k z^k         z -> q/z :  z^k -> q^k z^-k
 
-LaurentFraction is a deliberately unreduced quotient num/den.  It is never
-simplified by GCD; equality is decided by cross-multiplication and `reduce`
-performs one exact division at the end of an operator application.  A nonzero
-remainder there is an invariant violation, reported as NotDivisibleError.
+`reflection_difference` and `q_difference` are the fused kernels behind
+the operator layer's T0, T1, D and D': each makes one pass over the
+integer numerators, divides only by binomials, through `exact_quotient`
+(so a nonzero remainder still raises NotDivisibleError), and reduces its
+result once.
 """
 
 from __future__ import annotations
@@ -348,6 +349,88 @@ def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         {k: Fraction(v, num._den) for k, v in rem.items()}))
 
 
+def _q_powers(q: Fraction, lo: int, hi: int) -> tuple[list[int], int]:
+    """w and s with q^k = w[k - lo] / s for lo <= k <= hi; lo <= 0 <= hi."""
+    qn, qd, r = q.numerator, q.denominator, hi - lo
+    pn, pd = [1], [1]
+    for _ in range(r):
+        pn.append(pn[-1] * qn)
+        pd.append(pd[-1] * qd)
+    return [pn[i] * pd[r - i] for i in range(r + 1)], pn[-lo] * pd[hi]
+
+
+def _divide(d: dict[int, int], divisor: dict[int, int]) -> dict[int, int]:
+    """d / divisor through exact_quotient; both integer, divisor primitive."""
+    num = LaurentPoly._raw({k: v for k, v in d.items() if v}, 1)
+    return exact_quotient(num, LaurentPoly._raw(divisor, 1))._num
+
+
+def _mul_into(out: dict[int, int], poly: list[int], d: dict[int, int]) -> None:
+    """out += poly(z) d(z), with poly's coefficients listed from z^0 up."""
+    for j, c in enumerate(poly):
+        if c:
+            for k, v in d.items():
+                out[k + j] = out.get(k + j, 0) + c * v
+
+
+def reflection_difference(f: LaurentPoly, t: Scalar, num, q: Scalar) -> LaurentPoly:
+    """t f + num(z) (f(q/z) - f(z)) / (z^2 - q), num's rational coefficients
+    listed from z^0 up, in one pass over f's numerators and one reduction.
+    f(q/z) - f(z) vanishes where z^2 = q, so the division is exact."""
+    F, n = f._num, f._den
+    if not F:
+        return f
+    lo = min(0, min(F))
+    w, s = _q_powers(q, lo, max(0, max(F)))
+    diff = {-k: v * w[k - lo] for k, v in F.items()}  # over n s
+    for k, v in F.items():
+        diff[k] = diff.get(k, 0) - s * v
+    # z^2 - q = (qd z^2 - qn) / qd
+    quot = _divide(diff, {2: q.denominator, 0: -q.numerator})
+    d = lcm(t.denominator, *(c.denominator for c in num))
+    out = {k: v * (t.numerator * (d // t.denominator) * s) for k, v in F.items()}
+    _mul_into(out, [c.numerator * (d // c.denominator) * q.denominator
+                    for c in num], quot)
+    return LaurentPoly._reduced({k: v for k, v in out.items() if v}, d * s * n)
+
+
+def q_difference(f: LaurentPoly, roots, q: Scalar, one_sided: bool) -> LaurentPoly:
+    """[N(z) g - z^m N(1/z) h] / (1 - z^2), N = prod (1 - x z) over the m
+    rationals x in roots, with g = (f(qz) - f(1/z)) / (1 - q z^2) and
+    h = (f(q/z) - f(z)) / (z^2 - q) when one_sided, f(z) in place of f(1/z)
+    and f(z/q) in place of f(q/z) otherwise.  Each q-pole cancels inside its
+    own term, and the two terms agree at z = +-1 (for symmetric f, when not
+    one_sided).  One pass over f's numerators, three binomial divisions
+    through exact_quotient and one reduction."""
+    F, n = f._num, f._den
+    if not F:
+        return f
+    K = max(-min(F), max(F))
+    w, s = _q_powers(q, -K, K)
+    g: dict[int, int] = {}  # g and h over n s
+    h: dict[int, int] = {}
+    for k, v in F.items():
+        sv = s * v
+        g[k] = g.get(k, 0) + v * w[K + k]
+        if one_sided:
+            g[-k] = g.get(-k, 0) - sv
+            h[-k] = h.get(-k, 0) + v * w[K + k]
+        else:
+            g[k] -= sv
+            h[k] = h.get(k, 0) + v * w[K - k]
+        h[k] = h.get(k, 0) - sv
+    qn, qd = q.numerator, q.denominator
+    ni, nd = [1], 1  # N = ni(z) / nd
+    for x in roots:
+        ni = [u * x.denominator - x.numerator * v for u, v in zip(ni + [0], [0] + ni)]
+        nd *= x.denominator
+    out: dict[int, int] = {}
+    _mul_into(out, ni, _divide(g, {0: qd, 2: -qn}))
+    _mul_into(out, [-c for c in reversed(ni)], _divide(h, {2: qd, 0: -qn}))
+    r = _divide(out, {0: 1, 2: -1})
+    return LaurentPoly._reduced({k: v * qd for k, v in r.items()}, n * s * nd)
+
+
 def proportional(f: LaurentPoly, g: LaurentPoly):
     """The scalar c with f == c*g, if one exists.
 
@@ -361,77 +444,3 @@ def proportional(f: LaurentPoly, g: LaurentPoly):
     ref = g.max_deg
     c = f.coeff(ref) / g.coeff(ref)
     return c if (f - g.scale(c)).is_zero() else None
-
-
-def _as_poly(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.constant(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
-
-
-class LaurentFraction:
-    """Unreduced quotient of Laurent polynomials with a nonzero denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = LaurentPoly.one() if den is None else _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        self.num = num
-        self.den = den
-
-    def __add__(self, other) -> "LaurentFraction":
-        if not isinstance(other, LaurentFraction):
-            other = LaurentFraction(other)
-        if self.den == other.den:
-            return LaurentFraction(self.num + other.num, self.den)
-        return LaurentFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other) -> "LaurentFraction":
-        if not isinstance(other, LaurentFraction):
-            other = LaurentFraction(other)
-        return LaurentFraction(self.num * other.num, self.den * other.den)
-
-    def substitute(self, rule: str, q: Scalar | None = None) -> "LaurentFraction":
-        return LaurentFraction(
-            self.num.substitute(rule, q), self.den.substitute(rule, q)
-        )
-
-    def reduce(self) -> LaurentPoly:
-        """Exact division of num by den."""
-        return exact_quotient(self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = LaurentFraction(other)
-        if not isinstance(other, LaurentFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"LaurentFraction(({self.num}) / ({self.den}))"
-
-
-def limit_at_infinity(fr: LaurentFraction) -> Scalar:
-    """Limit of the fraction as z grows without bound.
-
-    Zero when the numerator's top degree is below the denominator's, the
-    ratio of leading coefficients when they match; diverging fractions are
-    a ValueError.
-    """
-    if fr.num.is_zero():
-        return Fraction(0)
-    n_top, d_top = fr.num.max_deg, fr.den.max_deg
-    if n_top < d_top:
-        return Fraction(0)
-    if n_top > d_top:
-        raise ValueError("fraction diverges as z -> infinity")
-    return fr.num.coeff(n_top) / fr.den.coeff(d_top)

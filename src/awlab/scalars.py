@@ -59,17 +59,18 @@ class ParamSet:
     """A certified parameter point (q, a, b, c, d) with horizon n_max.
 
     Construct through `check_genericity`; the constructor itself only derives
-    the deformation scalars t0 = -cd/q and t1 = -ab.  Instances are immutable
-    and hashable on (q, a, b, c, d, n_max), which the memo caches downstream
-    rely on.
+    the deformation scalars t0 = -cd/q and t1 = -ab and the product abcd.
+    Instances are immutable and hashable on (q, a, b, c, d, n_max), which
+    the memo caches downstream rely on; the hash is computed once, here.
     """
 
-    __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1")
+    __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1", "abcd", "_hash")
 
     def __init__(self, q: Scalar, a: Scalar, b: Scalar, c: Scalar, d: Scalar,
                  n_max: int):
-        for name, value in zip(self.__slots__, (q, a, b, c, d, n_max,
-                                                -c * d / q, -a * b)):
+        key = (q, a, b, c, d, n_max)
+        for name, value in zip(self.__slots__, (*key, -c * d / q, -a * b,
+                                                a * b * c * d, hash(key))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -87,7 +88,7 @@ class ParamSet:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"ParamSet(q={self.q!r}, a={self.a!r}, b={self.b!r}, "
@@ -95,10 +96,6 @@ class ParamSet:
 
     def __reduce__(self):
         return (ParamSet, self._key())
-
-    @property
-    def abcd(self) -> Scalar:
-        return self.a * self.b * self.c * self.d
 
     def require_horizon(self, n: int) -> None:
         if abs(n) > self.n_max:

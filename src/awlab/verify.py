@@ -156,11 +156,11 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
 
     for _ in range(trials):
         f = random_laurent(rng, degree_window)
-        for apply_T, t, apply_inv in (
-            (apply_T1, p.t1, apply_t1_T1_inv),
-            (apply_T0, p.t0, apply_t0_T0_inv),
+        t1f = apply_T1(f, p)  # reused by a commutation and the symmetrizer
+        for tf, apply_T, t, apply_inv in (
+            (t1f, apply_T1, p.t1, apply_t1_T1_inv),
+            (apply_T0(f, p), apply_T0, p.t0, apply_t0_T0_inv),
         ):
-            tf = apply_T(f, p)
             h = tf + f
             res = apply_T(h, p) - h.scale(t)  # (T - t)(T + 1) f
             if not res.is_zero():
@@ -175,7 +175,7 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
             return fail(res)
         # commutation: (T1 + 1) z^{-1} = t1 z^{-1} + z T1 + (a + b)
         res = (apply_T1(_ZI * f, p) + _ZI * f - (_ZI * f).scale(p.t1)
-               - _Z * apply_T1(f, p) - f.scale(a + b))
+               - _Z * t1f - f.scale(a + b))
         if not res.is_zero():
             return fail(res)
         # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b)
@@ -193,7 +193,7 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
         fa = random_asymmetric_laurent(rng, degree_window)
         if apply_T1(fa, p) == fa.scale(p.t1):
             return fail(LaurentPoly.one())  # asymmetric f must not be fixed
-        h = apply_T1(f, p) + f
+        h = t1f + f
         res = h - s1(h)
         if not res.is_zero():
             return fail(res)
@@ -322,7 +322,8 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
 
     Deterministic given (p, n_max, trials, seed).  n_max defaults to the
     horizon p was certified for and may not exceed it; trials must be at
-    least 1, so no randomized check passes vacuously.  `fault` corrupts
+    least 1, so no randomized check passes vacuously, and degree_window at
+    least 1, which the asymmetric random inputs need.  `fault` corrupts
     one scalar family (see FAULT_TARGETS) at the checking layer so that
     exactly the dependent checks fail; the negative controls stay
     relative to the clean scalars, and each passes exactly when its
@@ -335,6 +336,10 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
             f"suite horizon {n_max} exceeds the certified horizon {p.n_max}"
         )
     _require_trials(trials)
+    # the asymmetric inputs of hecke-relations need a degree besides 0;
+    # reject before any check runs rather than at the first such draw
+    if degree_window < 1:
+        raise ValueError(f"degree_window must be at least 1, got {degree_window}")
     v = _ScalarView(p, fault)
 
     reports: list[IdentityReport] = []

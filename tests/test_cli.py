@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 import awlab.cli
-from awlab import EigenSolveError, beta_n, lambda_n, mu_n
+import awlab.identities
+from awlab import EigenSolveError, LaurentPoly, beta_n, lambda_n, mu_n
 from awlab.cli import InputError, main, parse_param_string
 
 P8_STR = "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11"
@@ -181,6 +182,39 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert err == "internal error: ZeroDivisionError: Fraction(0, 0)\n"
+
+
+def test_not_symmetric_error_is_internal(capsys, monkeypatch):
+    # NotSymmetricError is a ValueError, but no command feeds user input to
+    # D, so it is a crash (exit 3), never bad input (exit 2)
+    real = awlab.identities.askey_wilson_P
+
+    def asymmetric_p2(n, p):
+        pn = real(n, p)
+        return pn + LaurentPoly.monomial(1) if n == 2 else pn
+
+    monkeypatch.setattr(awlab.identities, "askey_wilson_P", asymmetric_p2)
+    rc = main(["verify", "--nmax", "3", "--params", P8_STR])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("internal error: NotSymmetricError: "
+                   "D is defined on symmetric polynomials only\n")
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_verify_rejects_degree_window_below_one(capsys, monkeypatch, window):
+    # rejected before any check runs, not by the first asymmetric draw
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(awlab.identities, "askey_wilson_P", no_check)
+    rc = main(["verify", "--nmax", "3", "--degree-window", window,
+               "--params", P8_STR])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: degree_window must be at least 1, got {window}\n"
 
 
 @pytest.mark.parametrize("d", ["1/60", "1/120"])

@@ -110,6 +110,12 @@ def test_trials_below_one_are_rejected(p8, trials):
         run_suite(p8, n_max=2, trials=trials)
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_degree_window_below_one_is_rejected(p8, window):
+    with pytest.raises(ValueError, match="degree_window must be at least 1"):
+        run_suite(p8, n_max=2, trials=1, degree_window=window)
+
+
 def test_random_laurent_generators():
     rng = random.Random(0)
     for _ in range(40):
