@@ -8,14 +8,19 @@ Four subcommands:
   random-params  draw certified random parameter points
 
 Rationals are written as "p/q" strings everywhere; floats are rejected so
-exactness survives the round trip.  Exit codes: 0 success / all identities
-pass, 1 at least one identity failed, 2 invalid input (parse error,
-genericity violation, --trials or --degree-window below 1, ...), 3
-internal error (any other exception, e.g. EigenSolveError,
-ZeroDivisionError or NotSymmetricError, which is a ValueError but never
-caused by input, reported as one "internal error: ..." line on stderr, so
-a crash never looks like a failed identity or bad input).  The environment variable AWLAB_SEED, when set, overrides --seed
-for the commands that take one.
+exactness survives the round trip.  Exit codes:
+
+  0  success: every identity passed
+  1  at least one identity failed
+  2  invalid input: InputError (a parse error, --nmax below 0, --trials or
+     --degree-window below 1, ...), GenericityError or HorizonError
+  3  internal error: any other exception, a ValueError included (e.g.
+     EigenSolveError, ZeroDivisionError, NotSymmetricError), reported as
+     one "internal error: ..." line on stderr, so a crash never looks like
+     a failed identity or bad input
+
+The environment variable AWLAB_SEED, when set, overrides --seed for the
+commands that take one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import json
 import os
 import sys
 
-from .hecke import NotSymmetricError
 from .polynomials import askey_wilson_P, nonsymmetric_E, polynomial_document
 from .scalars import (
     GenericityError,
@@ -72,7 +76,18 @@ def parse_param_string(text: str) -> dict:
     return values
 
 
+def _require_nmax(n_max: int) -> None:
+    if n_max < 0:
+        raise InputError("n_max must be nonnegative")
+
+
+def _require_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{name} must be at least 1, got {value}")
+
+
 def _certify(values: dict, n_max: int) -> ParamSet:
+    _require_nmax(n_max)
     return check_genericity(
         values["q"], values["a"], values["b"], values["c"], values["d"], n_max
     )
@@ -127,12 +142,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if (args.params is None) == (not args.random):
         raise InputError("choose exactly one of --params or --random")
     if args.random:
+        _require_nmax(args.nmax)
         try:
             p = random_param_sets(args.seed, 1, args.nmax)[0]
         except RuntimeError as exc:
             raise InputError(str(exc)) from None
     else:
         p = _certify(parse_param_string(args.params), args.nmax)
+    _require_at_least_one("trials", args.trials)
+    _require_at_least_one("degree_window", args.degree_window)
     reports = run_suite(
         p,
         n_max=args.nmax,
@@ -164,6 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_random_params(args: argparse.Namespace) -> int:
+    _require_at_least_one("trials", args.trials)
+    _require_nmax(args.nmax)
     try:
         points = random_param_sets(args.seed, args.trials, args.nmax)
     except RuntimeError as exc:
@@ -241,16 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     except GenericityError as exc:
         print(f"GenericityError({exc.condition}): {exc.detail}", file=sys.stderr)
         return 2
-    except (InputError, HorizonError, ValueError) as exc:
-        # NotSymmetricError is a ValueError, but no command takes a polynomial
-        if not isinstance(exc, NotSymmetricError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        error = exc
+    except (InputError, HorizonError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
-        error = exc
-    print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
-    return 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,13 @@ what went wrong.
 
 The scalar families reach the checks through _ScalarView, which can add 1
 to one family at a time; that is how the suite runner (awlab.verify)
-injects faults without touching the constructions.  The two modules are
+injects faults without touching the constructions.  The view also keeps a
+table of the ingredients several checks share (the clean scalars, c_n,
+(z + 1/z) P_n and D'(z P_n)); the suite runner builds one view per run,
+so each is computed once per run, while a public check_* function builds
+its own view and computes everything it needs itself.  Only identical
+computations are shared, never one image rewritten from another.  The
+two modules are
 kept apart on purpose: imported from source, one module of their joint
 size left about 1 MB more heap behind in the importing process than the
 two halves do.
@@ -96,14 +102,23 @@ class IdentityReport:
 
 
 class _ScalarView:
-    """Access to the named scalar families with optional +1 fault injection.
+    """The scalar families, with optional +1 fault injection, and a table of
+    the ingredients that several checks of one suite run share.
 
     Faults live here, at the checking layer, and never inside the
     polynomial constructions; a fault models a bug in one closed-form
     constant so the suite can demonstrate which identities notice it.
+
+    The table holds, per n, what is computed once and read by several
+    checks: the clean closed-form scalars (a fault's +1 is added on each
+    read and never stored), the recurrence ratio c_n, (z + 1/z) P_n and
+    D'(z P_n).  It lives as long as the view: `run_suite` builds one view
+    per run, and `with_fault` gives the run's negative controls views that
+    share its table.  Each entry is looked up through this module's names
+    when first read, so a wrapper bound over one of them still sees it.
     """
 
-    __slots__ = ("p", "fault")
+    __slots__ = ("p", "fault", "_table")
 
     def __init__(self, p: ParamSet, fault: str | None = None):
         if fault is not None and fault not in FAULT_TARGETS:
@@ -112,21 +127,55 @@ class _ScalarView:
             )
         self.p = p
         self.fault = fault
+        self._table: dict = {}
 
-    def _bump(self, name: str) -> int:
-        return 1 if self.fault == name else 0
+    def with_fault(self, fault: str | None) -> "_ScalarView":
+        """A view with another fault that shares this view's table."""
+        view = _ScalarView(self.p, fault)
+        view._table = self._table
+        return view
+
+    def _entry(self, name: str, build, n: int):
+        key = (name, n)
+        value = self._table.get(key)
+        if value is None:
+            value = self._table[key] = build(n, self.p)
+        return value
+
+    def _scalar(self, name: str, build, n: int) -> Fraction:
+        return self._entry(name, build, n) + (1 if self.fault == name else 0)
 
     def lam(self, n: int) -> Fraction:
-        return lambda_n(n, self.p) + self._bump("lambda")
+        return self._scalar("lambda", lambda_n, n)
 
     def alpha(self, n: int) -> Fraction:
-        return alpha_n(n, self.p) + self._bump("alpha")
+        return self._scalar("alpha", alpha_n, n)
 
     def beta(self, n: int) -> Fraction:
-        return beta_n(n, self.p) + self._bump("beta")
+        return self._scalar("beta", beta_n, n)
 
     def kappa(self, n: int) -> Fraction:
-        return kappa_n(n, self.p) + self._bump("kappa")
+        return self._scalar("kappa", kappa_n, n)
+
+    def ratio(self, n: int) -> Fraction:
+        """c_n, from recurrence_ratio."""
+        return self._entry("ratio", recurrence_ratio, n)
+
+    def m_p(self, n: int) -> LaurentPoly:
+        """(z + 1/z) P_n."""
+        return self._entry("m_p", _m_p, n)
+
+    def d_prime_z_p(self, n: int) -> LaurentPoly:
+        """D'(z P_n), the first term of the Hecke ladders' left sides."""
+        return self._entry("d_prime_z_p", _d_prime_z_p, n)
+
+
+def _m_p(n: int, p: ParamSet) -> LaurentPoly:
+    return _M * askey_wilson_P(n, p)
+
+
+def _d_prime_z_p(n: int, p: ParamSet) -> LaurentPoly:
+    return apply_D_prime(_Z * askey_wilson_P(n, p), p)
 
 
 def _finish(identity_id: str, p: ParamSet, n: int | None,
@@ -173,9 +222,9 @@ def check_q_difference(n: int, p: ParamSet) -> IdentityReport:
 
 def _recurrence(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     started = time.perf_counter()
-    c = recurrence_ratio(n, p)
+    c = v.ratio(n)
     pn = askey_wilson_P(n, p)
-    residual = (_M * pn - askey_wilson_P(n + 1, p) - pn.scale(v.alpha(n))
+    residual = (v.m_p(n) - askey_wilson_P(n + 1, p) - pn.scale(v.alpha(n))
                 - askey_wilson_P(n - 1, p).scale(c))
     return _finish("three-term-recurrence", p, n, residual, started)
 
@@ -196,7 +245,7 @@ def _raising_via_d(n: int, p: ParamSet, v: _ScalarView,
     if multiple == 0:
         return _finish("raising-via-d", p, n, LaurentPoly.one(), started)
     pn = askey_wilson_P(n, p)
-    mp = _M * pn
+    mp = v.m_p(n)
     residual = (apply_D(mp, p) - mp.scale(lp)
                 - pn.scale(v.alpha(n) * (ln - lp))
                 - askey_wilson_P(n + 1, p).scale(multiple))
@@ -214,12 +263,12 @@ def check_raising_via_d(n: int, p: ParamSet) -> IdentityReport:
 
 def _lowering_via_d(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     started = time.perf_counter()
-    c = recurrence_ratio(n, p)
+    c = v.ratio(n)
     multiple = c * (v.lam(n - 1) - v.lam(n + 1))
     if multiple == 0:
         return _finish("lowering-via-d", p, n, LaurentPoly.one(), started)
     pn = askey_wilson_P(n, p)
-    g = _M * pn - pn.scale(v.alpha(n))
+    g = v.m_p(n) - pn.scale(v.alpha(n))
     residual = (apply_D(g, p) - g.scale(v.lam(n + 1))
                 - askey_wilson_P(n - 1, p).scale(multiple))
     return _finish("lowering-via-d", p, n, residual, started)
@@ -238,8 +287,8 @@ def _raising_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     if multiple == 0:
         return _finish("raising-via-hecke", p, n, LaurentPoly.one(), started)
     pn = askey_wilson_P(n, p)
-    residual = (apply_D_prime(_Z * pn, p)
-                + (_M * pn).scale(1 - q ** (1 - n))
+    residual = (v.d_prime_z_p(n)
+                + v.m_p(n).scale(1 - q ** (1 - n))
                 + pn.scale(v.beta(-n))
                 - askey_wilson_P(n + 1, p).scale(multiple))
     return _finish("raising-via-hecke", p, n, residual, started)
@@ -248,13 +297,13 @@ def _raising_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
 def _lowering_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     started = time.perf_counter()
     q = p.q
-    c = recurrence_ratio(n, p)
+    c = v.ratio(n)
     multiple = (q ** (1 - n) - q**n * p.abcd) * c
     if multiple == 0:
         return _finish("lowering-via-hecke", p, n, LaurentPoly.one(), started)
     pn = askey_wilson_P(n, p)
-    residual = (apply_D_prime(_Z * pn, p)
-                + (_M * pn).scale(1 - q**n * p.abcd)
+    residual = (v.d_prime_z_p(n)
+                + v.m_p(n).scale(1 - q**n * p.abcd)
                 + pn.scale(v.beta(n))
                 - askey_wilson_P(n - 1, p).scale(multiple))
     return _finish("lowering-via-hecke", p, n, residual, started)
@@ -269,10 +318,9 @@ def _lowering_via_hecke_n1(p: ParamSet, v: _ScalarView) -> IdentityReport:
     """
     started = time.perf_counter()
     q = p.q
-    p1 = askey_wilson_P(1, p)
-    lhs = (apply_D_prime(_Z * p1, p)
-           + (_M * p1).scale(1 - q * p.abcd)
-           + p1.scale(v.beta(1)))
+    lhs = (v.d_prime_z_p(1)
+           + v.m_p(1).scale(1 - q * p.abcd)
+           + askey_wilson_P(1, p).scale(v.beta(1)))
     residual = lhs - LaurentPoly.constant(lhs.coeff(0))
     return _finish("lowering-via-hecke-n1", p, 1, residual, started)
 
@@ -303,19 +351,12 @@ def check_hecke_ladder(n: int, p: ParamSet, direction: str) -> IdentityReport:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def check_leading_coefficient(n: int, p: ParamSet) -> IdentityReport:
-    """The z^{n+1} coefficient of the raising left side is q^n abcd - q^{1-n}.
-
-    The expected value is recomputed independently from the limits of the
-    operator coefficient A(z) at z -> infinity (A -> abcd/q, A(1/z) -> 1),
-    so the check would notice a wrong closed form on either route.
-    """
+def _leading_coefficient(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     started = time.perf_counter()
     q = p.q
-    pn = askey_wilson_P(n, p)
-    lhs = (apply_D_prime(_Z * pn, p)
-           + (_M * pn).scale(1 - q ** (1 - n))
-           + pn.scale(beta_n(-n, p)))
+    lhs = (v.d_prime_z_p(n)
+           + v.m_p(n).scale(1 - q ** (1 - n))
+           + askey_wilson_P(n, p).scale(v.beta(-n)))
     closed = q**n * p.abcd - q ** (1 - n)
     a_fr = aw_fraction(p)
     via_limits = (limit_at_infinity(a_fr) * q ** (n + 1)
@@ -325,6 +366,17 @@ def check_leading_coefficient(n: int, p: ParamSet) -> IdentityReport:
     second = via_limits - closed
     residual = LaurentPoly.constant(first if first else second)
     return _finish("leading-coefficient", p, n, residual, started)
+
+
+def check_leading_coefficient(n: int, p: ParamSet) -> IdentityReport:
+    """The z^{n+1} coefficient of the raising left side is q^n abcd - q^{1-n}.
+
+    The expected value is recomputed independently from the limits of the
+    operator coefficient A(z) at z -> infinity (A -> abcd/q, A(1/z) -> 1),
+    so the check would notice a wrong closed form on either route.  The
+    beta term has degree n, so a beta fault does not reach this check.
+    """
+    return _leading_coefficient(n, p, _ScalarView(p))
 
 
 def _alpha_beta(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:

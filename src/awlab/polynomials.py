@@ -4,7 +4,9 @@ Two independent routes are implemented on purpose.
 
 The symmetric family P_n (monic, invariant under z -> 1/z) has a closed
 hypergeometric construction, `askey_wilson_P`, built from q-Pochhammer
-products.  It also has a linear-algebra construction,
+products: its summand scalars are Fractions, and the weighted sum of the
+factor products runs as one integer pass in `laurent.pochhammer_sum`.  It
+also has a linear-algebra construction,
 `askey_wilson_P_oracle`, that diagonalizes the q-difference operator D on
 a finite window; the two must agree coefficient by coefficient, and the
 test suite checks that they do.
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .hecke import apply_D, apply_T1, apply_Y
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, pochhammer_sum
 from .scalars import ParamSet, Scalar, alpha_n, lambda_n, mu_n, q_pochhammer
 
 
@@ -177,10 +179,12 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
           * prod_{j<k} (1 - a q^j z)(1 - a q^j / z)
 
     with (x)_k the q-Pochhammer symbol.  The normalization makes the z^n
-    coefficient exactly 1.  The k-th summand's scalar comes from the
-    (k-1)-th by one ratio of six linear factors at q^(k-1).  Neither the
-    ratio nor the factor product is taken past the last summand k = n,
-    where 1 - ab q^n need not be certified nonzero.
+    coefficient exactly 1.  The k-th summand's scalar, prefactor included,
+    comes from the (k-1)-th by one ratio of six linear factors at q^(k-1),
+    and `laurent.pochhammer_sum` forms the weighted sum of the factor
+    products in one integer pass.  Neither the ratio nor the factor
+    product is taken past the last summand k = n, where 1 - ab q^n need
+    not be certified nonzero.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")
@@ -195,22 +199,15 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
         * q_pochhammer(x_ad, n, q)
         / (a**n * q_pochhammer(x_s, n, q))
     )
-    z = LaurentPoly.monomial(1)
-    z_inv = LaurentPoly.monomial(-1)
-    total = LaurentPoly.zero()
-    factor = LaurentPoly.one()
-    coeff = Fraction(1)
+    weights = [prefactor]
     q_k = Fraction(1)  # q^k
-    for k in range(n + 1):
-        total = total + factor.scale(coeff)
-        if k < n:
-            aq = a * q_k
-            factor = factor * (1 - aq * z) * (1 - aq * z_inv)
-            coeff = coeff * (1 - x_s * q_k) * (1 - q_inv_n * q_k) * q / (
-                (1 - x_ab * q_k) * (1 - x_ac * q_k) * (1 - x_ad * q_k)
-                * (1 - q_k * q))
-            q_k *= q
-    return total.scale(prefactor)
+    for _ in range(n):
+        ratio = (1 - x_s * q_k) * (1 - q_inv_n * q_k) * q / (
+            (1 - x_ab * q_k) * (1 - x_ac * q_k) * (1 - x_ad * q_k)
+            * (1 - q_k * q))
+        weights.append(weights[-1] * ratio)
+        q_k *= q
+    return pochhammer_sum(weights, a, q)
 
 
 def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:

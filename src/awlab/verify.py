@@ -49,6 +49,7 @@ from .identities import (
     _alpha_beta,
     _finish,
     _intertwiner,
+    _leading_coefficient,
     _lowering_via_d,
     _lowering_via_hecke,
     _lowering_via_hecke_n1,
@@ -58,7 +59,6 @@ from .identities import (
     _recurrence,
     _ScalarView,
     check_E_eigen,
-    check_leading_coefficient,
     check_projection,
     check_symmetrization,
 )
@@ -253,9 +253,10 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
 # ---------------------------------------------------------------------------
 
 # (id, n values at horizon N or None for a random-input family, check).
-# Per-index checks take (n, p, v), v being the suite's scalar view;
+# Per-index checks take (n, p, v), v being the run's scalar view;
 # random-input checks take (p, trials=, seed=, degree_window=).  The
-# "control-" rows build their own views from the clean scalars.
+# "control-" rows set their own fault on views that share the run's table,
+# which holds clean values only.
 _SUITE = (
     ("q-difference-eigen", lambda N: range(N + 1), _q_difference),
     ("y-eigen", lambda N: range(1 - N, N) if N else (0,),
@@ -267,8 +268,7 @@ _SUITE = (
     ("lowering-via-hecke", lambda N: range(2, N), _lowering_via_hecke),
     ("lowering-via-hecke-n1", lambda N: (1,) if N >= 1 else (),
      lambda n, p, v: _lowering_via_hecke_n1(p, v)),
-    ("leading-coefficient", range,
-     lambda n, p, v: check_leading_coefficient(n, p)),
+    ("leading-coefficient", range, _leading_coefficient),
     ("alpha-beta", lambda N: range(1, N + 1), _alpha_beta),
     ("symmetrization", lambda N: [n for n in range(1 - N, N) if n],
      lambda n, p, v: check_symmetrization(n, p)),
@@ -279,17 +279,17 @@ _SUITE = (
     ("factorization", None, lambda p, **kw: check_factorization(p, **kw)),
     ("bridge-symmetric", None, lambda p, **kw: check_bridge_identity(p, **kw)),
     ("control-lambda-q-difference", lambda N: (2,) if N >= 2 else (),
-     lambda n, p, v: _q_difference(n, p, _ScalarView(p, "lambda"))),
+     lambda n, p, v: _q_difference(n, p, v.with_fault("lambda"))),
     ("control-alpha-recurrence", lambda N: (2,) if N >= 3 else (),
-     lambda n, p, v: _recurrence(n, p, _ScalarView(p, "alpha"))),
+     lambda n, p, v: _recurrence(n, p, v.with_fault("alpha"))),
     ("control-swap-raising-via-d", lambda N: (2,) if N >= 3 else (),
-     lambda n, p, v: _raising_via_d(n, p, _ScalarView(p),
+     lambda n, p, v: _raising_via_d(n, p, v.with_fault(None),
                                     lam_prev=lambda_n(n + 1, p),
                                     lam_next=lambda_n(n - 1, p))),
     ("control-kappa-intertwiner", lambda N: (1,) if N >= 2 else (),
-     lambda n, p, v: _intertwiner(n, p, _ScalarView(p, "kappa"))),
+     lambda n, p, v: _intertwiner(n, p, v.with_fault("kappa"))),
     ("control-beta-raising-via-hecke", lambda N: (1,) if N >= 2 else (),
-     lambda n, p, v: _raising_via_hecke(n, p, _ScalarView(p, "beta"))),
+     lambda n, p, v: _raising_via_hecke(n, p, v.with_fault("beta"))),
 )
 
 

@@ -201,6 +201,32 @@ def test_not_symmetric_error_is_internal(capsys, monkeypatch):
                    "D is defined on symmetric polynomials only\n")
 
 
+def test_internal_value_error_exits_3(capsys, monkeypatch):
+    # a ValueError raised inside the program is a crash, not bad input:
+    # only InputError, GenericityError and HorizonError exit 2
+    def broken(n, p):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(awlab.identities, "recurrence_ratio", broken)
+    rc = main(["verify", "--nmax", "3", "--params", P8_STR])
+    assert rc == 3
+    assert capsys.readouterr().err == "internal error: ValueError: internal bug\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--nmax", "-1", "--params", P8_STR],
+    ["verify", "--nmax", "-1", "--random"],
+    ["table", "alpha", "--nmax", "-1", "--params", P8_STR],
+    ["random-params", "--nmax", "-1"],
+], ids=["verify", "verify-random", "table", "random-params"])
+def test_negative_nmax_is_input_error(capsys, argv):
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be nonnegative\n"
+
+
 @pytest.mark.parametrize("window", ["0", "-1"])
 def test_verify_rejects_degree_window_below_one(capsys, monkeypatch, window):
     # rejected before any check runs, not by the first asymmetric draw

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import product_askey_wilson as ref
 from awlab import (
     EigenSolveError,
     GenericityError,
@@ -27,6 +28,7 @@ from awlab import (
     recurrence_ratio,
     symmetrize,
 )
+from awlab.laurent import pochhammer_sum
 from awlab.polynomials import (
     d_matrix,
     exponent_at,
@@ -289,3 +291,36 @@ def test_polynomial_document_shape(p8):
     back = LaurentPoly.from_json_dict({"var": doc["var"],
                                        "coeffs": doc["coeffs"]})
     assert back == askey_wilson_P(1, p8)
+
+
+def test_p_matches_product_reference_at_fixture_points(p8, seeded_points):
+    negative_q = (F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13))
+    for point in (negative_q, *((s.q, s.a, s.b, s.c, s.d)
+                                for s in (p8, *seeded_points))):
+        p = check_genericity(*point, 10)
+        for n in range(11):
+            assert askey_wilson_P(n, p) == ref.askey_wilson_P(n, p)
+
+
+@given(q=small_nonzero, a=small_nonzero, b=small_nonzero, c=small_nonzero,
+       d=small_nonzero)
+@settings(max_examples=60, deadline=None)
+def test_p_matches_product_reference(q, a, b, c, d):
+    try:
+        p = check_genericity(q, a, b, c, d, 10)
+    except GenericityError:
+        assume(False)
+    for n in range(11):
+        assert askey_wilson_P(n, p) == ref.askey_wilson_P(n, p)
+
+
+def test_pochhammer_sum_edge_weights():
+    a, q = F(-3, 5), F(2, 7)
+    z, zi = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
+    assert pochhammer_sum([], a, q) == LaurentPoly.zero()
+    assert pochhammer_sum([F(4, 9)], a, q) == LaurentPoly.constant(F(4, 9))
+    # a zero weight drops its summand but not the factors after it
+    first = (1 - a * z) * (1 - a * zi)
+    second = first * (1 - a * q * z) * (1 - a * q * zi)
+    assert pochhammer_sum([0, F(1, 2), 0], a, q) == first.scale(F(1, 2))
+    assert pochhammer_sum([0, 0, -3], a, q) == second.scale(-3)

@@ -23,6 +23,9 @@ from awlab import (
     check_raising_via_d,
     check_recurrence,
     check_symmetrization,
+    identities,
+    lambda_n,
+    random_param_sets,
     run_suite,
     suite_plan,
 )
@@ -221,3 +224,92 @@ def test_identity_report_value_semantics(p8):
         hash(report)
     assert report.as_json_dict(7)["residual"] == {"var": "z",
                                                   "coeffs": {"1": "2"}}
+
+
+# Each check of a suite run, computed alone with a view of its own: the
+# public function where the run's fault cannot reach the check, the inner
+# check under a fresh faulted view where it can.
+PUBLIC = {
+    "q-difference-eigen": check_q_difference,
+    "y-eigen": check_E_eigen,
+    "three-term-recurrence": check_recurrence,
+    "raising-via-d": check_raising_via_d,
+    "lowering-via-d": check_lowering_via_d,
+    "raising-via-hecke": lambda n, p: check_hecke_ladder(n, p, "raise"),
+    "lowering-via-hecke": lambda n, p: check_hecke_ladder(n, p, "lower"),
+    "lowering-via-hecke-n1": lambda n, p: check_hecke_ladder(n, p, "lower"),
+    "leading-coefficient": check_leading_coefficient,
+    "alpha-beta": check_alpha_beta,
+    "symmetrization": check_symmetrization,
+    "projection": check_projection,
+    "intertwiner": check_intertwiner,
+    "hecke-relations": lambda n, p: check_hecke_relations(p, trials=2),
+    "factorization": lambda n, p: check_factorization(p, trials=2),
+    "bridge-symmetric": lambda n, p: check_bridge_identity(p, trials=2),
+}
+FAULTED = {
+    "q-difference-eigen": identities._q_difference,
+    "three-term-recurrence": identities._recurrence,
+    "raising-via-d": identities._raising_via_d,
+    "lowering-via-d": identities._lowering_via_d,
+    "raising-via-hecke": identities._raising_via_hecke,
+    "lowering-via-hecke": identities._lowering_via_hecke,
+    "lowering-via-hecke-n1": lambda n, p, v: identities._lowering_via_hecke_n1(p, v),
+    "alpha-beta": identities._alpha_beta,
+    "intertwiner": identities._intertwiner,
+}
+# the perturbed check behind each negative control; the control passes
+# exactly when it fails
+CONTROLS = {
+    "control-lambda-q-difference": lambda n, p: identities._q_difference(
+        n, p, identities._ScalarView(p, "lambda")),
+    "control-alpha-recurrence": lambda n, p: identities._recurrence(
+        n, p, identities._ScalarView(p, "alpha")),
+    "control-swap-raising-via-d": lambda n, p: identities._raising_via_d(
+        n, p, identities._ScalarView(p), lam_prev=lambda_n(n + 1, p),
+        lam_next=lambda_n(n - 1, p)),
+    "control-kappa-intertwiner": lambda n, p: identities._intertwiner(
+        n, p, identities._ScalarView(p, "kappa")),
+    "control-beta-raising-via-hecke": lambda n, p: identities._raising_via_hecke(
+        n, p, identities._ScalarView(p, "beta")),
+}
+
+
+def _outcome(r):
+    return (r.identity_id, r.n, r.passed, r.residual_witness)
+
+
+def _alone(identity_id, n, p, fault):
+    if identity_id in CONTROLS:
+        passed = not CONTROLS[identity_id](n, p).passed
+        return (identity_id, n, passed, None if passed else LaurentPoly.one())
+    if fault is not None and identity_id in EXPECTED_FAULT_SETS[fault]:
+        return _outcome(FAULTED[identity_id](
+            n, p, identities._ScalarView(p, fault)))
+    return _outcome(PUBLIC[identity_id](n, p))
+
+
+@pytest.mark.parametrize("fault", [None, *FAULT_TARGETS])
+def test_run_table_changes_no_report(p8, fault):
+    # the run's shared ingredients give every report the value it has when
+    # its check runs alone
+    reports = run_suite(p8, n_max=6, trials=2, fault=fault)
+    assert len(reports) == sum(1 if ns is None else len(ns)
+                               for _, ns in suite_plan(6))
+    failed = {r.identity_id for r in reports if not r.passed}
+    assert failed == (EXPECTED_FAULT_SETS[fault] if fault else set())
+    for r in reports:
+        assert _outcome(r) == _alone(r.identity_id, r.n, p8, fault)
+
+
+def test_nothing_survives_a_run():
+    # points no other test uses, so that each fault run is the first to
+    # touch its point; the clean run after it must be what a clean run on
+    # its own is at a certified point: every check passes, no witness
+    points = random_param_sets(2718, len(FAULT_TARGETS), 6)
+    for fault, p in zip(FAULT_TARGETS, points):
+        faulted = run_suite(p, trials=2, fault=fault)
+        assert {r.identity_id for r in faulted if not r.passed} \
+            == EXPECTED_FAULT_SETS[fault]
+        after = [_outcome(r) for r in run_suite(p, trials=2)]
+        assert after == [(r.identity_id, r.n, True, None) for r in faulted], fault
