@@ -9,7 +9,7 @@ polynomial.
 Layers, bottom up:
 
   scalars      parameter handling, genericity certification, the closed-form
-               constants (lambda, mu, alpha, beta, kappa)
+               constants (lambda, mu, alpha, c, beta, kappa)
   laurent      sparse exact Laurent polynomials (integer numerators over
                one denominator) and the fused operator kernels on them
   hecke        the operators: substitutions, T0/T1, Y, D, D', and the

@@ -96,10 +96,10 @@ def _certify(values: dict, n_max: int) -> ParamSet:
 def cmd_gen(args: argparse.Namespace) -> int:
     values = parse_param_string(args.params)
     n = args.n
+    if args.kind == "P" and n < 0:
+        raise InputError("the symmetric family P is indexed by n >= 0")
     p = _certify(values, abs(n))
     if args.kind == "P":
-        if n < 0:
-            raise InputError("the symmetric family P is indexed by n >= 0")
         poly = askey_wilson_P(n, p)
     else:
         poly = nonsymmetric_E(n, p)

@@ -18,9 +18,7 @@ The four substitutions used by the operator layer act monomial-wise:
 the operator layer's T0, T1, D and D': each makes one pass over the
 integer numerators, divides only by binomials, through `exact_quotient`
 (so a nonzero remainder still raises NotDivisibleError), and reduces its
-result once.  `pochhammer_sum` is the one behind the hypergeometric sum of
-P_n: a weighted sum of products of symmetric three-term factors, built in
-integers over one common denominator and reduced once.
+result once.
 """
 
 from __future__ import annotations
@@ -431,46 +429,6 @@ def q_difference(f: LaurentPoly, roots, q: Scalar, one_sided: bool) -> LaurentPo
     _mul_into(out, [-c for c in reversed(ni)], _divide(h, {2: qd, 0: -qn}))
     r = _divide(out, {0: 1, 2: -1})
     return LaurentPoly._reduced({k: v * qd for k, v in r.items()}, n * s * nd)
-
-
-def pochhammer_sum(weights, a: Scalar, q: Scalar) -> LaurentPoly:
-    """sum_k weights[k] prod_{j<k} (1 - a q^j z)(1 - a q^j / z), k from 0.
-
-    Each factor is (xd^2 + xn^2 - xn xd (z + 1/z)) / xd^2 with a q^j =
-    xn/xd, so every product is symmetric and only its coefficients of
-    z^0 .. z^k are kept, as integers, each factor applied by one
-    three-term pass.  Every summand is taken over one common denominator
-    and the sum is reduced once.  No factor past the last weight is formed.
-    """
-    factors = []  # (xd^2 + xn^2, xn xd) for j < len(weights) - 1
-    scales = []  # weights[k] / prod_{j<k} xd_j^2
-    den = 1
-    x = Fraction(a)
-    for k, w in enumerate(weights):
-        scales.append(Fraction(w) / den)
-        if k < len(weights) - 1:
-            xn, xd = x.numerator, x.denominator
-            factors.append((xd * xd + xn * xn, xn * xd))
-            den *= xd * xd
-            x *= q
-    common = lcm(*(s.denominator for s in scales))
-    half = [1]  # coefficients of z^0 .. z^k; z^-i mirrors z^i
-    total = [0] * len(weights)
-    for k, s in enumerate(scales):
-        if k:
-            c0, c1 = factors[k - 1]
-            c = half + [0, 0]
-            half = [c0 * c[0] - 2 * c1 * c[1]] + [
-                c0 * c[i] - c1 * (c[i - 1] + c[i + 1]) for i in range(1, k + 1)]
-        m = s.numerator * (common // s.denominator)
-        if m:
-            for i, v in enumerate(half):
-                total[i] += m * v
-    num: dict[int, int] = {}
-    for i, v in enumerate(total):
-        if v:
-            num[i] = num[-i] = v
-    return LaurentPoly._reduced(num, common)
 
 
 def proportional(f: LaurentPoly, g: LaurentPoly):

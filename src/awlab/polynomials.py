@@ -2,14 +2,15 @@
 
 Two independent routes are implemented on purpose.
 
-The symmetric family P_n (monic, invariant under z -> 1/z) has a closed
-hypergeometric construction, `askey_wilson_P`, built from q-Pochhammer
-products: its summand scalars are Fractions, and the weighted sum of the
-factor products runs as one integer pass in `laurent.pochhammer_sum`.  It
-also has a linear-algebra construction,
-`askey_wilson_P_oracle`, that diagonalizes the q-difference operator D on
-a finite window; the two must agree coefficient by coefficient, and the
-test suite checks that they do.
+The symmetric family P_n (monic, invariant under z -> 1/z) is built by
+its three-term recurrence, `askey_wilson_P`,
+
+    P_0 = 1,  P_{n+1} = (z + 1/z - alpha_n) P_n - c_n P_{n-1},
+
+from the closed forms alpha_n and c_n in `scalars`.  It also has a
+linear-algebra construction, `askey_wilson_P_oracle`, that diagonalizes
+the q-difference operator D on a finite window; the two must agree
+coefficient by coefficient, and the test suite checks that they do.
 
 The nonsymmetric family E_n is defined spectrally: E_n is the eigenvector
 of Y = T1 T0 with eigenvalue mu_n, normalized so the z^n coefficient is 1.
@@ -37,8 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .hecke import apply_D, apply_T1, apply_Y
-from .laurent import LaurentPoly, pochhammer_sum
-from .scalars import ParamSet, Scalar, alpha_n, lambda_n, mu_n, q_pochhammer
+from .laurent import LaurentPoly
+from .scalars import ParamSet, Scalar, alpha_n, c_n, lambda_n, mu_n
+
+_M = LaurentPoly({1: 1, -1: 1})  # multiplication by z + 1/z
 
 
 class EigenSolveError(ArithmeticError):
@@ -171,43 +174,33 @@ def d_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
-    """Monic symmetric polynomial P_n as a terminating hypergeometric sum.
+    """Monic symmetric polynomial P_n by the three-term recurrence.
 
-    P_n = (ab)_n (ac)_n (ad)_n / (a^n (abcd q^{n-1})_n)
-          * sum_{k=0}^{n} (abcd q^{n-1})_k (q^{-n})_k q^k
-            / ((ab)_k (ac)_k (ad)_k (q)_k)
-          * prod_{j<k} (1 - a q^j z)(1 - a q^j / z)
+    P_0 = 1, P_1 = z + 1/z - alpha_0 and
 
-    with (x)_k the q-Pochhammer symbol.  The normalization makes the z^n
-    coefficient exactly 1.  The k-th summand's scalar, prefactor included,
-    comes from the (k-1)-th by one ratio of six linear factors at q^(k-1),
-    and `laurent.pochhammer_sum` forms the weighted sum of the factor
-    products in one integer pass.  Neither the ratio nor the factor
-    product is taken past the last summand k = n, where 1 - ab q^n need
-    not be certified nonzero.
+        P_{n+1} = (z + 1/z - alpha_n) P_n - c_n P_{n-1},
+
+    with alpha_n and c_n the closed forms in `scalars`, whose denominators
+    G3 keeps nonzero up to the horizon.  Each step adds one degree with
+    coefficient 1, so P_n is monic; it is the Askey-Wilson polynomial
+    because at a certified point the lambda_n eigenspace of D is a line
+    (G6) and the suite checks D P_n = lambda_n P_n for every n.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")
     p.require_horizon(n)
-    q, a = p.q, p.a
-    x_ab, x_ac, x_ad = a * p.b, a * p.c, a * p.d
-    x_s = p.abcd * q ** (n - 1)
-    q_inv_n = q**-n
-    prefactor = (
-        q_pochhammer(x_ab, n, q)
-        * q_pochhammer(x_ac, n, q)
-        * q_pochhammer(x_ad, n, q)
-        / (a**n * q_pochhammer(x_s, n, q))
-    )
-    weights = [prefactor]
-    q_k = Fraction(1)  # q^k
-    for _ in range(n):
-        ratio = (1 - x_s * q_k) * (1 - q_inv_n * q_k) * q / (
-            (1 - x_ab * q_k) * (1 - x_ac * q_k) * (1 - x_ad * q_k)
-            * (1 - q_k * q))
-        weights.append(weights[-1] * ratio)
-        q_k *= q
-    return pochhammer_sum(weights, a, q)
+    if n == 0:
+        return LaurentPoly.one()
+    # walk the smaller indices bottom-up: each lookup finds the one below it
+    # cached, so the recursion is never more than one level deep
+    older = last = None
+    for j in range(n):
+        older, last = last, askey_wilson_P(j, p)
+    m = n - 1
+    result = _M * last - last.scale(alpha_n(m, p))
+    if m:
+        result = result - older.scale(c_n(m, p))
+    return result
 
 
 def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
@@ -282,18 +275,18 @@ def symmetrize(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
 def recurrence_ratio(n: int, p: ParamSet) -> Scalar:
     """Coefficient c_n in (z + 1/z) P_n = P_{n+1} + alpha_n P_n + c_n P_{n-1}.
 
-    Extracted from the polynomials themselves rather than from a formula:
-    the difference (z + 1/z - alpha_n) P_n - P_{n+1} must be an exact
-    multiple of P_{n-1}, and c_n is that multiple.  ExtractionError means
-    the recurrence failed to close, which at a certified parameter point
-    would be a genuine bug.
+    Read off the polynomials rather than returned from the formula: the
+    difference (z + 1/z - alpha_n) P_n - P_{n+1} must be an exact multiple
+    of P_{n-1}, and c_n is that multiple.  Since `askey_wilson_P` builds
+    P_{n+1} by this very recurrence, the multiple is `scalars.c_n` by
+    construction; ExtractionError guards the extraction itself, and at a
+    certified point would mean a broken construction.
     """
     if n < 2:
         raise ValueError("recurrence_ratio needs n >= 2")
     p.require_horizon(n + 1)
-    zpz = LaurentPoly({1: 1, -1: 1})
     pn = askey_wilson_P(n, p)
-    g = zpz * pn - askey_wilson_P(n + 1, p) - pn.scale(alpha_n(n, p))
+    g = _M * pn - askey_wilson_P(n + 1, p) - pn.scale(alpha_n(n, p))
     c = g.coeff(n - 1)
     residual = g - askey_wilson_P(n - 1, p).scale(c)
     if not residual.is_zero():

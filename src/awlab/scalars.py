@@ -141,6 +141,10 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
         (1 - abcd q^-2)(1 - abcd q^-1), and at abcd = q the eigenvalue
         mu_0 = abcd/q is 1, so the n = 0 projection and Hecke raising
         multiples vanish.  Such points are rejected, not special-cased.
+        The range holds every denominator of the recurrence scalars that
+        build P_n: alpha_n divides by 1 - abcd q^j for j = 2n-2 .. 2n
+        (0 <= n <= n_max), and c_n by 1 - abcd q^j for j = 2n-3 .. 2n-1
+        (1 <= n <= n_max).
     G4  (xy) * q^j != 1 for every pair xy from {ab, ac, ad, bc, bd, cd} and
         0 <= j <= n_max.
     G5  the mu_n are pairwise distinct for -n_max-1 <= n <= n_max+1.
@@ -226,6 +230,27 @@ def alpha_n(n: int, p: ParamSet) -> Scalar:
         * (1 - abcd * q ** (n - 1))
     top_den = a * (1 - abcd * q ** (2 * n - 1)) * (1 - abcd * q ** (2 * n))
     return a + 1 / a - mid_num / mid_den - top_num / top_den
+
+
+def c_n(n: int, p: ParamSet) -> Scalar:
+    """Lower coefficient of the three-term recurrence for (z + 1/z) P_n:
+
+    c_n = (1 - q^n)(1 - abcd q^(n-2)) prod_xy (1 - xy q^(n-1))
+          / ((1 - abcd q^(2n-3)) (1 - abcd q^(2n-2))^2 (1 - abcd q^(2n-1)))
+
+    with xy over the six pair products ab, ac, ad, bc, bd, cd.
+    """
+    if n < 1:
+        raise ValueError("c_n needs n >= 1")
+    p.require_horizon(n)
+    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
+    abcd = p.abcd
+    num = (1 - q**n) * (1 - abcd * q ** (n - 2))
+    for xy in (a * b, a * c, a * d, b * c, b * d, c * d):
+        num *= 1 - xy * q ** (n - 1)
+    den = (1 - abcd * q ** (2 * n - 3)) * (1 - abcd * q ** (2 * n - 2)) ** 2 \
+        * (1 - abcd * q ** (2 * n - 1))
+    return num / den
 
 
 def e1(p: ParamSet) -> Scalar:

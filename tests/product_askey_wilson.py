@@ -1,11 +1,11 @@
-"""P_n built summand by summand from LaurentPoly products.
+"""P_n as the terminating hypergeometric sum, summand by summand.
 
-The oracle for awlab.laurent.pochhammer_sum: this is the body of
-askey_wilson_P that formed each factor product with two LaurentPoly
-multiplications and added each summand with a scale and an add,
-reducing every intermediate result.  It shares the summand scalars'
-formula with the package, but none of pochhammer_sum's integer
-arithmetic.
+The reference for awlab.polynomials.askey_wilson_P, which builds P_n by
+the three-term recurrence from the closed forms alpha_n and c_n.  This
+sum shares neither: it forms each factor product with two LaurentPoly
+multiplications and adds each summand with a scale and an add, its
+scalars coming from q-Pochhammer symbols alone.  pytest does not collect
+this module; the tests import it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Criteria 1-7 run against five certified random parameter points drawn
 with a fixed seed at horizon 9 (the seeded_points session fixture), so
-every index range below stays inside each point's horizon.  Criterion 8
+every index range below stays inside each point's horizon.  Criterion 1
+holds the recurrence-built P_n to the terminating hypergeometric sum
+(tests/product_askey_wilson.py) and to the D eigenvector.  Criterion 8
 uses the reference point and criterion 9 shells out to the installed
 console script.  The hook in conftest.py prints a PASS/FAIL line per
 criterion after the run.
@@ -12,6 +14,7 @@ import subprocess
 import sys
 import time
 
+import product_askey_wilson as ref
 from awlab import (
     FAULT_TARGETS,
     apply_D,
@@ -53,7 +56,9 @@ def test_criterion_1_dual_constructions_agree(seeded_points):
     started = time.perf_counter()
     for p in seeded_points:
         for n in range(9):
-            assert askey_wilson_P(n, p) == askey_wilson_P_oracle(n, p)
+            pn = askey_wilson_P(n, p)
+            assert pn == ref.askey_wilson_P(n, p)
+            assert pn == askey_wilson_P_oracle(n, p)
     assert time.perf_counter() - started < 30.0
 
 

@@ -65,6 +65,15 @@ def test_gen_rejects_negative_p(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_rejects_negative_p_before_certifying(capsys):
+    # abcd = q fails G3; the index is wrong whatever the point
+    rc = main(["gen", "P", "--n", "-2", "--params",
+               "q=1/2,a=2,b=3,c=5,d=1/60"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: the symmetric family P is indexed by n >= 0\n"
+
+
 def test_gen_rejects_bad_params(capsys):
     rc = main(["gen", "P", "--n", "1", "--params", "q=1/2"])
     assert rc == 2

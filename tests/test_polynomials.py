@@ -1,6 +1,8 @@
 """Polynomial families: dual constructions, eigenrelations, recurrence."""
 
+import inspect
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,7 +30,6 @@ from awlab import (
     recurrence_ratio,
     symmetrize,
 )
-from awlab.laurent import pochhammer_sum
 from awlab.polynomials import (
     d_matrix,
     exponent_at,
@@ -37,19 +38,7 @@ from awlab.polynomials import (
     position,
     y_matrix,
 )
-
-
-def c_closed(n, p):
-    """Independent closed form for the lowering coefficient c_n."""
-    q, abcd = p.q, p.abcd
-    pairs = (p.a * p.b, p.a * p.c, p.a * p.d,
-             p.b * p.c, p.b * p.d, p.c * p.d)
-    num = (1 - q**n) * (1 - abcd * q ** (n - 2))
-    for xy in pairs:
-        num *= 1 - xy * q ** (n - 1)
-    den = (1 - abcd * q ** (2 * n - 3)) * (1 - abcd * q ** (2 * n - 2)) ** 2 \
-        * (1 - abcd * q ** (2 * n - 1))
-    return num / den
+from awlab.scalars import c_n
 
 
 def test_position_and_exponent_are_inverse_bijections():
@@ -178,7 +167,7 @@ def test_symmetrize_maps_e_onto_p(p8):
 
 def test_recurrence_ratio_matches_closed_form(p8):
     for n in range(2, 8):
-        assert recurrence_ratio(n, p8) == c_closed(n, p8)
+        assert recurrence_ratio(n, p8) == c_n(n, p8)
 
 
 def test_three_term_recurrence_holds_exactly(p8):
@@ -188,7 +177,7 @@ def test_three_term_recurrence_holds_exactly(p8):
         lhs = m * askey_wilson_P(n, p8)
         rhs = askey_wilson_P(n + 1, p8) \
             + askey_wilson_P(n, p8).scale(alpha_n(n, p8)) \
-            + askey_wilson_P(n - 1, p8).scale(c_closed(n, p8))
+            + askey_wilson_P(n - 1, p8).scale(c_n(n, p8))
         assert lhs == rhs
 
 
@@ -293,13 +282,39 @@ def test_polynomial_document_shape(p8):
     assert back == askey_wilson_P(1, p8)
 
 
+# perfbench/workloads.draw_points(seed, 1, nmax): the deep-n24 points of
+# seeds 1-3 and the points of seeds 4 and 5 certified at nmax 40
+BENCHMARK_POINTS = (
+    (24, (F(17, 19), F(17, 29), F(-29, 31), F(-17, 29), F(-29, 31))),
+    (24, (F(-17, 31), F(23, 19), F(-23, 19), F(31, 19), F(29, 23))),
+    (24, (F(19, 31), F(-31, 29), F(31, 17), F(-23, 19), F(29, 31))),
+    (40, (F(-19, 23), F(-29, 31), F(-17, 31), F(-29, 23), F(19, 23))),
+    (40, (F(-19, 31), F(19, 29), F(-19, 29), F(17, 19), F(-19, 31))),
+)
+
+
 def test_p_matches_product_reference_at_fixture_points(p8, seeded_points):
     negative_q = (F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13))
-    for point in (negative_q, *((s.q, s.a, s.b, s.c, s.d)
-                                for s in (p8, *seeded_points))):
-        p = check_genericity(*point, 10)
-        for n in range(11):
+    points = [(10, point) for point in (
+        negative_q, *((s.q, s.a, s.b, s.c, s.d) for s in (p8, *seeded_points)))]
+    for n_max, point in points + list(BENCHMARK_POINTS):
+        p = check_genericity(*point, n_max)
+        for n in range(n_max + 1):
             assert askey_wilson_P(n, p) == ref.askey_wilson_P(n, p)
+
+
+def test_p_is_built_bottom_up(p8):
+    # a cold build of P_60 must fit in 40 frames above this one: a
+    # construction that recursed on n - 1 would need at least 60
+    p = check_genericity(p8.q, p8.a, p8.b, p8.c, p8.d, 60)
+    want = ref.askey_wilson_P(60, p)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = askey_wilson_P(60, p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 @given(q=small_nonzero, a=small_nonzero, b=small_nonzero, c=small_nonzero,
@@ -312,15 +327,3 @@ def test_p_matches_product_reference(q, a, b, c, d):
         assume(False)
     for n in range(11):
         assert askey_wilson_P(n, p) == ref.askey_wilson_P(n, p)
-
-
-def test_pochhammer_sum_edge_weights():
-    a, q = F(-3, 5), F(2, 7)
-    z, zi = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
-    assert pochhammer_sum([], a, q) == LaurentPoly.zero()
-    assert pochhammer_sum([F(4, 9)], a, q) == LaurentPoly.constant(F(4, 9))
-    # a zero weight drops its summand but not the factors after it
-    first = (1 - a * z) * (1 - a * zi)
-    second = first * (1 - a * q * z) * (1 - a * q * zi)
-    assert pochhammer_sum([0, F(1, 2), 0], a, q) == first.scale(F(1, 2))
-    assert pochhammer_sum([0, 0, -3], a, q) == second.scale(-3)

@@ -24,6 +24,7 @@ from awlab import (
     q_pochhammer,
     random_param_sets,
 )
+from awlab.scalars import c_n
 
 
 def test_parse_scalar_accepts_canonical_forms():
@@ -194,6 +195,14 @@ def test_alpha_is_symmetric_in_parameters(p8):
         alt = check_genericity(p8.q, a, b, c, d, p8.n_max)
         for n in range(5):
             assert alpha_n(n, alt) == alpha_n(n, p8)
+
+
+def test_c_n_index_validation(p8):
+    with pytest.raises(ValueError):
+        c_n(0, p8)
+    with pytest.raises(HorizonError):
+        c_n(9, p8)
+    assert all(c_n(n, p8) != 0 for n in range(1, 9))
 
 
 def test_elementary_symmetric_functions(p8):
