@@ -64,7 +64,6 @@ from .polynomials import (
     EigenSolveError,
     ExtractionError,
     askey_wilson_P,
-    askey_wilson_P_oracle,
     nonsymmetric_E,
     recurrence_ratio,
     symmetrize,
@@ -85,7 +84,6 @@ from .scalars import (
     mu_n,
     param_set_from_json,
     parse_scalar,
-    q_pochhammer,
     random_param_sets,
 )
 from .verify import (

@@ -9,16 +9,15 @@ what went wrong.
 
 The scalar families reach the checks through _ScalarView, which can add 1
 to one family at a time; that is how the suite runner (awlab.verify)
-injects faults without touching the constructions.  The view also keeps a
-table of the ingredients several checks share (the clean scalars, c_n,
-(z + 1/z) P_n and D'(z P_n)); the suite runner builds one view per run,
-so each is computed once per run, while a public check_* function builds
-its own view and computes everything it needs itself.  Only identical
-computations are shared, never one image rewritten from another.  The
-two modules are
-kept apart on purpose: imported from source, one module of their joint
-size left about 1 MB more heap behind in the importing process than the
-two halves do.
+injects faults without touching the constructions.  The view reads every
+ingredient that several checks share (the clean scalars, c_n,
+(z + 1/z) P_n and D'(z P_n)) through the point's store,
+`polynomials.memo`, so each is computed once per point: across checks,
+across runs and with the P_n build, which reads the same alpha_n and
+c_n.  Only identical computations are shared, never one image rewritten
+from another.  The two modules are kept apart on purpose: imported from
+source, one module of their joint size left about 1 MB more heap behind
+in the importing process than the two halves do.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .laurent import (
     LaurentPoly,
     proportional,
 )
-from .polynomials import askey_wilson_P, nonsymmetric_E, recurrence_ratio
-from .scalars import ParamSet, alpha_n, beta_n, kappa_n, lambda_n, mu_n
+from .polynomials import askey_wilson_P, memo, nonsymmetric_E
+from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, mu_n
 
 FAULT_TARGETS = ("lambda", "alpha", "beta", "kappa")
 
@@ -102,23 +101,20 @@ class IdentityReport:
 
 
 class _ScalarView:
-    """The scalar families, with optional +1 fault injection, and a table of
-    the ingredients that several checks of one suite run share.
+    """The scalar families at one point, with optional +1 fault injection.
 
     Faults live here, at the checking layer, and never inside the
     polynomial constructions; a fault models a bug in one closed-form
     constant so the suite can demonstrate which identities notice it.
 
-    The table holds, per n, what is computed once and read by several
-    checks: the clean closed-form scalars (a fault's +1 is added on each
-    read and never stored), the recurrence ratio c_n, (z + 1/z) P_n and
-    D'(z P_n).  It lives as long as the view: `run_suite` builds one view
-    per run, and `with_fault` gives the run's negative controls views that
-    share its table.  Each entry is looked up through this module's names
-    when first read, so a wrapper bound over one of them still sees it.
+    The view holds no values: it reads the clean scalars, c_n,
+    (z + 1/z) P_n and D'(z P_n) through `memo`, so they are built once
+    per point and shared by every view of it.  A fault's +1 is added on
+    each read and never stored.  Each builder is passed by this module's
+    name at the read, so a wrapper bound over one of them still sees it.
     """
 
-    __slots__ = ("p", "fault", "_table")
+    __slots__ = ("p", "fault")
 
     def __init__(self, p: ParamSet, fault: str | None = None):
         if fault is not None and fault not in FAULT_TARGETS:
@@ -127,23 +123,9 @@ class _ScalarView:
             )
         self.p = p
         self.fault = fault
-        self._table: dict = {}
-
-    def with_fault(self, fault: str | None) -> "_ScalarView":
-        """A view with another fault that shares this view's table."""
-        view = _ScalarView(self.p, fault)
-        view._table = self._table
-        return view
-
-    def _entry(self, name: str, build, n: int):
-        key = (name, n)
-        value = self._table.get(key)
-        if value is None:
-            value = self._table[key] = build(n, self.p)
-        return value
 
     def _scalar(self, name: str, build, n: int) -> Fraction:
-        return self._entry(name, build, n) + (1 if self.fault == name else 0)
+        return memo(name, build, n, self.p) + (1 if self.fault == name else 0)
 
     def lam(self, n: int) -> Fraction:
         return self._scalar("lambda", lambda_n, n)
@@ -158,16 +140,16 @@ class _ScalarView:
         return self._scalar("kappa", kappa_n, n)
 
     def ratio(self, n: int) -> Fraction:
-        """c_n, from recurrence_ratio."""
-        return self._entry("ratio", recurrence_ratio, n)
+        """c_n, the closed form that also builds P_{n+1}."""
+        return memo("c", c_n, n, self.p)
 
     def m_p(self, n: int) -> LaurentPoly:
         """(z + 1/z) P_n."""
-        return self._entry("m_p", _m_p, n)
+        return memo("m_p", _m_p, n, self.p)
 
     def d_prime_z_p(self, n: int) -> LaurentPoly:
         """D'(z P_n), the first term of the Hecke ladders' left sides."""
-        return self._entry("d_prime_z_p", _d_prime_z_p, n)
+        return memo("d_prime_z_p", _d_prime_z_p, n, self.p)
 
 
 def _m_p(n: int, p: ParamSet) -> LaurentPoly:
@@ -315,9 +297,9 @@ def _lowering_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
 def _lowering_via_hecke_n1(p: ParamSet, v: _ScalarView) -> IdentityReport:
     """The n = 1 lowering case, as proportionality to P_0 = 1 only.
 
-    The recurrence ratio c_1 is not extracted (the three-term recurrence
-    is only certified from n = 2 up), so this check asserts that the
-    left side collapses to a constant without asserting which constant.
+    c_1 is not read (the three-term recurrence check starts at n = 2),
+    so this check asserts that the left side collapses to a constant
+    without asserting which constant.
     """
     started = time.perf_counter()
     q = p.q

@@ -30,12 +30,16 @@ that structure at runtime instead of assuming it, and the eigenvector
 comes from back-substitution.  The oracle P_n is built the same way from
 the matrix of D.  Both back-substitutions check that the eigenvalue sits
 on the diagonal once (G5, G6); a repeated one raises EigenSolveError.
+
+What is built at a point is kept on that point, in `ParamSet.memo`: the
+list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n and
+closed-form scalar, through `memo`.  So each is built once per point
+object, and freed with it.  The oracles keep nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .hecke import apply_D, apply_T1, apply_Y
 from .laurent import LaurentPoly
@@ -98,51 +102,39 @@ def _eigenvector(rows: tuple[tuple[Fraction, ...], ...], index: int,
     return v
 
 
-@lru_cache(maxsize=None)
 def y_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of Y on span(z^-k .. z^k) in the position ordering.
 
     Entry [i][j] is the z^exponent_at(i) coefficient of Y z^exponent_at(j).
-    The ordering is nested, so y_matrix(k - 1) is the leading block and
-    only the columns of z^-k and z^k are new.  For each new column the
-    builder checks that the window is stable under Y, that nothing sits
-    below the diagonal, and that the diagonal carries mu; any violation
-    raises EigenSolveError.
+    The ordering is nested, so y_matrix(k - 1) is the leading block.  For
+    each column the builder checks that Y z^e stays in span(z^-|e| .. z^|e|),
+    that nothing sits below the diagonal, and that the diagonal carries mu;
+    any violation raises EigenSolveError.
     """
     if k < 0:
         raise ValueError("window size must be nonnegative")
-    # walk the smaller windows bottom-up: each lookup finds the one below it
-    # cached, so the recursion is never more than one level deep
-    block: tuple[tuple[Fraction, ...], ...] = ()
-    for j in range(k):
-        block = y_matrix(j, p)
     size = 2 * k + 1
-    new = size - len(block)
-    rows = [list(row) + [Fraction(0)] * new for row in block]
-    rows += [[Fraction(0)] * size for _ in range(new)]
-    for j in range(len(block), size):
-        image = apply_Y(LaurentPoly.monomial(exponent_at(j)), p)
-        for deg, coeff in image.items():
-            if abs(deg) > k:
-                raise EigenSolveError(
-                    f"Y z^{exponent_at(j)} escapes the window at z^{deg}"
-                )
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        e = exponent_at(j)
+        for deg, coeff in apply_Y(LaurentPoly.monomial(e), p).items():
+            if abs(deg) > abs(e):
+                raise EigenSolveError(f"Y z^{e} escapes the window at z^{deg}")
             i = position(deg)
             if i > j:
                 raise EigenSolveError(
                     f"Y matrix has nonzero entry ({i},{j}) below the diagonal"
                 )
             rows[i][j] = coeff
-        want = mu_n(exponent_at(j), p)
+        want = mu_n(e, p)
         if rows[j][j] != want:
             raise EigenSolveError(
-                f"Y matrix diagonal at z^{exponent_at(j)} is {rows[j][j]}, "
+                f"Y matrix diagonal at z^{e} is {rows[j][j]}, "
                 f"expected mu = {want}"
             )
     return tuple(tuple(row) for row in rows)
 
 
-@lru_cache(maxsize=None)
 def d_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of D on symmetric polynomials of degree <= k.
 
@@ -172,7 +164,20 @@ def d_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-@lru_cache(maxsize=None)
+def memo(name: str, build, n: int, p: ParamSet):
+    """build(n, p), computed once per point object and kept in p.memo.
+
+    The store lives on the point, so it is freed with it; an equal point
+    certified anew starts empty.  `build` is passed in by the caller, so a
+    wrapper bound over its module-level name sees every first build.
+    """
+    key = (name, n)
+    value = p.memo.get(key)
+    if value is None:
+        value = p.memo[key] = build(n, p)
+    return value
+
+
 def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     """Monic symmetric polynomial P_n by the three-term recurrence.
 
@@ -184,23 +189,22 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     G3 keeps nonzero up to the horizon.  Each step adds one degree with
     coefficient 1, so P_n is monic; it is the Askey-Wilson polynomial
     because at a certified point the lambda_n eigenspace of D is a line
-    (G6) and the suite checks D P_n = lambda_n P_n for every n.
+    (G6) and the suite checks D P_n = lambda_n P_n for every n.  The point
+    keeps P_0, P_1, ... as one list that each call extends as far as it
+    needs, and alpha_n and c_n go through `memo`, where the checks read
+    them too.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")
     p.require_horizon(n)
-    if n == 0:
-        return LaurentPoly.one()
-    # walk the smaller indices bottom-up: each lookup finds the one below it
-    # cached, so the recursion is never more than one level deep
-    older = last = None
-    for j in range(n):
-        older, last = last, askey_wilson_P(j, p)
-    m = n - 1
-    result = _M * last - last.scale(alpha_n(m, p))
-    if m:
-        result = result - older.scale(c_n(m, p))
-    return result
+    ps = p.memo.setdefault("P", [LaurentPoly.one()])
+    while len(ps) <= n:
+        m = len(ps) - 1
+        step = _M * ps[m] - ps[m].scale(memo("alpha", alpha_n, m, p))
+        if m:
+            step = step - ps[m - 1].scale(memo("c", c_n, m, p))
+        ps.append(step)
+    return ps[n]
 
 
 def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
@@ -222,20 +226,23 @@ def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-@lru_cache(maxsize=None)
 def nonsymmetric_E(n: int, p: ParamSet) -> LaurentPoly:
     """Eigenvector of Y = T1 T0 with eigenvalue mu_n, z^n coefficient 1.
 
     Spectral projection of P_|n| (see the module docstring): one
-    application of Y per |n|, with E_-m built from the cached E_m.  The
-    normalizer c_m of E_-m equals (1 - q^m)(1 - cd q^(m-1)) /
-    (1 - abcd q^(2m-1)), which G1, G4 and G3 keep nonzero at a certified
-    point.  Off the certified set, mu_m == mu_-m or c_m == 0 raises
-    EigenSolveError.
+    application of Y per |n|, with E_-m built from E_m; each E_n is built
+    once per point and kept through `memo`.  The normalizer c_m of E_-m
+    equals (1 - q^m)(1 - cd q^(m-1)) / (1 - abcd q^(2m-1)), which G1, G4
+    and G3 keep nonzero at a certified point.  Off the certified set,
+    mu_m == mu_-m or c_m == 0 raises EigenSolveError.
     """
     p.require_horizon(n)
     if n == 0:
         return LaurentPoly.one()
+    return memo("E", _spectral_E, n, p)
+
+
+def _spectral_E(n: int, p: ParamSet) -> LaurentPoly:
     m = abs(n)
     if n < 0:
         rest = askey_wilson_P(m, p) - nonsymmetric_E(m, p)

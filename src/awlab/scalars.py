@@ -60,17 +60,21 @@ class ParamSet:
 
     Construct through `check_genericity`; the constructor itself only derives
     the deformation scalars t0 = -cd/q and t1 = -ab and the product abcd.
-    Instances are immutable and hashable on (q, a, b, c, d, n_max), which
-    the memo caches downstream rely on; the hash is computed once, here.
+    Instances are immutable and hashable on (q, a, b, c, d, n_max); the hash
+    is computed once, here.  `memo` is the point's store of what has been
+    built at it (see `polynomials.memo`): it belongs to this object, not to
+    every equal point, takes no part in equality, hashing or pickling, and
+    is freed with the point.
     """
 
-    __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1", "abcd", "_hash")
+    __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1", "abcd", "_hash",
+                 "memo")
 
     def __init__(self, q: Scalar, a: Scalar, b: Scalar, c: Scalar, d: Scalar,
                  n_max: int):
         key = (q, a, b, c, d, n_max)
         for name, value in zip(self.__slots__, (*key, -c * d / q, -a * b,
-                                                a * b * c * d, hash(key))):
+                                                a * b * c * d, hash(key), {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -185,20 +189,6 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
             raise GenericityError("G6", f"lambda_{seen_lam[v]} = lambda_{m} = {format_scalar(v)}")
         seen_lam[v] = m
     return ParamSet(q, a, b, c, d, n_max)
-
-
-def q_pochhammer(x, k: int, q) -> Scalar:
-    """(x; q)_k = prod_{j=0..k-1} (1 - x q^j), with the empty product 1."""
-    if k < 0:
-        raise ValueError("q_pochhammer needs k >= 0")
-    x = Fraction(x)
-    q = Fraction(q)
-    acc = Fraction(1)
-    power = Fraction(1)
-    for _ in range(k):
-        acc *= 1 - x * power
-        power *= q
-    return acc
 
 
 def lambda_n(n: int, p: ParamSet) -> Scalar:

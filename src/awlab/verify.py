@@ -255,8 +255,7 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
 # (id, n values at horizon N or None for a random-input family, check).
 # Per-index checks take (n, p, v), v being the run's scalar view;
 # random-input checks take (p, trials=, seed=, degree_window=).  The
-# "control-" rows set their own fault on views that share the run's table,
-# which holds clean values only.
+# "control-" rows build their own views, relative to the clean scalars.
 _SUITE = (
     ("q-difference-eigen", lambda N: range(N + 1), _q_difference),
     ("y-eigen", lambda N: range(1 - N, N) if N else (0,),
@@ -279,17 +278,17 @@ _SUITE = (
     ("factorization", None, lambda p, **kw: check_factorization(p, **kw)),
     ("bridge-symmetric", None, lambda p, **kw: check_bridge_identity(p, **kw)),
     ("control-lambda-q-difference", lambda N: (2,) if N >= 2 else (),
-     lambda n, p, v: _q_difference(n, p, v.with_fault("lambda"))),
+     lambda n, p, v: _q_difference(n, p, _ScalarView(p, "lambda"))),
     ("control-alpha-recurrence", lambda N: (2,) if N >= 3 else (),
-     lambda n, p, v: _recurrence(n, p, v.with_fault("alpha"))),
+     lambda n, p, v: _recurrence(n, p, _ScalarView(p, "alpha"))),
     ("control-swap-raising-via-d", lambda N: (2,) if N >= 3 else (),
-     lambda n, p, v: _raising_via_d(n, p, v.with_fault(None),
+     lambda n, p, v: _raising_via_d(n, p, _ScalarView(p),
                                     lam_prev=lambda_n(n + 1, p),
                                     lam_next=lambda_n(n - 1, p))),
     ("control-kappa-intertwiner", lambda N: (1,) if N >= 2 else (),
-     lambda n, p, v: _intertwiner(n, p, v.with_fault("kappa"))),
+     lambda n, p, v: _intertwiner(n, p, _ScalarView(p, "kappa"))),
     ("control-beta-raising-via-hecke", lambda N: (1,) if N >= 2 else (),
-     lambda n, p, v: _raising_via_hecke(n, p, v.with_fault("beta"))),
+     lambda n, p, v: _raising_via_hecke(n, p, _ScalarView(p, "beta"))),
 )
 
 

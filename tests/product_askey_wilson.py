@@ -12,7 +12,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from awlab import LaurentPoly, ParamSet, q_pochhammer
+from awlab import LaurentPoly, ParamSet
+
+
+def q_pochhammer(x, k: int, q) -> Fraction:
+    """(x; q)_k = prod_{j=0..k-1} (1 - x q^j), with the empty product 1."""
+    if k < 0:
+        raise ValueError("q_pochhammer needs k >= 0")
+    x = Fraction(x)
+    q = Fraction(q)
+    acc = Fraction(1)
+    power = Fraction(1)
+    for _ in range(k):
+        acc *= 1 - x * power
+        power *= q
+    return acc
 
 
 def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:

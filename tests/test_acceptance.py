@@ -20,7 +20,6 @@ from awlab import (
     apply_D,
     apply_Y,
     askey_wilson_P,
-    askey_wilson_P_oracle,
     check_alpha_beta,
     check_bridge_identity,
     check_factorization,
@@ -39,6 +38,7 @@ from awlab import (
     recurrence_ratio,
     run_suite,
 )
+from awlab.polynomials import askey_wilson_P_oracle
 
 P8_STR = "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11"
 

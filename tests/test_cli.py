@@ -216,7 +216,7 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     def broken(n, p):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(awlab.identities, "recurrence_ratio", broken)
+    monkeypatch.setattr(awlab.identities, "beta_n", broken)
     rc = main(["verify", "--nmax", "3", "--params", P8_STR])
     assert rc == 3
     assert capsys.readouterr().err == "internal error: ValueError: internal bug\n"

@@ -1,7 +1,9 @@
 """Polynomial families: dual constructions, eigenrelations, recurrence."""
 
+import copy
 import inspect
 import json
+import pickle
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,17 +22,18 @@ from awlab import (
     apply_D,
     apply_Y,
     askey_wilson_P,
-    askey_wilson_P_oracle,
     check_genericity,
     lambda_n,
     mu_n,
     nonsymmetric_E,
+    param_set_from_json,
     proportional,
     random_param_sets,
     recurrence_ratio,
     symmetrize,
 )
 from awlab.polynomials import (
+    askey_wilson_P_oracle,
     d_matrix,
     exponent_at,
     nonsymmetric_E_oracle,
@@ -327,3 +330,30 @@ def test_p_matches_product_reference(q, a, b, c, d):
         assume(False)
     for n in range(11):
         assert askey_wilson_P(n, p) == ref.askey_wilson_P(n, p)
+
+
+def test_q_pochhammer():
+    q = F(1, 2)
+    assert ref.q_pochhammer(F(1, 3), 0, q) == 1
+    assert ref.q_pochhammer(q, 3, q) == F(1, 2) * F(3, 4) * F(7, 8)
+    assert ref.q_pochhammer(F(2), 2, q) == (1 - 2) * (1 - 1)  # hits zero factor
+
+
+def test_recertified_point_starts_with_an_empty_store(p8):
+    p = check_genericity(p8.q, p8.a, p8.b, p8.c, p8.d, 4)
+    built = nonsymmetric_E(-3, p)
+    assert p.memo
+    again = param_set_from_json(p.as_json_dict())
+    assert again == p and hash(again) == hash(p)
+    assert again.memo == {} and again.memo is not p.memo
+    assert nonsymmetric_E(-3, again) == built
+
+
+def test_pickled_point_drops_its_store(p8):
+    p = check_genericity(p8.q, p8.a, p8.b, p8.c, p8.d, 3)
+    askey_wilson_P(3, p)
+    assert p.memo
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p)):
+        assert copied == p and hash(copied) == hash(p)
+        assert copied.memo == {}
+    assert p.memo

@@ -21,7 +21,6 @@ from awlab import (
     mu_n,
     param_set_from_json,
     parse_scalar,
-    q_pochhammer,
     random_param_sets,
 )
 from awlab.scalars import c_n
@@ -237,13 +236,6 @@ def test_kappa_one_value(p8):
     assert kappa_n(1, p8) == F(299, 44429)
     with pytest.raises(HorizonError):
         kappa_n(10, p8)
-
-
-def test_q_pochhammer():
-    q = F(1, 2)
-    assert q_pochhammer(F(1, 3), 0, q) == 1
-    assert q_pochhammer(q, 3, q) == F(1, 2) * F(3, 4) * F(7, 8)
-    assert q_pochhammer(F(2), 2, q) == (1 - 2) * (1 - 1)  # hits zero factor
 
 
 def test_random_param_sets_deterministic():

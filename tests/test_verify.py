@@ -313,3 +313,16 @@ def test_nothing_survives_a_run():
             == EXPECTED_FAULT_SETS[fault]
         after = [_outcome(r) for r in run_suite(p, trials=2)]
         assert after == [(r.identity_id, r.n, True, None) for r in faulted], fault
+
+
+def test_faults_after_a_warm_store_flip_exactly_their_sets():
+    # one point object throughout: the clean run fills its store, every
+    # fault run reads that store, and nothing a fault adds may be stored
+    p = random_param_sets(3141, 1, 6)[0]
+    first = [_outcome(r) for r in run_suite(p, trials=2)]
+    assert all(passed for _, _, passed, _ in first)
+    for fault in FAULT_TARGETS:
+        faulted = run_suite(p, trials=2, fault=fault)
+        assert {r.identity_id for r in faulted if not r.passed} \
+            == EXPECTED_FAULT_SETS[fault], fault
+    assert [_outcome(r) for r in run_suite(p, trials=2)] == first

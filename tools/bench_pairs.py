@@ -3,10 +3,12 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
         --seeds 1-10 --label NAME [--seconds 40] [--trace]
 
-For each seed, `perfbench/run.py --workload W --seed N --seconds S` runs
-once in each checkout, from that checkout's own files: the parent first
-on odd seeds and the change first on even ones, so a drift in host speed
-falls on both sides alike.  Every run's result line is kept, and
+Before the first pair, `src/` and `perfbench/` are byte-compiled in both
+checkouts, so neither side's children compile modules that the other
+side's import from bytecode.  For each seed, `perfbench/run.py
+--workload W --seed N --seconds S` runs once in each checkout, from that
+checkout's own files: the parent first on odd seeds and the change first
+on even ones, so a drift in host speed falls on both sides alike.  Every run's result line is kept, and
 BENCH_<label>.json in the current directory gets, per metric, each side's
 runs in seed order with their median and quartiles, the change's median
 over the parent's, the parent's quartile distance, and the pairs the
@@ -20,6 +22,7 @@ file can collect several workloads from separate invocations.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import platform
 import statistics
@@ -35,6 +38,16 @@ def parse_seeds(text: str) -> list[int]:
         lo, sep, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi) + 1) if sep else [int(lo)])
     return seeds
+
+
+COMPILED = ("src", "perfbench")
+
+
+def compile_bytecode(checkout: Path) -> None:
+    """Write the bytecode of every module under COMPILED in `checkout`."""
+    for name in COMPILED:
+        if not compileall.compile_dir(checkout / name, quiet=1):
+            raise RuntimeError(f"{checkout / name}: byte-compiling failed")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -118,9 +131,13 @@ def main() -> int:
                   "parent first); one result line per run, each a median over "
                   "that run's fresh child interpreters; each side runs from "
                   "its own checkout"),
+        "bytecode": (f"{' and '.join(COMPILED)} byte-compiled in both "
+                     f"checkouts (compileall) before the first pair"),
         "statistic": ("median and quartiles (statistics.quantiles n=4) over "
                       "seeds; wins = pairs where the change reads better"),
     })
+    for checkout in (args.parent, args.change):
+        compile_bytecode(checkout)
     section = doc.setdefault("workloads_traced" if args.trace else "workloads", {})
     results = []
     for seed in args.seeds:
