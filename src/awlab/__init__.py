@@ -20,78 +20,17 @@ Layers, bottom up:
   verify       randomized relation checks, negative controls, and the
                suite runner
   cli          the `awlab` command
+
+The package itself exports only what callers read from it: certifying a
+point, the two families, D and lambda_n, and the suite runner with its
+fault targets.  Everything else is imported from its layer, as in
+`from awlab.laurent import LaurentPoly`.
 """
 
-from .hecke import (
-    LaurentFraction,
-    NotSymmetricError,
-    apply_D,
-    apply_D_prime,
-    apply_T0,
-    apply_T1,
-    apply_t0_T0_inv,
-    apply_t1_T1_inv,
-    apply_Y,
-    limit_at_infinity,
-)
-from .identities import (
-    FAULT_TARGETS,
-    IdentityReport,
-    check_alpha_beta,
-    check_E_eigen,
-    check_hecke_ladder,
-    check_intertwiner,
-    check_leading_coefficient,
-    check_lowering_via_d,
-    check_projection,
-    check_q_difference,
-    check_raising_via_d,
-    check_recurrence,
-    check_symmetrization,
-)
-from .laurent import (
-    BOTH_ZERO,
-    SUB_INV,
-    SUB_Q_OVER_Z,
-    SUB_QZ,
-    SUB_Z_OVER_Q,
-    LaurentPoly,
-    NotDivisibleError,
-    exact_quotient,
-    proportional,
-)
-from .polynomials import (
-    EigenSolveError,
-    ExtractionError,
-    askey_wilson_P,
-    nonsymmetric_E,
-    recurrence_ratio,
-    symmetrize,
-)
-from .scalars import (
-    GenericityError,
-    HorizonError,
-    ParamSet,
-    Scalar,
-    alpha_n,
-    beta_n,
-    check_genericity,
-    e1,
-    e3,
-    format_scalar,
-    kappa_n,
-    lambda_n,
-    mu_n,
-    param_set_from_json,
-    parse_scalar,
-    random_param_sets,
-)
-from .verify import (
-    check_bridge_identity,
-    check_factorization,
-    check_hecke_relations,
-    run_suite,
-    suite_plan,
-)
+from .hecke import apply_D
+from .identities import FAULT_TARGETS
+from .polynomials import askey_wilson_P, nonsymmetric_E
+from .scalars import GenericityError, check_genericity, lambda_n
+from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -22,14 +22,12 @@ in the importing process than the two halves do.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from .hecke import (
     apply_D,
     apply_D_prime,
     apply_t0_T0_inv,
-    apply_T1,
     apply_Y,
     aw_fraction,
     limit_at_infinity,
@@ -40,7 +38,7 @@ from .laurent import (
     LaurentPoly,
     proportional,
 )
-from .polynomials import askey_wilson_P, memo, nonsymmetric_E
+from .polynomials import askey_wilson_P, memo, nonsymmetric_E, symmetrize
 from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, mu_n
 
 FAULT_TARGETS = ("lambda", "alpha", "beta", "kappa")
@@ -58,18 +56,15 @@ class IdentityReport:
     the discrepancy.
     """
 
-    __slots__ = ("identity_id", "params", "n", "passed", "residual_witness",
-                 "elapsed")
+    __slots__ = ("identity_id", "params", "n", "passed", "residual_witness")
 
     def __init__(self, identity_id: str, params: ParamSet, n: int | None,
-                 passed: bool, residual_witness: LaurentPoly | None,
-                 elapsed: float):
+                 passed: bool, residual_witness: LaurentPoly | None):
         self.identity_id = identity_id
         self.params = params
         self.n = n
         self.passed = passed
         self.residual_witness = residual_witness
-        self.elapsed = elapsed
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -161,16 +156,14 @@ def _d_prime_z_p(n: int, p: ParamSet) -> LaurentPoly:
 
 
 def _finish(identity_id: str, p: ParamSet, n: int | None,
-            residual: LaurentPoly | None, started: float) -> IdentityReport:
-    elapsed = time.perf_counter() - started
+            residual: LaurentPoly | None) -> IdentityReport:
     if residual is None or residual.is_zero():
-        return IdentityReport(identity_id, p, n, True, None, elapsed)
-    return IdentityReport(identity_id, p, n, False, residual, elapsed)
+        return IdentityReport(identity_id, p, n, True, None)
+    return IdentityReport(identity_id, p, n, False, residual)
 
 
 def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
-                         f: LaurentPoly, g: LaurentPoly,
-                         started: float) -> IdentityReport:
+                         f: LaurentPoly, g: LaurentPoly) -> IdentityReport:
     """Pass iff f = c*g for a nonzero scalar c."""
     c = proportional(f, g)
     if c is BOTH_ZERO:
@@ -182,7 +175,7 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
         witness = g  # f vanished although g did not
     else:
         witness = None
-    return _finish(identity_id, p, n, witness, started)
+    return _finish(identity_id, p, n, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +184,9 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
 # ---------------------------------------------------------------------------
 
 def _q_difference(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     pn = askey_wilson_P(n, p)
     residual = apply_D(pn, p) - pn.scale(v.lam(n))
-    return _finish("q-difference-eigen", p, n, residual, started)
+    return _finish("q-difference-eigen", p, n, residual)
 
 
 def check_q_difference(n: int, p: ParamSet) -> IdentityReport:
@@ -205,12 +197,11 @@ def check_q_difference(n: int, p: ParamSet) -> IdentityReport:
 def _recurrence(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     """Zero by construction at clean scalars (P_{n+1} is built by this
     recurrence); the evidence it carries is that a bumped alpha_n fails."""
-    started = time.perf_counter()
     c = v.ratio(n)
     pn = askey_wilson_P(n, p)
     residual = (v.m_p(n) - askey_wilson_P(n + 1, p) - pn.scale(v.alpha(n))
                 - askey_wilson_P(n - 1, p).scale(c))
-    return _finish("three-term-recurrence", p, n, residual, started)
+    return _finish("three-term-recurrence", p, n, residual)
 
 
 def check_recurrence(n: int, p: ParamSet) -> IdentityReport:
@@ -222,19 +213,18 @@ def check_recurrence(n: int, p: ParamSet) -> IdentityReport:
 def _raising_via_d(n: int, p: ParamSet, v: _ScalarView,
                    lam_prev: Fraction | None = None,
                    lam_next: Fraction | None = None) -> IdentityReport:
-    started = time.perf_counter()
     lp = v.lam(n - 1) if lam_prev is None else lam_prev
     ln = v.lam(n)
     lx = v.lam(n + 1) if lam_next is None else lam_next
     multiple = lx - lp
     if multiple == 0:
-        return _finish("raising-via-d", p, n, LaurentPoly.one(), started)
+        return _finish("raising-via-d", p, n, LaurentPoly.one())
     pn = askey_wilson_P(n, p)
     mp = v.m_p(n)
     residual = (apply_D(mp, p) - mp.scale(lp)
                 - pn.scale(v.alpha(n) * (ln - lp))
                 - askey_wilson_P(n + 1, p).scale(multiple))
-    return _finish("raising-via-d", p, n, residual, started)
+    return _finish("raising-via-d", p, n, residual)
 
 
 def check_raising_via_d(n: int, p: ParamSet) -> IdentityReport:
@@ -247,16 +237,15 @@ def check_raising_via_d(n: int, p: ParamSet) -> IdentityReport:
 
 
 def _lowering_via_d(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     c = v.ratio(n)
     multiple = c * (v.lam(n - 1) - v.lam(n + 1))
     if multiple == 0:
-        return _finish("lowering-via-d", p, n, LaurentPoly.one(), started)
+        return _finish("lowering-via-d", p, n, LaurentPoly.one())
     pn = askey_wilson_P(n, p)
     g = v.m_p(n) - pn.scale(v.alpha(n))
     residual = (apply_D(g, p) - g.scale(v.lam(n + 1))
                 - askey_wilson_P(n - 1, p).scale(multiple))
-    return _finish("lowering-via-d", p, n, residual, started)
+    return _finish("lowering-via-d", p, n, residual)
 
 
 def check_lowering_via_d(n: int, p: ParamSet) -> IdentityReport:
@@ -265,49 +254,49 @@ def check_lowering_via_d(n: int, p: ParamSet) -> IdentityReport:
     return _lowering_via_d(n, p, _ScalarView(p))
 
 
+def _raising_lhs(n: int, p: ParamSet, v: _ScalarView) -> LaurentPoly:
+    """[D'z + (1 - q^{1-n})(z + 1/z) + beta_{-n}] P_n."""
+    return (v.d_prime_z_p(n) + v.m_p(n).scale(1 - p.q ** (1 - n))
+            + askey_wilson_P(n, p).scale(v.beta(-n)))
+
+
+def _lowering_lhs(n: int, p: ParamSet, v: _ScalarView) -> LaurentPoly:
+    """[D'z + (1 - q^n abcd)(z + 1/z) + beta_n] P_n."""
+    return (v.d_prime_z_p(n) + v.m_p(n).scale(1 - p.q**n * p.abcd)
+            + askey_wilson_P(n, p).scale(v.beta(n)))
+
+
 def _raising_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     q = p.q
     multiple = q**n * p.abcd - q ** (1 - n)
     if multiple == 0:
-        return _finish("raising-via-hecke", p, n, LaurentPoly.one(), started)
-    pn = askey_wilson_P(n, p)
-    residual = (v.d_prime_z_p(n)
-                + v.m_p(n).scale(1 - q ** (1 - n))
-                + pn.scale(v.beta(-n))
+        return _finish("raising-via-hecke", p, n, LaurentPoly.one())
+    residual = (_raising_lhs(n, p, v)
                 - askey_wilson_P(n + 1, p).scale(multiple))
-    return _finish("raising-via-hecke", p, n, residual, started)
+    return _finish("raising-via-hecke", p, n, residual)
 
 
 def _lowering_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     q = p.q
     c = v.ratio(n)
     multiple = (q ** (1 - n) - q**n * p.abcd) * c
     if multiple == 0:
-        return _finish("lowering-via-hecke", p, n, LaurentPoly.one(), started)
-    pn = askey_wilson_P(n, p)
-    residual = (v.d_prime_z_p(n)
-                + v.m_p(n).scale(1 - q**n * p.abcd)
-                + pn.scale(v.beta(n))
+        return _finish("lowering-via-hecke", p, n, LaurentPoly.one())
+    residual = (_lowering_lhs(n, p, v)
                 - askey_wilson_P(n - 1, p).scale(multiple))
-    return _finish("lowering-via-hecke", p, n, residual, started)
+    return _finish("lowering-via-hecke", p, n, residual)
 
 
-def _lowering_via_hecke_n1(p: ParamSet, v: _ScalarView) -> IdentityReport:
+def _lowering_via_hecke_n1(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     """The n = 1 lowering case, as proportionality to P_0 = 1 only.
 
     c_1 is not read (the three-term recurrence check starts at n = 2),
     so this check asserts that the left side collapses to a constant
     without asserting which constant.
     """
-    started = time.perf_counter()
-    q = p.q
-    lhs = (v.d_prime_z_p(1)
-           + v.m_p(1).scale(1 - q * p.abcd)
-           + askey_wilson_P(1, p).scale(v.beta(1)))
+    lhs = _lowering_lhs(n, p, v)
     residual = lhs - LaurentPoly.constant(lhs.coeff(0))
-    return _finish("lowering-via-hecke-n1", p, 1, residual, started)
+    return _finish("lowering-via-hecke-n1", p, n, residual)
 
 
 def check_hecke_ladder(n: int, p: ParamSet, direction: str) -> IdentityReport:
@@ -331,26 +320,22 @@ def check_hecke_ladder(n: int, p: ParamSet, direction: str) -> IdentityReport:
         if n < 1:
             raise ValueError("lowering needs n >= 1")
         if n == 1:
-            return _lowering_via_hecke_n1(p, v)
+            return _lowering_via_hecke_n1(n, p, v)
         return _lowering_via_hecke(n, p, v)
     raise ValueError(f"unknown direction {direction!r}")
 
 
 def _leading_coefficient(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     q = p.q
-    lhs = (v.d_prime_z_p(n)
-           + v.m_p(n).scale(1 - q ** (1 - n))
-           + askey_wilson_P(n, p).scale(v.beta(-n)))
     closed = q**n * p.abcd - q ** (1 - n)
     a_fr = aw_fraction(p)
     via_limits = (limit_at_infinity(a_fr) * q ** (n + 1)
                   - limit_at_infinity(a_fr.substitute(SUB_INV))
                   + (1 - q ** (1 - n)))
-    first = lhs.coeff(n + 1) - closed
+    first = _raising_lhs(n, p, v).coeff(n + 1) - closed
     second = via_limits - closed
     residual = LaurentPoly.constant(first if first else second)
-    return _finish("leading-coefficient", p, n, residual, started)
+    return _finish("leading-coefficient", p, n, residual)
 
 
 def check_leading_coefficient(n: int, p: ParamSet) -> IdentityReport:
@@ -365,11 +350,10 @@ def check_leading_coefficient(n: int, p: ParamSet) -> IdentityReport:
 
 
 def _alpha_beta(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     q = p.q
     value = (v.alpha(n) * (q**n * p.abcd - q ** (1 - n))
              - (v.beta(n) - v.beta(-n)))
-    return _finish("alpha-beta", p, n, LaurentPoly.constant(value), started)
+    return _finish("alpha-beta", p, n, LaurentPoly.constant(value))
 
 
 def check_alpha_beta(n: int, p: ParamSet) -> IdentityReport:
@@ -386,40 +370,35 @@ def check_E_eigen(n: int, p: ParamSet) -> IdentityReport:
     P_|n| - E_|n| for n < 0, so for n != 0 this checks
     (Y - mu_n)(Y - mu_-n) P_|n| = 0.
     """
-    started = time.perf_counter()
     en = nonsymmetric_E(n, p)
     residual = apply_Y(en, p) - en.scale(mu_n(n, p))
-    return _finish("y-eigen", p, n, residual, started)
+    return _finish("y-eigen", p, n, residual)
 
 
 def check_symmetrization(n: int, p: ParamSet) -> IdentityReport:
     """(T1 + 1) E_n is a nonzero multiple of P_|n|, n != 0."""
     if n == 0:
         raise ValueError("symmetrization check needs n != 0")
-    started = time.perf_counter()
-    en = nonsymmetric_E(n, p)
-    f = apply_T1(en, p) + en
+    f = symmetrize(nonsymmetric_E(n, p), p)
     g = askey_wilson_P(abs(n), p)
-    return _finish_proportional("symmetrization", p, n, f, g, started)
+    return _finish_proportional("symmetrization", p, n, f, g)
 
 
 def check_projection(n: int, p: ParamSet) -> IdentityReport:
     """(t0 T0^{-1} - mu_{-n}) P_n is a nonzero multiple of E_{-n}, n >= 0."""
     if n < 0:
         raise ValueError("projection check needs n >= 0")
-    started = time.perf_counter()
     pn = askey_wilson_P(n, p)
     f = apply_t0_T0_inv(pn, p) - pn.scale(mu_n(-n, p))
     g = nonsymmetric_E(-n, p)
-    return _finish_proportional("projection", p, n, f, g, started)
+    return _finish_proportional("projection", p, n, f, g)
 
 
 def _intertwiner(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    started = time.perf_counter()
     em = nonsymmetric_E(-n, p)
     f = apply_t0_T0_inv(_Z * em, p) - em.scale(v.kappa(n))
     g = nonsymmetric_E(n - 1, p)
-    return _finish_proportional("intertwiner", p, n, f, g, started)
+    return _finish_proportional("intertwiner", p, n, f, g)
 
 
 def check_intertwiner(n: int, p: ParamSet) -> IdentityReport:

@@ -280,34 +280,37 @@ def kappa_n(n: int, p: ParamSet) -> Scalar:
     return (m_prev * (p.c + p.d) + p.t0 * (p.a + p.b)) / (m_prev - m_neg)
 
 
-def _draw_nonzero(rng: random.Random, max_height: int) -> Scalar:
+_DRAW_HEIGHT = 64  # bound on each numerator and denominator drawn
+_DRAW_TRIES = 1000  # uncertified draws before random_param_set gives up
+
+
+def _draw_nonzero(rng: random.Random) -> Scalar:
     while True:
-        num = rng.randint(-max_height, max_height)
+        num = rng.randint(-_DRAW_HEIGHT, _DRAW_HEIGHT)
         if num:
-            return Fraction(num, rng.randint(1, max_height))
+            return Fraction(num, rng.randint(1, _DRAW_HEIGHT))
 
 
-def random_param_set(rng: random.Random, n_max: int, max_height: int = 64,
-                     max_tries: int = 1000) -> ParamSet:
+def random_param_set(rng: random.Random, n_max: int) -> ParamSet:
     """Draw a certified point with small-height rational parameters.
 
     q is drawn with 0 < |q| < 1; a, b, c, d are nonzero with numerator and
-    denominator magnitudes at most max_height.  Draws violating G1..G6 are
-    rejected and retried.
+    denominator magnitudes at most _DRAW_HEIGHT.  Draws violating G1..G6
+    are rejected and retried.
     """
-    for _ in range(max_tries):
-        den = rng.randint(2, max_height)
+    for _ in range(_DRAW_TRIES):
+        den = rng.randint(2, _DRAW_HEIGHT)
         num = rng.randint(-(den - 1), den - 1)
         if not num:
             continue
         q = Fraction(num, den)
-        vals = [_draw_nonzero(rng, max_height) for _ in range(4)]
+        vals = [_draw_nonzero(rng) for _ in range(4)]
         try:
             return check_genericity(q, *vals, n_max)
         except GenericityError:
             continue
     raise RuntimeError(
-        f"could not draw a certified parameter set in {max_tries} tries"
+        f"could not draw a certified parameter set in {_DRAW_TRIES} tries"
     )
 
 

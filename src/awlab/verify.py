@@ -10,10 +10,10 @@ their check by its module-level name at run time rather than holding the
 function, so a wrapper bound over that name later (a profiler, a tracer)
 still sees every call.  Two safeguards keep the suite honest:
 
-* Negative controls, the rows whose id starts with "control-",
-  deliberately perturb one constant and pass only when the perturbed
-  check fails with a nonzero witness.  They guard against vacuous
-  passes (a zero polynomial satisfies every linear identity).
+* Negative controls, the rows whose id starts with "control-", run in
+  every suite: each perturbs one constant and passes only when the
+  perturbed check fails with a nonzero witness.  They guard against
+  vacuous passes (a zero polynomial satisfies every linear identity).
 
 * Fault injection (`run_suite(..., fault="beta")`) adds 1 to one scalar
   family at the reporting layer, leaving the constructions untouched.
@@ -21,13 +21,13 @@ still sees every call.  Two safeguards keep the suite honest:
   the test suite pins down those dependence sets.
 
 Random inputs are drawn from a generator seeded per identity id, so a
-suite run is a pure function of (params, n_max, trials, seed).
+suite run is a pure function of (params, n_max, trials, seed).  Reports
+carry no timing: a caller that wants it times the calls from outside.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from .hecke import (
@@ -69,8 +69,10 @@ from .scalars import HorizonError, ParamSet, e1, e3, lambda_n
 # randomized-input checks
 # ---------------------------------------------------------------------------
 
-def random_laurent(rng: random.Random, degree_window: int = 6,
-                   max_height: int = 9) -> LaurentPoly:
+_HEIGHT = 9  # random coefficients are r/s with |r| and s at most _HEIGHT
+
+
+def random_laurent(rng: random.Random, degree_window: int = 6) -> LaurentPoly:
     """Random nonzero Laurent polynomial with support inside [-w, w]."""
     if degree_window < 0:
         raise ValueError("degree_window must be nonnegative")
@@ -78,16 +80,16 @@ def random_laurent(rng: random.Random, degree_window: int = 6,
         coeffs = {}
         for k in range(-degree_window, degree_window + 1):
             if rng.random() < 0.5:
-                num = rng.randint(-max_height, max_height)
+                num = rng.randint(-_HEIGHT, _HEIGHT)
                 if num:
-                    coeffs[k] = Fraction(num, rng.randint(1, max_height))
+                    coeffs[k] = Fraction(num, rng.randint(1, _HEIGHT))
         f = LaurentPoly(coeffs)
         if not f.is_zero():
             return f
 
 
-def random_symmetric_laurent(rng: random.Random, degree_window: int = 6,
-                             max_height: int = 9) -> LaurentPoly:
+def random_symmetric_laurent(rng: random.Random,
+                             degree_window: int = 6) -> LaurentPoly:
     """Random nonzero Laurent polynomial invariant under z -> 1/z."""
     if degree_window < 0:
         raise ValueError("degree_window must be nonnegative")
@@ -95,9 +97,9 @@ def random_symmetric_laurent(rng: random.Random, degree_window: int = 6,
         coeffs = {}
         for k in range(degree_window + 1):
             if rng.random() < 0.5:
-                num = rng.randint(-max_height, max_height)
+                num = rng.randint(-_HEIGHT, _HEIGHT)
                 if num:
-                    val = Fraction(num, rng.randint(1, max_height))
+                    val = Fraction(num, rng.randint(1, _HEIGHT))
                     coeffs[k] = val
                     coeffs[-k] = val
         f = LaurentPoly(coeffs)
@@ -105,12 +107,12 @@ def random_symmetric_laurent(rng: random.Random, degree_window: int = 6,
             return f
 
 
-def random_asymmetric_laurent(rng: random.Random, degree_window: int = 6,
-                              max_height: int = 9) -> LaurentPoly:
+def random_asymmetric_laurent(rng: random.Random,
+                              degree_window: int = 6) -> LaurentPoly:
     """Random Laurent polynomial guaranteed NOT to be symmetric."""
     if degree_window < 1:
         raise ValueError("an asymmetric polynomial needs degree_window >= 1")
-    f = random_laurent(rng, degree_window, max_height)
+    f = random_laurent(rng, degree_window)
     if f.is_symmetric():
         # break the symmetry at the top degree
         f = f + LaurentPoly.monomial(degree_window, 1)
@@ -135,12 +137,11 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     checked once, as cleared-denominator Laurent identities.
     """
     _require_trials(trials)
-    started = time.perf_counter()
     rng = random.Random(f"{seed}:hecke-relations")
     q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
 
     def fail(residual):
-        return _finish("hecke-relations", p, None, residual, started)
+        return _finish("hecke-relations", p, None, residual)
 
     # coefficient identities, denominators cleared
     fr1 = r1_fraction(p)
@@ -197,7 +198,7 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
         res = h - s1(h)
         if not res.is_zero():
             return fail(res)
-    return _finish("hecke-relations", p, None, None, started)
+    return _finish("hecke-relations", p, None, None)
 
 
 def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
@@ -205,19 +206,18 @@ def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
     """(T1 + 1)(T0 - t0) agrees with the direct form of D' on random f,
     and D' agrees with D on random symmetric f."""
     _require_trials(trials)
-    started = time.perf_counter()
     rng = random.Random(f"{seed}:factorization")
     for _ in range(trials):
         f = random_laurent(rng, degree_window)
         res = (apply_D_prime(f, p, form="factored")
                - apply_D_prime(f, p, form="direct"))
         if not res.is_zero():
-            return _finish("factorization", p, None, res, started)
+            return _finish("factorization", p, None, res)
         fs = random_symmetric_laurent(rng, degree_window)
         res = apply_D_prime(fs, p) - apply_D(fs, p)
         if not res.is_zero():
-            return _finish("factorization", p, None, res, started)
-    return _finish("factorization", p, None, None, started)
+            return _finish("factorization", p, None, res)
+    return _finish("factorization", p, None, None)
 
 
 def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
@@ -231,7 +231,6 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
     while (z+1/z) D applies D first.
     """
     _require_trials(trials)
-    started = time.perf_counter()
     rng = random.Random(f"{seed}:bridge-symmetric")
     q = p.q
     s_e1, s_e3, s_abcd = e1(p), e3(p), p.abcd
@@ -244,8 +243,8 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
                - (_M * f).scale((1 - q) * (1 - s_abcd)))
         res = lhs - rhs
         if not res.is_zero():
-            return _finish("bridge-symmetric", p, None, res, started)
-    return _finish("bridge-symmetric", p, None, None, started)
+            return _finish("bridge-symmetric", p, None, res)
+    return _finish("bridge-symmetric", p, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ _SUITE = (
     ("raising-via-hecke", range, _raising_via_hecke),
     ("lowering-via-hecke", lambda N: range(2, N), _lowering_via_hecke),
     ("lowering-via-hecke-n1", lambda N: (1,) if N >= 1 else (),
-     lambda n, p, v: _lowering_via_hecke_n1(p, v)),
+     _lowering_via_hecke_n1),
     ("leading-coefficient", range, _leading_coefficient),
     ("alpha-beta", lambda N: range(1, N + 1), _alpha_beta),
     ("symmetrization", lambda N: [n for n in range(1 - N, N) if n],
@@ -292,17 +291,15 @@ _SUITE = (
 )
 
 
-def _rows(n_max: int, negative_controls: bool):
+def _rows(n_max: int):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     for identity_id, n_values, check in _SUITE:
-        if negative_controls or not identity_id.startswith("control-"):
-            ns = None if n_values is None else tuple(n_values(n_max))
-            yield identity_id, ns, check
+        ns = None if n_values is None else tuple(n_values(n_max))
+        yield identity_id, ns, check
 
 
-def suite_plan(n_max: int,
-               negative_controls: bool = True) -> list[tuple[str, tuple[int, ...] | None]]:
+def suite_plan(n_max: int) -> list[tuple[str, tuple[int, ...] | None]]:
     """Identity families with the n values the suite runs at this horizon.
 
     Trial-based families carry None instead of an n tuple; families whose
@@ -310,13 +307,12 @@ def suite_plan(n_max: int,
     report them as skipped rather than silently absent.
     """
     return [(identity_id, ns)
-            for identity_id, ns, _ in _rows(n_max, negative_controls)]
+            for identity_id, ns, _ in _rows(n_max)]
 
 
 def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
               seed: int = 42, *, degree_window: int = 6,
-              fault: str | None = None,
-              negative_controls: bool = True) -> list[IdentityReport]:
+              fault: str | None = None) -> list[IdentityReport]:
     """Run every identity check over its full valid n-range.
 
     Deterministic given (p, n_max, trials, seed).  n_max defaults to the
@@ -342,7 +338,7 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
     v = _ScalarView(p, fault)
 
     reports: list[IdentityReport] = []
-    for identity_id, ns, check in _rows(n_max, negative_controls):
+    for identity_id, ns, check in _rows(n_max):
         if ns is None:
             reports.append(check(p, trials=trials, seed=seed,
                                  degree_window=degree_window))
@@ -351,8 +347,7 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
             report = check(n, p, v)
             if identity_id.startswith("control-"):
                 passed = not report.passed
-                report = IdentityReport(
-                    identity_id, p, n, passed,
-                    None if passed else LaurentPoly.one(), report.elapsed)
+                report = IdentityReport(identity_id, p, n, passed,
+                                        None if passed else LaurentPoly.one())
             reports.append(report)
     return reports

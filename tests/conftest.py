@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from awlab import check_genericity, random_param_sets
+from awlab.scalars import check_genericity, random_param_sets
 
 
 @pytest.fixture(scope="session")

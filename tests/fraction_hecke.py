@@ -10,8 +10,9 @@ arithmetic.
 
 from __future__ import annotations
 
-from awlab import SUB_INV, LaurentFraction, LaurentPoly, NotSymmetricError
 from awlab.hecke import (
+    LaurentFraction,
+    NotSymmetricError,
     aw_fraction,
     r0_fraction,
     r1_fraction,
@@ -20,6 +21,7 @@ from awlab.hecke import (
     shift_q,
     shift_q_inv,
 )
+from awlab.laurent import SUB_INV, LaurentPoly
 
 
 def apply_T1(f: LaurentPoly, p) -> LaurentPoly:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from awlab import SUB_INV, SUB_Q_OVER_Z, SUB_QZ, SUB_Z_OVER_Q
+from awlab.laurent import SUB_INV, SUB_Q_OVER_Z, SUB_QZ, SUB_Z_OVER_Q
 
 Poly = dict[int, Fraction]
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from awlab import LaurentPoly, ParamSet
+from awlab.laurent import LaurentPoly
+from awlab.scalars import ParamSet
 
 
 def q_pochhammer(x, k: int, q) -> Fraction:

@@ -15,16 +15,11 @@ import sys
 import time
 
 import product_askey_wilson as ref
-from awlab import (
+from awlab.hecke import apply_D, apply_Y
+from awlab.identities import (
     FAULT_TARGETS,
-    apply_D,
-    apply_Y,
-    askey_wilson_P,
     check_alpha_beta,
-    check_bridge_identity,
-    check_factorization,
     check_hecke_ladder,
-    check_hecke_relations,
     check_intertwiner,
     check_leading_coefficient,
     check_lowering_via_d,
@@ -32,13 +27,20 @@ from awlab import (
     check_q_difference,
     check_raising_via_d,
     check_symmetrization,
-    lambda_n,
-    mu_n,
+)
+from awlab.polynomials import (
+    askey_wilson_P,
+    askey_wilson_P_oracle,
     nonsymmetric_E,
     recurrence_ratio,
+)
+from awlab.scalars import lambda_n, mu_n
+from awlab.verify import (
+    check_bridge_identity,
+    check_factorization,
+    check_hecke_relations,
     run_suite,
 )
-from awlab.polynomials import askey_wilson_P_oracle
 
 P8_STR = "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11"
 

@@ -9,8 +9,10 @@ import pytest
 
 import awlab.cli
 import awlab.identities
-from awlab import EigenSolveError, LaurentPoly, beta_n, lambda_n, mu_n
 from awlab.cli import InputError, main, parse_param_string
+from awlab.laurent import LaurentPoly
+from awlab.polynomials import EigenSolveError
+from awlab.scalars import beta_n, lambda_n, mu_n
 
 P8_STR = "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11"
 

@@ -6,23 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awlab import (
-    LaurentPoly,
+from awlab.hecke import (
     NotSymmetricError,
-    SUB_INV,
     apply_D,
     apply_D_prime,
     apply_T0,
-    apply_T1,
     apply_t0_T0_inv,
+    apply_T1,
     apply_t1_T1_inv,
     apply_Y,
-    check_genericity,
-    lambda_n,
+    aw_fraction,
     limit_at_infinity,
+    r0_fraction,
+    r1_fraction,
+    s0,
+    s1,
+    shift_q,
+    shift_q_inv,
 )
-from awlab.hecke import aw_fraction, r0_fraction, r1_fraction, s0, s1, \
-    shift_q, shift_q_inv
+from awlab.laurent import SUB_INV, LaurentPoly
+from awlab.scalars import check_genericity, lambda_n
 
 P8 = check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), 8)
 
@@ -70,7 +73,7 @@ def test_r_fraction_cocycle():
     one = LaurentPoly.one()
     r1 = r1_fraction(P8)
     lhs = r1 + r1.substitute(SUB_INV)
-    from awlab import LaurentFraction
+    from awlab.hecke import LaurentFraction
     assert lhs == LaurentFraction(one.scale(1 + P8.t1), one)
     r0 = r0_fraction(P8)
     lhs0 = r0 + r0.substitute("q/z", P8.q)

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awlab import (
+from awlab.hecke import LaurentFraction, limit_at_infinity
+from awlab.laurent import (
     BOTH_ZERO,
-    LaurentFraction,
-    LaurentPoly,
-    NotDivisibleError,
     SUB_INV,
     SUB_Q_OVER_Z,
     SUB_QZ,
     SUB_Z_OVER_Q,
+    LaurentPoly,
+    NotDivisibleError,
     exact_quotient,
-    limit_at_infinity,
     proportional,
 )
 

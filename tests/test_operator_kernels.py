@@ -14,17 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_hecke as ref
-from awlab import (
-    LaurentPoly,
-    NotDivisibleError,
-    apply_D,
-    apply_D_prime,
-    apply_T0,
-    apply_T1,
-    askey_wilson_P,
-    check_genericity,
-    nonsymmetric_E,
-)
+from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1
+from awlab.laurent import LaurentPoly, NotDivisibleError
+from awlab.polynomials import askey_wilson_P, nonsymmetric_E
+from awlab.scalars import check_genericity
 
 NEGATIVE_Q = check_genericity(F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13), 6)
 

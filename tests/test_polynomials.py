@@ -13,35 +13,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import product_askey_wilson as ref
-from awlab import (
-    EigenSolveError,
-    GenericityError,
-    HorizonError,
-    LaurentPoly,
-    ParamSet,
-    apply_D,
-    apply_Y,
-    askey_wilson_P,
-    check_genericity,
-    lambda_n,
-    mu_n,
-    nonsymmetric_E,
-    param_set_from_json,
-    proportional,
-    random_param_sets,
-    recurrence_ratio,
-    symmetrize,
-)
+from awlab.hecke import apply_D, apply_Y
+from awlab.laurent import LaurentPoly, proportional
 from awlab.polynomials import (
+    EigenSolveError,
+    askey_wilson_P,
     askey_wilson_P_oracle,
     d_matrix,
     exponent_at,
+    nonsymmetric_E,
     nonsymmetric_E_oracle,
     polynomial_document,
     position,
+    recurrence_ratio,
+    symmetrize,
     y_matrix,
 )
-from awlab.scalars import c_n
+from awlab.scalars import (
+    GenericityError,
+    HorizonError,
+    ParamSet,
+    c_n,
+    check_genericity,
+    lambda_n,
+    mu_n,
+    param_set_from_json,
+    random_param_sets,
+)
 
 
 def test_position_and_exponent_are_inverse_bijections():
@@ -174,7 +172,7 @@ def test_recurrence_ratio_matches_closed_form(p8):
 
 
 def test_three_term_recurrence_holds_exactly(p8):
-    from awlab import alpha_n
+    from awlab.scalars import alpha_n
     m = LaurentPoly({1: 1, -1: 1})
     for n in range(2, 8):
         lhs = m * askey_wilson_P(n, p8)

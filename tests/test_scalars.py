@@ -6,12 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from awlab import (
+from awlab.scalars import (
     GenericityError,
     HorizonError,
     ParamSet,
     alpha_n,
     beta_n,
+    c_n,
     check_genericity,
     e1,
     e3,
@@ -23,7 +24,6 @@ from awlab import (
     parse_scalar,
     random_param_sets,
 )
-from awlab.scalars import c_n
 
 
 def test_parse_scalar_accepts_canonical_forms():
