@@ -15,8 +15,9 @@ constructs.
 Each coefficient r is a small numerator over a binomial, and the
 operators use that: T0 and T1 run `laurent.reflection_difference`, D and
 the direct form of D' run `laurent.q_difference`, fused kernels that
-divide only by binomials and take their constants from the point on each
-call.  With N = (1-az)(1-bz)(1-cz)(1-dz),
+divide only by binomials.  Their constants come from a `laurent.Plan` per
+operator and point, built at the operator's first call there and kept in
+the point's store (`scalars.memo`).  With N = (1-az)(1-bz)(1-cz)(1-dz),
 
     T1 f = t1 f + (1-az)(1-bz) (f(1/z) - f(z)) / (1 - z^2)
     T0 f = t0 f + (z-c)(z-d) (f(q/z) - f(z)) / (z^2 - q)
@@ -43,15 +44,13 @@ from fractions import Fraction
 
 from .laurent import (
     SUB_INV,
-    SUB_Q_OVER_Z,
-    SUB_QZ,
-    SUB_Z_OVER_Q,
     LaurentPoly,
+    Plan,
     exact_quotient,
     q_difference,
     reflection_difference,
 )
-from .scalars import ParamSet, Scalar
+from .scalars import ParamSet, Scalar, memo
 
 
 class NotSymmetricError(ValueError):
@@ -61,21 +60,6 @@ class NotSymmetricError(ValueError):
 def s1(f: LaurentPoly) -> LaurentPoly:
     """Substitute z -> 1/z."""
     return f.substitute(SUB_INV)
-
-
-def s0(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """Substitute z -> q/z."""
-    return f.substitute(SUB_Q_OVER_Z, p.q)
-
-
-def shift_q(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """Substitute z -> q*z."""
-    return f.substitute(SUB_QZ, p.q)
-
-
-def shift_q_inv(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """Substitute z -> z/q."""
-    return f.substitute(SUB_Z_OVER_Q, p.q)
 
 
 def _as_poly(x) -> LaurentPoly:
@@ -176,12 +160,32 @@ def aw_fraction(p: ParamSet) -> LaurentFraction:
     return LaurentFraction(num, den)
 
 
+# The plans of T1, T0 and D (which direct D' shares), read through memo;
+# a plan has no index, so n is None.
+
+
+def _t1_plan(_, p: ParamSet) -> Plan:
+    return Plan(1, (-1, p.a + p.b, p.t1), p.t1)
+
+
+def _t0_plan(_, p: ParamSet) -> Plan:
+    return Plan(p.q, (p.c * p.d, -p.c - p.d, 1), p.t0)
+
+
+def _d_plan(_, p: ParamSet) -> Plan:
+    # N(z) = (1-az)(1-bz)(1-cz)(1-dz) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
+    a, b, c, d = p.a, p.b, p.c, p.d
+    e2 = a * b + a * c + a * d + b * c + b * d + c * d
+    e3 = a * b * c + a * b * d + a * c * d + b * c * d
+    return Plan(p.q, (1, -(a + b + c + d), e2, -e3, p.abcd))
+
+
 def apply_T1(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
     """T1 f = t1 f + r1(z) (f(1/z) - f(z)), with t1 = -ab.
 
     r1 = (1 - az)(1 - bz) / (1 - z^2) = -(1 - (a+b) z + ab z^2) / (z^2 - 1).
     """
-    return reflection_difference(f, p.t1, (-1, p.a + p.b, p.t1), 1)
+    return reflection_difference(f, memo("T1", _t1_plan, None, p))
 
 
 def apply_T0(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
@@ -189,7 +193,7 @@ def apply_T0(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
 
     r0 = (z - c)(z - d) / (z^2 - q) = (cd - (c+d) z + z^2) / (z^2 - q).
     """
-    return reflection_difference(f, p.t0, (p.c * p.d, -p.c - p.d, 1), p.q)
+    return reflection_difference(f, memo("T0", _t0_plan, None, p))
 
 
 def apply_t1_T1_inv(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
@@ -217,7 +221,7 @@ def apply_D(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
     """
     if not f.is_symmetric():
         raise NotSymmetricError("D is defined on symmetric polynomials only")
-    return q_difference(f, (p.a, p.b, p.c, p.d), p.q, one_sided=False)
+    return q_difference(f, memo("D", _d_plan, None, p), one_sided=False)
 
 
 def apply_D_prime(
@@ -234,5 +238,5 @@ def apply_D_prime(
         g = apply_T0(f, p) - f.scale(p.t0)
         return apply_T1(g, p) + g
     if form == "direct":
-        return q_difference(f, (p.a, p.b, p.c, p.d), p.q, one_sided=True)
+        return q_difference(f, memo("D", _d_plan, None, p), one_sided=True)
     raise ValueError(f"unknown form {form!r}; expected 'factored' or 'direct'")

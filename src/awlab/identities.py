@@ -12,7 +12,7 @@ to one family at a time; that is how the suite runner (awlab.verify)
 injects faults without touching the constructions.  The view reads every
 ingredient that several checks share (the clean scalars, c_n,
 (z + 1/z) P_n and D'(z P_n)) through the point's store,
-`polynomials.memo`, so each is computed once per point: across checks,
+`scalars.memo`, so each is computed once per point: across checks,
 across runs and with the P_n build, which reads the same alpha_n and
 c_n.  Only identical computations are shared, never one image rewritten
 from another.  The two modules are kept apart on purpose: imported from
@@ -32,14 +32,9 @@ from .hecke import (
     aw_fraction,
     limit_at_infinity,
 )
-from .laurent import (
-    BOTH_ZERO,
-    SUB_INV,
-    LaurentPoly,
-    proportional,
-)
-from .polynomials import askey_wilson_P, memo, nonsymmetric_E, symmetrize
-from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, mu_n
+from .laurent import SUB_INV, LaurentPoly
+from .polynomials import askey_wilson_P, nonsymmetric_E, symmetrize
+from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, memo, mu_n
 
 FAULT_TARGETS = ("lambda", "alpha", "beta", "kappa")
 
@@ -160,6 +155,33 @@ def _finish(identity_id: str, p: ParamSet, n: int | None,
     if residual is None or residual.is_zero():
         return IdentityReport(identity_id, p, n, True, None)
     return IdentityReport(identity_id, p, n, False, residual)
+
+
+class _BothZero:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "BOTH_ZERO"
+
+
+#: Returned by `proportional` when both arguments are the zero polynomial,
+#: so every scalar works and none is distinguished.
+BOTH_ZERO = _BothZero()
+
+
+def proportional(f: LaurentPoly, g: LaurentPoly):
+    """The scalar c with f == c*g, if one exists.
+
+    Returns BOTH_ZERO when f and g both vanish, the Fraction c (possibly 0)
+    when it is determined, and None when f is not a multiple of g.
+    """
+    if g.is_zero():
+        return BOTH_ZERO if f.is_zero() else None
+    if f.is_zero():
+        return Fraction(0)
+    ref = g.max_deg
+    c = f.coeff(ref) / g.coeff(ref)
+    return c if (f - g.scale(c)).is_zero() else None
 
 
 def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,

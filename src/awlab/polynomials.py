@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .hecke import apply_D, apply_T1, apply_Y
 from .laurent import LaurentPoly
-from .scalars import ParamSet, Scalar, alpha_n, c_n, lambda_n, mu_n
+from .scalars import ParamSet, Scalar, alpha_n, c_n, lambda_n, memo, mu_n
 
 _M = LaurentPoly({1: 1, -1: 1})  # multiplication by z + 1/z
 
@@ -162,20 +162,6 @@ def d_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
                 f"expected lambda = {want}"
             )
     return tuple(tuple(row) for row in rows)
-
-
-def memo(name: str, build, n: int, p: ParamSet):
-    """build(n, p), computed once per point object and kept in p.memo.
-
-    The store lives on the point, so it is freed with it; an equal point
-    certified anew starts empty.  `build` is passed in by the caller, so a
-    wrapper bound over its module-level name sees every first build.
-    """
-    key = (name, n)
-    value = p.memo.get(key)
-    if value is None:
-        value = p.memo[key] = build(n, p)
-    return value
 
 
 def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:

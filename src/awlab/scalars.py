@@ -5,7 +5,10 @@ means equality and a zero residual is exactly the zero polynomial.  This
 module owns parsing and formatting of rationals, the genericity conditions
 G1..G6 that keep every downstream denominator nonzero, and the closed-form
 scalar families attached to a parameter point: operator eigenvalues and the
-coefficients of the raising and lowering relations.
+coefficients of the raising and lowering relations.  It also owns `memo`,
+the one accessor of a point's store, so that every layer (the operator
+plans, the polynomials, the checks' shared ingredients) reaches the store
+without importing a layer above its own.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ class ParamSet:
     the deformation scalars t0 = -cd/q and t1 = -ab and the product abcd.
     Instances are immutable and hashable on (q, a, b, c, d, n_max); the hash
     is computed once, here.  `memo` is the point's store of what has been
-    built at it (see `polynomials.memo`): it belongs to this object, not to
-    every equal point, takes no part in equality, hashing or pickling, and
-    is freed with the point.
+    built at it, read through `memo` below: it belongs to this object, not
+    to every equal point, takes no part in equality, hashing or pickling,
+    and is freed with the point.
     """
 
     __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1", "abcd", "_hash",
@@ -118,10 +121,18 @@ class ParamSet:
         }
 
 
-def param_set_from_json(doc: dict) -> ParamSet:
-    """Rebuild a certified ParamSet from its JSON form (re-runs the checks)."""
-    vals = [parse_scalar(doc[k]) for k in ("q", "a", "b", "c", "d")]
-    return check_genericity(*vals, int(doc["nmax"]))
+def memo(name: str, build, n: int | None, p: ParamSet):
+    """build(n, p), computed once per point object and kept in p.memo.
+
+    The store lives on the point, so it is freed with it; an equal point
+    certified anew starts empty.  `build` is passed in by the caller, so a
+    wrapper bound over its module-level name sees every first build.
+    """
+    key = (name, n)
+    value = p.memo.get(key)
+    if value is None:
+        value = p.memo[key] = build(n, p)
+    return value
 
 
 def _mu_value(n: int, q: Scalar, abcd: Scalar) -> Scalar:

@@ -3,9 +3,10 @@
 The oracle for the fused kernels in awlab.hecke: these are the operator
 bodies that built each image as a LaurentFraction (numerator times the
 operator coefficient, over its denominator) and divided once at the end.
-They share the substitutions, the coefficient fractions and
+They share the substitution rules, the coefficient fractions and
 exact_quotient with the package, but none of the kernels' integer
-arithmetic.
+arithmetic.  The substitutions z -> q/z, z -> qz and z -> z/q that they
+apply live here, as s0, shift_q and shift_q_inv.
 """
 
 from __future__ import annotations
@@ -16,12 +17,24 @@ from awlab.hecke import (
     aw_fraction,
     r0_fraction,
     r1_fraction,
-    s0,
     s1,
-    shift_q,
-    shift_q_inv,
 )
-from awlab.laurent import SUB_INV, LaurentPoly
+from awlab.laurent import SUB_INV, SUB_Q_OVER_Z, SUB_QZ, SUB_Z_OVER_Q, LaurentPoly
+
+
+def s0(f: LaurentPoly, p) -> LaurentPoly:
+    """Substitute z -> q/z."""
+    return f.substitute(SUB_Q_OVER_Z, p.q)
+
+
+def shift_q(f: LaurentPoly, p) -> LaurentPoly:
+    """Substitute z -> q*z."""
+    return f.substitute(SUB_QZ, p.q)
+
+
+def shift_q_inv(f: LaurentPoly, p) -> LaurentPoly:
+    """Substitute z -> z/q."""
+    return f.substitute(SUB_Z_OVER_Q, p.q)
 
 
 def apply_T1(f: LaurentPoly, p) -> LaurentPoly:

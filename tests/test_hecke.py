@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_hecke import s0, shift_q, shift_q_inv
 from awlab.hecke import (
     NotSymmetricError,
     apply_D,
@@ -19,10 +20,7 @@ from awlab.hecke import (
     limit_at_infinity,
     r0_fraction,
     r1_fraction,
-    s0,
     s1,
-    shift_q,
-    shift_q_inv,
 )
 from awlab.laurent import SUB_INV, LaurentPoly
 from awlab.scalars import check_genericity, lambda_n

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awlab.hecke import LaurentFraction, limit_at_infinity
+from awlab.identities import BOTH_ZERO, proportional
 from awlab.laurent import (
-    BOTH_ZERO,
     SUB_INV,
     SUB_Q_OVER_Z,
     SUB_QZ,
     SUB_Z_OVER_Q,
     LaurentPoly,
     NotDivisibleError,
+    _binomial_quotient,
     exact_quotient,
-    proportional,
 )
 
 import fraction_laurent as ref
@@ -375,3 +375,28 @@ def test_not_divisible_remainder_is_pinned(num, den, remainder):
     with pytest.raises(NotDivisibleError) as err:
         exact_quotient(LaurentPoly(num), LaurentPoly(den))
     assert err.value.remainder.items() == sorted(remainder.items())
+
+
+@given(quot=st.lists(st.integers(-40, 40), min_size=1, max_size=7),
+       lo=st.integers(-4, 4),
+       binomial=st.sampled_from([(1, -1), (-1, 1), (2, -3), (-3, 5), (5, 2)]),
+       slip=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(-3, 3))))
+def test_binomial_quotient_agrees_with_exact_quotient(quot, lo, binomial, slip):
+    # r = quot * (A z^2 + B), knocked off by one coefficient: a slip at the
+    # top makes a division step inexact, one at the bottom leaves only a
+    # remainder; both must raise the error exact_quotient raises
+    A, B = binomial
+    r = [B * c for c in quot] + [0, 0]
+    for j, c in enumerate(quot):
+        r[j + 2] += A * c
+    if slip is not None:
+        r[slip[0] % len(r)] += slip[1]
+    num = LaurentPoly(dict(enumerate(r, lo)))
+    try:
+        want = exact_quotient(num, LaurentPoly({2: A, 0: B}))
+    except NotDivisibleError as err:
+        with pytest.raises(NotDivisibleError) as got:
+            _binomial_quotient(r, lo, A, B)
+        assert got.value.remainder == err.remainder
+    else:
+        assert LaurentPoly(dict(enumerate(_binomial_quotient(r, lo, A, B), lo))) == want

@@ -5,7 +5,9 @@ image as one LaurentFraction and divided once; the kernels in awlab.hecke
 must give the same polynomial, coefficient for coefficient.
 """
 
+import copy
 import json
+import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,12 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_hecke as ref
+from awlab import hecke
 from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1
 from awlab.laurent import LaurentPoly, NotDivisibleError
 from awlab.polynomials import askey_wilson_P, nonsymmetric_E
 from awlab.scalars import check_genericity
 
 NEGATIVE_Q = check_genericity(F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13), 6)
+# q's numerator is not +-1, so the kernels' divisions take floor divmod
+# steps on negative dividends
+BIG_POINTS = [(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)),
+              (F(-3, 5), F(2, 7), F(-5, 3), F(7, 4), F(3, 11))]
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 laurents = st.dictionaries(
@@ -104,3 +111,48 @@ def test_images_match_golden_fixture(p8):
                                    if f.is_symmetric() else {"T0", "T1", "D_prime"})
             for op, coeffs in images.items():
                 assert ops[op](f, p8).to_json_dict()["coeffs"] == coeffs, (n, op)
+
+
+@pytest.mark.parametrize("values", BIG_POINTS)
+def test_big_coefficient_images_match_reference(values):
+    # P_16..P_24 and E_+-24 carry coefficients of 1000 to 2000 bits, far
+    # beyond the small random inputs and the golden fixture's n <= 8
+    p = check_genericity(*values, 24)
+    fs = [askey_wilson_P(n, p) for n in range(16, 25)]
+    fs += [nonsymmetric_E(24, p), nonsymmetric_E(-24, p)]
+    for f in fs:
+        assert apply_T0(f, p) == ref.apply_T0(f, p)
+        assert apply_T1(f, p) == ref.apply_T1(f, p)
+        assert (apply_D_prime(f, p, form="direct")
+                == ref.apply_D_prime(f, p, form="direct"))
+        if f.is_symmetric():
+            assert apply_D(f, p) == ref.apply_D(f, p)
+
+
+def test_plans_are_kept_on_the_point_object(p8, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return plan_type(*args)
+
+    plan_type = hecke.Plan
+    monkeypatch.setattr(hecke, "Plan", counted)
+    f = LaurentPoly({2: 1, 0: 3, -2: 1})
+    ops = (apply_T0, apply_T1, apply_D,
+           lambda f, p: apply_D_prime(f, p, form="direct"))
+    p = check_genericity(p8.q, p8.a, p8.b, p8.c, p8.d, 3)
+    images = [op(f, p) for op in ops]
+    assert len(built) == 3  # T0, T1, and D shared with direct D'
+    plans = [v for v in p.memo.values() if isinstance(v, plan_type)]
+    assert len(plans) == 3
+    assert [op(f, p) for op in ops] == images
+    assert len(built) == 3
+    assert [v for v in p.memo.values() if isinstance(v, plan_type)] == plans
+    again = check_genericity(p8.q, p8.a, p8.b, p8.c, p8.d, 3)
+    assert again == p and again.memo == {}
+    assert [op(f, again) for op in ops] == images
+    assert len(built) == 6
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p)):
+        assert copied == p and copied.memo == {}
+    assert [v for v in p.memo.values() if isinstance(v, plan_type)] == plans

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import product_askey_wilson as ref
 from awlab.hecke import apply_D, apply_Y
-from awlab.laurent import LaurentPoly, proportional
+from awlab.identities import proportional
+from awlab.laurent import LaurentPoly
 from awlab.polynomials import (
     EigenSolveError,
     askey_wilson_P,
@@ -37,9 +38,9 @@ from awlab.scalars import (
     check_genericity,
     lambda_n,
     mu_n,
-    param_set_from_json,
     random_param_sets,
 )
+from test_scalars import param_set_from_json
 
 
 def test_position_and_exponent_are_inverse_bijections():

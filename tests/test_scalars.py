@@ -20,10 +20,15 @@ from awlab.scalars import (
     kappa_n,
     lambda_n,
     mu_n,
-    param_set_from_json,
     parse_scalar,
     random_param_sets,
 )
+
+
+def param_set_from_json(doc: dict) -> ParamSet:
+    """Rebuild a certified ParamSet from its JSON form (re-runs the checks)."""
+    vals = [parse_scalar(doc[k]) for k in ("q", "a", "b", "c", "d")]
+    return check_genericity(*vals, int(doc["nmax"]))
 
 
 def test_parse_scalar_accepts_canonical_forms():

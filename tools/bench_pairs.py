@@ -14,9 +14,22 @@ runs in seed order with their median and quartiles, the change's median
 over the parent's, the parent's quartile distance, and the pairs the
 change won (ties count for neither side).  Which way is better comes from
 BENCHMARK.json in the change's checkout; per-layer metrics (--trace) take
-theirs from perfbench's own table.  The file is rewritten after every
-pair, and an existing one keeps its other workloads and fields, so one
-file can collect several workloads from separate invocations.
+theirs from perfbench's own table.  Each end-to-end metric also gets a
+verdict against its relative `bound` in BENCHMARK.json:
+
+    gain        the change wins at least 9/10 of the pairs, and the medians
+                differ, in its favour, by more than the parent's quartile
+                distance
+    worse       the change's median is worse than the parent's by more
+                than bound times the parent's median
+    unresolved  the parent's quartile distance is more than bound times
+                its median, and not every change run beats every parent run
+    no worse    otherwise
+
+Per-layer metrics have no bound and get no verdict.  The file is
+rewritten after every pair, and an existing one keeps its other workloads
+and fields, so one file can collect several workloads from separate
+invocations.
 """
 
 from __future__ import annotations
@@ -63,14 +76,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(lines[-1])
 
 
-def directions(change: Path, trace: bool) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", whichever is better."""
+def directions(change: Path, trace: bool) -> dict[str, tuple[str, float | None]]:
+    """Metric name -> ("lower" or "higher", whichever is better; its bound)."""
     if trace:
         sys.path.insert(0, str(change / "perfbench"))
         from tracing import PER_LAYER
-        return {name: better for name, (_, better) in PER_LAYER.items()}
+        return {name: (better, None) for name, (_, better) in PER_LAYER.items()}
     spec = json.loads((change / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def summary(runs: list[float]) -> dict:
@@ -79,15 +92,37 @@ def summary(runs: list[float]) -> dict:
             "q3": round(q3, 6), "runs": [round(r, 6) for r in runs]}
 
 
-def compare(results: list[dict], better: dict[str, str]) -> dict:
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change reads better; ties count for neither side."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """"gain", "worse", "unresolved" or "no worse", as the module says."""
+    sign = 1 if better == "lower" else -1
+    median = statistics.median(parent)
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else [median] * 3
+    gap = sign * (statistics.median(change) - median)  # > 0: the change is worse
+    if wins(parent, change, better) >= 0.9 * len(parent) and -gap > q3 - q1:
+        return "gain"
+    if gap > bound * abs(median):
+        return "worse"
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not every_run_better:
+        return "unresolved"
+    return "no worse"
+
+
+def compare(results: list[dict], better: dict[str, tuple[str, float | None]]) -> dict:
     """The workload entry of the BENCH file from its (parent, change) pairs."""
     names = [name for name in results[0]["parent"]["metrics"] if name in better]
     metrics = {}
     for name in names:
         sides = {side: [pair[side]["metrics"][name]["value"] for pair in results]
                  for side in ("parent", "change")}
-        sign = 1 if better[name] == "lower" else -1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        direction, bound = better[name]
         parent, change = summary(sides["parent"]), summary(sides["change"])
         metrics[name] = {
             "parent": parent,
@@ -95,8 +130,11 @@ def compare(results: list[dict], better: dict[str, str]) -> dict:
             "change_over_parent": (round(change["median"] / parent["median"], 4)
                                    if parent["median"] else None),
             "parent_iqr": round(parent["q3"] - parent["q1"], 6),
-            "wins": f"{wins}/{len(results)}",
+            "wins": f"{wins(sides['parent'], sides['change'], direction)}/{len(results)}",
         }
+        if bound is not None:
+            metrics[name]["verdict"] = verdict(sides["parent"], sides["change"],
+                                               direction, bound)
     return {
         "seeds": [pair["seed"] for pair in results],
         "failed_checks": {side: sum(pair[side]["failed"] for pair in results)
@@ -134,7 +172,9 @@ def main() -> int:
         "bytecode": (f"{' and '.join(COMPILED)} byte-compiled in both "
                      f"checkouts (compileall) before the first pair"),
         "statistic": ("median and quartiles (statistics.quantiles n=4) over "
-                      "seeds; wins = pairs where the change reads better"),
+                      "seeds; wins = pairs where the change reads better; "
+                      "verdict per end-to-end metric as tools/bench_pairs.py "
+                      "defines it"),
     })
     for checkout in (args.parent, args.change):
         compile_bytecode(checkout)
