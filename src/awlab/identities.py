@@ -115,7 +115,8 @@ class _ScalarView:
         self.fault = fault
 
     def _scalar(self, name: str, build, n: int) -> Fraction:
-        return memo(name, build, n, self.p) + (1 if self.fault == name else 0)
+        value = memo(name, build, n, self.p)
+        return value + 1 if self.fault == name else value
 
     def lam(self, n: int) -> Fraction:
         return self._scalar("lambda", lambda_n, n)

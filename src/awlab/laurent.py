@@ -151,6 +151,15 @@ class LaurentPoly:
         return LaurentPoly._raw({k: -v for k, v in self._num.items()}, self._den)
 
     def __add__(self, other) -> "LaurentPoly":
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "LaurentPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "LaurentPoly":
+        """self + sign * other, in one pass over other's terms."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
@@ -158,14 +167,11 @@ class LaurentPoly:
         if not other._num:
             return self
         if not self._num:
-            return other
+            return other if sign == 1 else -other
         d1, d2 = self._den, other._den
         g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        if m1 == 1:
-            d = dict(self._num)
-        else:
-            d = {k: v * m1 for k, v in self._num.items()}
+        m1, m2 = d2 // g, sign * (d1 // g)
+        d = dict(self._num) if m1 == 1 else {k: v * m1 for k, v in self._num.items()}
         for k, v in other._num.items():
             if m2 != 1:
                 v *= m2
@@ -180,15 +186,6 @@ class LaurentPoly:
                     del d[k]
         return LaurentPoly._reduced(d, d1 * m1)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
@@ -197,6 +194,11 @@ class LaurentPoly:
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        # a factor z^e shifts the other factor's degrees by e
+        for mono, f in ((other, self), (self, other)):
+            if mono._den == 1 and len(mono._num) == 1 and 1 in mono._num.values():
+                e, = mono._num
+                return LaurentPoly._raw({k + e: v for k, v in f._num.items()}, f._den)
         out: dict[int, int] = {}
         for k1, v1 in self._num.items():
             for k2, v2 in other._num.items():
@@ -209,7 +211,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if not c:
             return LaurentPoly.zero()
         # both factors are in lowest terms, so the result's gcd splits into

@@ -23,6 +23,12 @@ still sees every call.  Two safeguards keep the suite honest:
 Random inputs are drawn from a generator seeded per identity id, so a
 suite run is a pure function of (params, n_max, trials, seed).  Reports
 carry no timing: a caller that wants it times the calls from outside.
+
+The random-input checks test each identity as lhs == rhs on canonical
+LaurentPolys, which is exact coefficient equality, and build the witness
+lhs - rhs only when the two sides differ.  The products one trial reads
+more than once (z f, z^-1 f, (z + 1/z) f, T1 f + f) are formed once, and
+the scalars of a point once per check.
 """
 
 from __future__ import annotations
@@ -134,89 +140,89 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     relations between multiplication by z and the T's, and the symmetry
     criterion (T1 f = t1 f exactly for symmetric f, and (T1 + 1) f is always
     symmetric).  The coefficient identities r_i + s_i(r_i) = t_i + 1 are
-    checked once, as cleared-denominator Laurent identities.
+    checked once, as cleared-denominator Laurent identities.  Each relation
+    compares the canonical forms of its two sides; the first that differ
+    give the witness lhs - rhs.
     """
     _require_trials(trials)
     rng = random.Random(f"{seed}:hecke-relations")
-    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
+    q, t0, t1 = p.q, p.t0, p.t1
 
     def fail(residual):
         return _finish("hecke-relations", p, None, residual)
 
     # coefficient identities, denominators cleared
-    fr1 = r1_fraction(p)
-    tot1 = fr1 + fr1.substitute(SUB_INV)
-    res = tot1.num - tot1.den.scale(1 + p.t1)
-    if not res.is_zero():
-        return fail(res)
-    fr0 = r0_fraction(p)
-    tot0 = fr0 + fr0.substitute(SUB_Q_OVER_Z, q)
-    res = tot0.num - tot0.den.scale(1 + p.t0)
-    if not res.is_zero():
-        return fail(res)
+    for fr, rule, t in ((r1_fraction(p), SUB_INV, t1),
+                        (r0_fraction(p), SUB_Q_OVER_Z, t0)):
+        tot = fr + fr.substitute(rule, q)
+        rhs = tot.den.scale(1 + t)
+        if tot.num != rhs:
+            return fail(tot.num - rhs)
 
+    a_b, c_d, t1_1 = p.a + p.b, p.c + p.d, t1 - 1
     for _ in range(trials):
         f = random_laurent(rng, degree_window)
-        t1f = apply_T1(f, p)  # reused by a commutation and the symmetrizer
-        for tf, apply_T, t, apply_inv in (
-            (t1f, apply_T1, p.t1, apply_t1_T1_inv),
-            (apply_T0(f, p), apply_T0, p.t0, apply_t0_T0_inv),
+        zif = _ZI * f
+        t1f = apply_T1(f, p)  # reused by a commutation
+        t0f = apply_T0(f, p)
+        h1 = t1f + f  # reused by the symmetrizer
+        for h, tf, apply_T, t, apply_inv in (
+            (h1, t1f, apply_T1, t1, apply_t1_T1_inv),
+            (t0f + f, t0f, apply_T0, t0, apply_t0_T0_inv),
         ):
-            h = tf + f
-            res = apply_T(h, p) - h.scale(t)  # (T - t)(T + 1) f
-            if not res.is_zero():
-                return fail(res)
-            res = apply_inv(tf, p) - f.scale(t)  # t T^{-1} T f = t f
-            if not res.is_zero():
-                return fail(res)
+            lhs, rhs = apply_T(h, p), h.scale(t)  # (T - t)(T + 1) f = 0
+            if lhs != rhs:
+                return fail(lhs - rhs)
+            lhs, rhs = apply_inv(tf, p), f.scale(t)  # t T^{-1} T f = t f
+            if lhs != rhs:
+                return fail(lhs - rhs)
         # commutation: z t0 T0^{-1} = q T0 z^{-1} + (c + d)
-        res = (_Z * apply_t0_T0_inv(f, p) - apply_T0(_ZI * f, p).scale(q)
-               - f.scale(c + d))
-        if not res.is_zero():
-            return fail(res)
+        lhs = _Z * apply_t0_T0_inv(f, p)
+        rhs = apply_T0(zif, p).scale(q) + f.scale(c_d)
+        if lhs != rhs:
+            return fail(lhs - rhs)
         # commutation: (T1 + 1) z^{-1} = t1 z^{-1} + z T1 + (a + b)
-        res = (apply_T1(_ZI * f, p) + _ZI * f - (_ZI * f).scale(p.t1)
-               - _Z * t1f - f.scale(a + b))
-        if not res.is_zero():
-            return fail(res)
-        # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b)
-        res = ((apply_T1(_Z * f, p) + _Z * f).scale(p.t1)
-               - (_Z * f).scale(p.t1)
-               - (_ZI * apply_t1_T1_inv(f, p)).scale(p.t1)
-               + f.scale(p.t1 * (a + b)))
-        if not res.is_zero():
-            return fail(res)
+        lhs = apply_T1(zif, p)
+        rhs = zif.scale(t1_1) + _Z * t1f + f.scale(a_b)
+        if lhs != rhs:
+            return fail(lhs - rhs)
+        # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b),
+        # compared without the factor t1 = -ab, which G2 keeps nonzero
+        lhs = apply_T1(_Z * f, p)
+        rhs = _ZI * apply_t1_T1_inv(f, p) - f.scale(a_b)
+        if lhs != rhs:
+            return fail((lhs - rhs).scale(t1))
         # symmetry criterion, both directions, and the symmetrizer
         fs = random_symmetric_laurent(rng, degree_window)
-        res = apply_T1(fs, p) - fs.scale(p.t1)
-        if not res.is_zero():
-            return fail(res)
+        lhs, rhs = apply_T1(fs, p), fs.scale(t1)
+        if lhs != rhs:
+            return fail(lhs - rhs)
         fa = random_asymmetric_laurent(rng, degree_window)
-        if apply_T1(fa, p) == fa.scale(p.t1):
+        if apply_T1(fa, p) == fa.scale(t1):
             return fail(LaurentPoly.one())  # asymmetric f must not be fixed
-        h = t1f + f
-        res = h - s1(h)
-        if not res.is_zero():
-            return fail(res)
+        if not h1.is_symmetric():
+            return fail(h1 - s1(h1))
     return _finish("hecke-relations", p, None, None)
 
 
 def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
                         degree_window: int = 6) -> IdentityReport:
     """(T1 + 1)(T0 - t0) agrees with the direct form of D' on random f,
-    and D' agrees with D on random symmetric f."""
+    and D' agrees with D on random symmetric f.  The images' canonical
+    forms are compared; the first pair that differ give the witness
+    lhs - rhs."""
     _require_trials(trials)
     rng = random.Random(f"{seed}:factorization")
     for _ in range(trials):
         f = random_laurent(rng, degree_window)
-        res = (apply_D_prime(f, p, form="factored")
-               - apply_D_prime(f, p, form="direct"))
-        if not res.is_zero():
-            return _finish("factorization", p, None, res)
+        lhs = apply_D_prime(f, p, form="factored")
+        rhs = apply_D_prime(f, p, form="direct")
+        if lhs != rhs:
+            return _finish("factorization", p, None, lhs - rhs)
         fs = random_symmetric_laurent(rng, degree_window)
-        res = apply_D_prime(fs, p) - apply_D(fs, p)
-        if not res.is_zero():
-            return _finish("factorization", p, None, res)
+        lhs, rhs = apply_D_prime(fs, p), apply_D(fs, p)
+        if lhs != rhs:
+            return _finish("factorization", p, None, lhs - rhs)
     return _finish("factorization", p, None, None)
 
 
@@ -228,22 +234,25 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
       = (1 - q) [(e1 - e3) - (1 - abcd)(z + 1/z)] f
 
     where D'z and D (z+1/z) multiply first and then apply the operator,
-    while (z+1/z) D applies D first.
+    while (z+1/z) D applies D first.  The canonical forms of the two sides
+    are compared; if they differ, lhs - rhs is the witness.
     """
     _require_trials(trials)
     rng = random.Random(f"{seed}:bridge-symmetric")
     q = p.q
-    s_e1, s_e3, s_abcd = e1(p), e3(p), p.abcd
+    q2 = q**2
+    one_q2 = 1 - q2
+    k_const = (1 - q) * (e1(p) - e3(p))
+    k_m = (1 - q) * (1 - p.abcd)
     for _ in range(trials):
         f = random_symmetric_laurent(rng, degree_window)
-        lhs = (apply_D_prime(_Z * f, p).scale(1 - q**2)
-               + apply_D(_M * f, p).scale(q**2)
+        mf = _M * f
+        lhs = (apply_D_prime(_Z * f, p).scale(one_q2)
+               + apply_D(mf, p).scale(q2)
                - (_M * apply_D(f, p)).scale(q))
-        rhs = (f.scale((1 - q) * (s_e1 - s_e3))
-               - (_M * f).scale((1 - q) * (1 - s_abcd)))
-        res = lhs - rhs
-        if not res.is_zero():
-            return _finish("bridge-symmetric", p, None, res)
+        rhs = f.scale(k_const) - mf.scale(k_m)
+        if lhs != rhs:
+            return _finish("bridge-symmetric", p, None, lhs - rhs)
     return _finish("bridge-symmetric", p, None, None)
 
 

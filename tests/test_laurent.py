@@ -290,6 +290,13 @@ def test_arithmetic_matches_fraction_reference(f, g, c):
     _agrees(pf * pg, ref.mul(rf, rg))
     _agrees(pf.scale(c), ref.scale(rf, c))
     _agrees(pf * c, ref.scale(rf, c))
+    # z^e with coefficient 1 shifts degrees; other monomials multiply
+    for f, r in ((pf, rf), (LaurentPoly.zero(), {})):
+        for e in range(-2, 3):
+            for m in (1, -1, F(1, 2)):
+                mono = LaurentPoly.monomial(e, m)
+                _agrees(mono * f, ref.mul({e: F(m)}, r))
+                _agrees(f * mono, ref.mul(r, {e: F(m)}))
 
 
 @given(fraction_dicts, q_values)
