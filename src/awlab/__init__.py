@@ -12,8 +12,7 @@ Layers, bottom up:
                constants (lambda, mu, alpha, c, beta, kappa)
   laurent      sparse exact Laurent polynomials (integer numerators over
                one denominator) and the fused operator kernels on them
-  hecke        the operators: substitutions, T0/T1, Y, D, D', and the
-               unreduced fractions that hold their coefficients
+  hecke        the operators: substitutions, T0/T1, Y, D and D'
   polynomials  the symmetric family P_n and nonsymmetric family E_n
   identities   per-index identity checks with residual witnesses, and the
                scalar view that injects faults

@@ -31,26 +31,21 @@ involution, or where the q-shift meets it); a nonzero remainder would mean
 the operator was fed an input outside its domain and surfaces as
 NotDivisibleError rather than a silently wrong answer.
 
-LaurentFraction, a deliberately unreduced quotient num/den, holds the
-operator coefficients r1, r0 and A = N / ((1-z^2)(1-qz^2)) themselves, for
-the coefficient identities the verifier checks once per run.  It is never
-simplified by GCD; equality is decided by cross-multiplication and
-`reduce` performs one exact division.
+The coefficients themselves, r1, r0 and A = N / ((1-z^2)(1-qz^2)), appear
+only in the verifier, which checks r + s(r) = t + 1 and the limits of A
+on numerator and denominator Laurent polynomials kept apart.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .laurent import (
     SUB_INV,
     LaurentPoly,
     Plan,
-    exact_quotient,
     q_difference,
     reflection_difference,
 )
-from .scalars import ParamSet, Scalar, memo
+from .scalars import ParamSet, memo
 
 
 class NotSymmetricError(ValueError):
@@ -60,104 +55,6 @@ class NotSymmetricError(ValueError):
 def s1(f: LaurentPoly) -> LaurentPoly:
     """Substitute z -> 1/z."""
     return f.substitute(SUB_INV)
-
-
-def _as_poly(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.constant(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
-
-
-class LaurentFraction:
-    """Unreduced quotient of Laurent polynomials with a nonzero denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = LaurentPoly.one() if den is None else _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        self.num = num
-        self.den = den
-
-    def __add__(self, other) -> "LaurentFraction":
-        if not isinstance(other, LaurentFraction):
-            other = LaurentFraction(other)
-        if self.den == other.den:
-            return LaurentFraction(self.num + other.num, self.den)
-        return LaurentFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other) -> "LaurentFraction":
-        if not isinstance(other, LaurentFraction):
-            other = LaurentFraction(other)
-        return LaurentFraction(self.num * other.num, self.den * other.den)
-
-    def substitute(self, rule: str, q: Scalar | None = None) -> "LaurentFraction":
-        return LaurentFraction(
-            self.num.substitute(rule, q), self.den.substitute(rule, q)
-        )
-
-    def reduce(self) -> LaurentPoly:
-        """Exact division of num by den."""
-        return exact_quotient(self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = LaurentFraction(other)
-        if not isinstance(other, LaurentFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"LaurentFraction(({self.num}) / ({self.den}))"
-
-
-def limit_at_infinity(fr: LaurentFraction) -> Scalar:
-    """Limit of the fraction as z grows without bound.
-
-    Zero when the numerator's top degree is below the denominator's, the
-    ratio of leading coefficients when they match; diverging fractions are
-    a ValueError.
-    """
-    if fr.num.is_zero():
-        return Fraction(0)
-    n_top, d_top = fr.num.max_deg, fr.den.max_deg
-    if n_top < d_top:
-        return Fraction(0)
-    if n_top > d_top:
-        raise ValueError("fraction diverges as z -> infinity")
-    return fr.num.coeff(n_top) / fr.den.coeff(d_top)
-
-
-def r1_fraction(p: ParamSet) -> LaurentFraction:
-    """Coefficient (1 - a z)(1 - b z) / (1 - z^2) in front of (s1 - 1)."""
-    z = LaurentPoly.monomial(1)
-    num = (1 - p.a * z) * (1 - p.b * z)
-    den = 1 - z * z
-    return LaurentFraction(num, den)
-
-
-def r0_fraction(p: ParamSet) -> LaurentFraction:
-    """Coefficient (z - c)(z - d) / (z^2 - q) in front of (s0 - 1)."""
-    z = LaurentPoly.monomial(1)
-    num = (z - p.c) * (z - p.d)
-    den = z * z - p.q
-    return LaurentFraction(num, den)
-
-
-def aw_fraction(p: ParamSet) -> LaurentFraction:
-    """Coefficient (1-az)(1-bz)(1-cz)(1-dz) / ((1-z^2)(1-q z^2)) of D."""
-    z = LaurentPoly.monomial(1)
-    num = (1 - p.a * z) * (1 - p.b * z) * (1 - p.c * z) * (1 - p.d * z)
-    den = (1 - z * z) * (1 - p.q * z * z)
-    return LaurentFraction(num, den)
 
 
 # The plans of T1, T0 and D (which direct D' shares), read through memo;
@@ -214,7 +111,8 @@ def apply_Y(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
 def apply_D(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
     """Second-order q-difference operator on symmetric Laurent polynomials.
 
-    D f = A(z) (f(qz) - f(z)) + A(1/z) (f(z/q) - f(z)) with A = aw_fraction.
+    D f = A(z) (f(qz) - f(z)) + A(1/z) (f(z/q) - f(z)),
+    A = (1-az)(1-bz)(1-cz)(1-dz) / ((1-z^2)(1-q z^2)).
     Neither summand is polynomial on its own; the sum is, provided f is
     symmetric, so the two terms are combined over a common denominator
     before the one exact division.

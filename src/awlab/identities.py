@@ -7,14 +7,14 @@ scalar.  Failures are never exceptions: each check returns an
 IdentityReport whose residual_witness is a nonzero polynomial explaining
 what went wrong.
 
-The scalar families reach the checks through _ScalarView, which can add 1
-to one family at a time; that is how the suite runner (awlab.verify)
-injects faults without touching the constructions.  The view reads every
+Each identity family is one function, check_<family>(n, p, v).  The
+scalar families reach it through v, a ScalarView, which can add 1 to one
+family at a time; that is how the suite runner (awlab.verify) injects
+faults without touching the constructions.  The view reads every
 ingredient that several checks share (the clean scalars, c_n,
-(z + 1/z) P_n and D'(z P_n)) through the point's store,
-`scalars.memo`, so each is computed once per point: across checks,
-across runs and with the P_n build, which reads the same alpha_n and
-c_n.  Only identical computations are shared, never one image rewritten
+(z + 1/z) P_n and D'(z P_n)) through the point's store, `scalars.memo`,
+so each is computed once per point: across checks, across runs and with
+the P_n build, which reads the same alpha_n and c_n.  Only identical computations are shared, never one image rewritten
 from another.  The two modules are kept apart on purpose: imported from
 source, one module of their joint size left about 1 MB more heap behind
 in the importing process than the two halves do.
@@ -24,15 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hecke import (
-    apply_D,
-    apply_D_prime,
-    apply_t0_T0_inv,
-    apply_Y,
-    aw_fraction,
-    limit_at_infinity,
-)
-from .laurent import SUB_INV, LaurentPoly
+from .hecke import apply_D, apply_D_prime, apply_t0_T0_inv, apply_Y
+from .laurent import LaurentPoly
 from .polynomials import askey_wilson_P, nonsymmetric_E, symmetrize
 from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, memo, mu_n
 
@@ -90,7 +83,7 @@ class IdentityReport:
         }
 
 
-class _ScalarView:
+class ScalarView:
     """The scalar families at one point, with optional +1 fault injection.
 
     Faults live here, at the checking layer, and never inside the
@@ -202,24 +195,24 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
 
 
 # ---------------------------------------------------------------------------
-# per-index checks (inner versions take a _ScalarView so the suite can
-# inject faults; the public functions always use the clean view)
+# per-index checks: each takes (n, p, v), v the run's ScalarView, through
+# which the scalars it reads arrive; a view with a fault bumps them
 # ---------------------------------------------------------------------------
 
-def _q_difference(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
+def check_q_difference(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
+    """D P_n = lambda_n P_n, exactly."""
     pn = askey_wilson_P(n, p)
     residual = apply_D(pn, p) - pn.scale(v.lam(n))
     return _finish("q-difference-eigen", p, n, residual)
 
 
-def check_q_difference(n: int, p: ParamSet) -> IdentityReport:
-    """D P_n = lambda_n P_n, exactly."""
-    return _q_difference(n, p, _ScalarView(p))
+def check_recurrence(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
+    """(z + 1/z) P_n = P_{n+1} + alpha_n P_n + c_n P_{n-1}, n >= 2.
 
-
-def _recurrence(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    """Zero by construction at clean scalars (P_{n+1} is built by this
-    recurrence); the evidence it carries is that a bumped alpha_n fails."""
+    Zero by construction at clean scalars (P_{n+1} is built by this
+    recurrence), so it passes at every certified point; the evidence it
+    carries is that a bumped alpha_n fails.
+    """
     c = v.ratio(n)
     pn = askey_wilson_P(n, p)
     residual = (v.m_p(n) - askey_wilson_P(n + 1, p) - pn.scale(v.alpha(n))
@@ -227,15 +220,16 @@ def _recurrence(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     return _finish("three-term-recurrence", p, n, residual)
 
 
-def check_recurrence(n: int, p: ParamSet) -> IdentityReport:
-    """(z + 1/z) P_n = P_{n+1} + alpha_n P_n + c_n P_{n-1}, n >= 2; holds by
-    construction of P_{n+1}, so it passes at every certified point."""
-    return _recurrence(n, p, _ScalarView(p))
+def check_raising_via_d(n: int, p: ParamSet, v: ScalarView,
+                        lam_prev: Fraction | None = None,
+                        lam_next: Fraction | None = None) -> IdentityReport:
+    """[D (z+1/z) - lambda_{n-1} (z+1/z) - alpha_n (lambda_n - lambda_{n-1})] P_n
+    = (lambda_{n+1} - lambda_{n-1}) P_{n+1}, with a certified nonzero multiple.
 
-
-def _raising_via_d(n: int, p: ParamSet, v: _ScalarView,
-                   lam_prev: Fraction | None = None,
-                   lam_next: Fraction | None = None) -> IdentityReport:
+    Here "D (z+1/z)" means multiply by z + 1/z first, then apply D.
+    lam_prev and lam_next replace lambda_{n-1} and lambda_{n+1}, which is
+    how a negative control swaps them.
+    """
     lp = v.lam(n - 1) if lam_prev is None else lam_prev
     ln = v.lam(n)
     lx = v.lam(n + 1) if lam_next is None else lam_next
@@ -250,16 +244,9 @@ def _raising_via_d(n: int, p: ParamSet, v: _ScalarView,
     return _finish("raising-via-d", p, n, residual)
 
 
-def check_raising_via_d(n: int, p: ParamSet) -> IdentityReport:
-    """[D (z+1/z) - lambda_{n-1} (z+1/z) - alpha_n (lambda_n - lambda_{n-1})] P_n
-    = (lambda_{n+1} - lambda_{n-1}) P_{n+1}, with a certified nonzero multiple.
-
-    Here "D (z+1/z)" means multiply by z + 1/z first, then apply D.
-    """
-    return _raising_via_d(n, p, _ScalarView(p))
-
-
-def _lowering_via_d(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
+def check_lowering_via_d(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
+    """(D - lambda_{n+1})(z + 1/z - alpha_n) P_n
+    = c_n (lambda_{n-1} - lambda_{n+1}) P_{n-1}, n >= 2, nonzero multiple."""
     c = v.ratio(n)
     multiple = c * (v.lam(n - 1) - v.lam(n + 1))
     if multiple == 0:
@@ -271,25 +258,27 @@ def _lowering_via_d(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     return _finish("lowering-via-d", p, n, residual)
 
 
-def check_lowering_via_d(n: int, p: ParamSet) -> IdentityReport:
-    """(D - lambda_{n+1})(z + 1/z - alpha_n) P_n
-    = c_n (lambda_{n-1} - lambda_{n+1}) P_{n-1}, n >= 2, nonzero multiple."""
-    return _lowering_via_d(n, p, _ScalarView(p))
+# The Hecke ladders: the raising and lowering relations built from D' and
+# the beta scalars.  "D'z" means multiply by z first, then apply D'.
 
-
-def _raising_lhs(n: int, p: ParamSet, v: _ScalarView) -> LaurentPoly:
+def _raising_lhs(n: int, p: ParamSet, v: ScalarView) -> LaurentPoly:
     """[D'z + (1 - q^{1-n})(z + 1/z) + beta_{-n}] P_n."""
     return (v.d_prime_z_p(n) + v.m_p(n).scale(1 - p.q ** (1 - n))
             + askey_wilson_P(n, p).scale(v.beta(-n)))
 
 
-def _lowering_lhs(n: int, p: ParamSet, v: _ScalarView) -> LaurentPoly:
+def _lowering_lhs(n: int, p: ParamSet, v: ScalarView) -> LaurentPoly:
     """[D'z + (1 - q^n abcd)(z + 1/z) + beta_n] P_n."""
     return (v.d_prime_z_p(n) + v.m_p(n).scale(1 - p.q**n * p.abcd)
             + askey_wilson_P(n, p).scale(v.beta(n)))
 
 
-def _raising_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
+def check_raising_via_hecke(n: int, p: ParamSet,
+                            v: ScalarView) -> IdentityReport:
+    """[D'z + (1 - q^{1-n})(z + 1/z) + beta_{-n}] P_n
+    = (q^n abcd - q^{1-n}) P_{n+1}, n >= 0."""
+    if n < 0:
+        raise ValueError("raising needs n >= 0")
     q = p.q
     multiple = q**n * p.abcd - q ** (1 - n)
     if multiple == 0:
@@ -299,7 +288,13 @@ def _raising_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     return _finish("raising-via-hecke", p, n, residual)
 
 
-def _lowering_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
+def check_lowering_via_hecke(n: int, p: ParamSet,
+                             v: ScalarView) -> IdentityReport:
+    """[D'z + (1 - q^n abcd)(z + 1/z) + beta_n] P_n
+    = (q^{1-n} - q^n abcd) c_n P_{n-1}, n >= 2."""
+    if n < 2:
+        raise ValueError("lowering needs n >= 2; n = 1 is "
+                         "check_lowering_via_hecke_n1")
     q = p.q
     c = v.ratio(n)
     multiple = (q ** (1 - n) - q**n * p.abcd) * c
@@ -310,50 +305,41 @@ def _lowering_via_hecke(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     return _finish("lowering-via-hecke", p, n, residual)
 
 
-def _lowering_via_hecke_n1(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
+def check_lowering_via_hecke_n1(n: int, p: ParamSet,
+                                v: ScalarView) -> IdentityReport:
     """The n = 1 lowering case, as proportionality to P_0 = 1 only.
 
     c_1 is not read (the three-term recurrence check starts at n = 2),
     so this check asserts that the left side collapses to a constant
     without asserting which constant.
     """
+    if n != 1:
+        raise ValueError("the n1 lowering case needs n = 1")
     lhs = _lowering_lhs(n, p, v)
     residual = lhs - LaurentPoly.constant(lhs.coeff(0))
     return _finish("lowering-via-hecke-n1", p, n, residual)
 
 
-def check_hecke_ladder(n: int, p: ParamSet, direction: str) -> IdentityReport:
-    """Raising / lowering relations built from D' and the beta scalars.
+def check_leading_coefficient(n: int, p: ParamSet,
+                              v: ScalarView) -> IdentityReport:
+    """The z^{n+1} coefficient of the raising left side is q^n abcd - q^{1-n}.
 
-    direction "raise" (n >= 0):
-        [D'z + (1 - q^{1-n})(z + 1/z) + beta_{-n}] P_n
-        = (q^n abcd - q^{1-n}) P_{n+1}
-    direction "lower" (n >= 1; n = 1 is the proportionality-only case):
-        [D'z + (1 - q^n abcd)(z + 1/z) + beta_n] P_n
-        = (q^{1-n} - q^n abcd) c_n P_{n-1}
-
-    "D'z" means multiply by z first, then apply D'.
+    The expected value is recomputed independently from the limits of the
+    operator coefficient A(z) = N / ((1 - z^2)(1 - q z^2)) at
+    z -> infinity, N = (1-az)(1-bz)(1-cz)(1-dz): A tends to the ratio of
+    the top coefficients of N and its denominator (abcd/q), A(1/z) to the
+    ratio of the bottom ones (1); G1 and G2 fix both degrees.  So the check
+    would notice a wrong closed form on either route.  The beta term has
+    degree n, so a beta fault does not reach this check.
     """
-    v = _ScalarView(p)
-    if direction == "raise":
-        if n < 0:
-            raise ValueError("raising needs n >= 0")
-        return _raising_via_hecke(n, p, v)
-    if direction == "lower":
-        if n < 1:
-            raise ValueError("lowering needs n >= 1")
-        if n == 1:
-            return _lowering_via_hecke_n1(n, p, v)
-        return _lowering_via_hecke(n, p, v)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _leading_coefficient(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     q = p.q
     closed = q**n * p.abcd - q ** (1 - n)
-    a_fr = aw_fraction(p)
-    via_limits = (limit_at_infinity(a_fr) * q ** (n + 1)
-                  - limit_at_infinity(a_fr.substitute(SUB_INV))
+    z = _Z
+    num = (1 - p.a * z) * (1 - p.b * z) * (1 - p.c * z) * (1 - p.d * z)
+    den = (1 - z * z) * (1 - q * z * z)
+    via_limits = (num.coeff(num.max_deg) / den.coeff(den.max_deg)
+                  * q ** (n + 1)
+                  - num.coeff(num.min_deg) / den.coeff(den.min_deg)
                   + (1 - q ** (1 - n)))
     first = _raising_lhs(n, p, v).coeff(n + 1) - closed
     second = via_limits - closed
@@ -361,45 +347,31 @@ def _leading_coefficient(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
     return _finish("leading-coefficient", p, n, residual)
 
 
-def check_leading_coefficient(n: int, p: ParamSet) -> IdentityReport:
-    """The z^{n+1} coefficient of the raising left side is q^n abcd - q^{1-n}.
-
-    The expected value is recomputed independently from the limits of the
-    operator coefficient A(z) at z -> infinity (A -> abcd/q, A(1/z) -> 1),
-    so the check would notice a wrong closed form on either route.  The
-    beta term has degree n, so a beta fault does not reach this check.
-    """
-    return _leading_coefficient(n, p, _ScalarView(p))
-
-
-def _alpha_beta(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
+def check_alpha_beta(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
+    """alpha_n (q^n abcd - q^{1-n}) = beta_n - beta_{-n}, n >= 1."""
+    if n < 1:
+        raise ValueError("check_alpha_beta needs n >= 1")
     q = p.q
     value = (v.alpha(n) * (q**n * p.abcd - q ** (1 - n))
              - (v.beta(n) - v.beta(-n)))
     return _finish("alpha-beta", p, n, LaurentPoly.constant(value))
 
 
-def check_alpha_beta(n: int, p: ParamSet) -> IdentityReport:
-    """alpha_n (q^n abcd - q^{1-n}) = beta_n - beta_{-n}, n >= 1."""
-    if n < 1:
-        raise ValueError("check_alpha_beta needs n >= 1")
-    return _alpha_beta(n, p, _ScalarView(p))
-
-
-def check_E_eigen(n: int, p: ParamSet) -> IdentityReport:
+def check_E_eigen(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     """Y E_n = mu_n E_n, checked by a full operator application.
 
     E_n is built as (Y - mu_-n) P_|n| / (mu_n - mu_-n) for n > 0 and from
     P_|n| - E_|n| for n < 0, so for n != 0 this checks
-    (Y - mu_n)(Y - mu_-n) P_|n| = 0.
+    (Y - mu_n)(Y - mu_-n) P_|n| = 0.  mu_n is no fault target, so v is
+    not read.
     """
     en = nonsymmetric_E(n, p)
     residual = apply_Y(en, p) - en.scale(mu_n(n, p))
     return _finish("y-eigen", p, n, residual)
 
 
-def check_symmetrization(n: int, p: ParamSet) -> IdentityReport:
-    """(T1 + 1) E_n is a nonzero multiple of P_|n|, n != 0."""
+def check_symmetrization(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
+    """(T1 + 1) E_n is a nonzero multiple of P_|n|, n != 0; v is not read."""
     if n == 0:
         raise ValueError("symmetrization check needs n != 0")
     f = symmetrize(nonsymmetric_E(n, p), p)
@@ -407,8 +379,9 @@ def check_symmetrization(n: int, p: ParamSet) -> IdentityReport:
     return _finish_proportional("symmetrization", p, n, f, g)
 
 
-def check_projection(n: int, p: ParamSet) -> IdentityReport:
-    """(t0 T0^{-1} - mu_{-n}) P_n is a nonzero multiple of E_{-n}, n >= 0."""
+def check_projection(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
+    """(t0 T0^{-1} - mu_{-n}) P_n is a nonzero multiple of E_{-n}, n >= 0;
+    v is not read."""
     if n < 0:
         raise ValueError("projection check needs n >= 0")
     pn = askey_wilson_P(n, p)
@@ -417,17 +390,13 @@ def check_projection(n: int, p: ParamSet) -> IdentityReport:
     return _finish_proportional("projection", p, n, f, g)
 
 
-def _intertwiner(n: int, p: ParamSet, v: _ScalarView) -> IdentityReport:
-    em = nonsymmetric_E(-n, p)
-    f = apply_t0_T0_inv(_Z * em, p) - em.scale(v.kappa(n))
-    g = nonsymmetric_E(n - 1, p)
-    return _finish_proportional("intertwiner", p, n, f, g)
-
-
-def check_intertwiner(n: int, p: ParamSet) -> IdentityReport:
+def check_intertwiner(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     """(t0 T0^{-1} z - kappa_n) E_{-n} is a nonzero multiple of E_{n-1}.
 
     Holds for every integer n with |n| and |n-1| inside the horizon,
     negative n included.
     """
-    return _intertwiner(n, p, _ScalarView(p))
+    em = nonsymmetric_E(-n, p)
+    f = apply_t0_T0_inv(_Z * em, p) - em.scale(v.kappa(n))
+    g = nonsymmetric_E(n - 1, p)
+    return _finish_proportional("intertwiner", p, n, f, g)

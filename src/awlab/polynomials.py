@@ -1,16 +1,11 @@
 """Construction of the symmetric and nonsymmetric polynomial families.
 
-Two independent routes are implemented on purpose.
-
 The symmetric family P_n (monic, invariant under z -> 1/z) is built by
 its three-term recurrence, `askey_wilson_P`,
 
     P_0 = 1,  P_{n+1} = (z + 1/z - alpha_n) P_n - c_n P_{n-1},
 
-from the closed forms alpha_n and c_n in `scalars`.  It also has a
-linear-algebra construction, `askey_wilson_P_oracle`, that diagonalizes
-the q-difference operator D on a finite window; the two must agree
-coefficient by coefficient, and the test suite checks that they do.
+from the closed forms alpha_n and c_n in `scalars`.
 
 The nonsymmetric family E_n is defined spectrally: E_n is the eigenvector
 of Y = T1 T0 with eigenvalue mu_n, normalized so the z^n coefficient is 1.
@@ -22,28 +17,28 @@ point (G5), so one application of Y separates them,
     E_-m = (P_m - E_m) / c_m,  c_m = (1 - q^m)(1 - cd q^(m-1))
                                      / (1 - abcd q^(2m-1)),
 
-with c_m read off as the z^-m coefficient of P_m - E_m and E_0 = 1.  The
-slow route stays as `nonsymmetric_E_oracle`: in the basis 1, z^-1, z,
-z^-2, z^2, ... the matrix of Y on the window spanned by z^-k .. z^k is
-upper triangular with the mu values on the diagonal, the builder verifies
-that structure at runtime instead of assuming it, and the eigenvector
-comes from back-substitution.  The oracle P_n is built the same way from
-the matrix of D.  Both back-substitutions check that the eigenvalue sits
-on the diagonal once (G5, G6); a repeated one raises EigenSolveError.
+with c_m read off as the z^-m coefficient of P_m - E_m and E_0 = 1.
+
+A second, independent route cross-checks both families from the tests
+(tests/eigen_oracles.py): P_n and E_n as eigenvectors, by
+back-substitution in the triangular matrices of D and of Y on a degree
+window.  `y_matrix` builds the matrix of Y, in the position ordering
+1, z^-1, z, z^-2, z^2, ... that `position` and `exponent_at` translate,
+and verifies its triangular structure at runtime instead of assuming it.
 
 What is built at a point is kept on that point, in `ParamSet.memo`: the
 list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n and
 closed-form scalar, through `memo`.  So each is built once per point
-object, and freed with it.  The oracles keep nothing.
+object, and freed with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .hecke import apply_D, apply_T1, apply_Y
+from .hecke import apply_T1, apply_Y
 from .laurent import LaurentPoly
-from .scalars import ParamSet, Scalar, alpha_n, c_n, lambda_n, memo, mu_n
+from .scalars import ParamSet, Scalar, alpha_n, c_n, memo, mu_n
 
 _M = LaurentPoly({1: 1, -1: 1})  # multiplication by z + 1/z
 
@@ -79,29 +74,6 @@ def exponent_at(i: int) -> int:
     return i // 2
 
 
-def _eigenvector(rows: tuple[tuple[Fraction, ...], ...], index: int,
-                 value: Fraction, name: str) -> list[Fraction]:
-    """Eigenvector of an upper triangular matrix by back-substitution.
-
-    `value` must be the diagonal entry at `index` and differ from every
-    other diagonal entry in the window; then the eigenspace is a line, and
-    the vector returned spans it with entry 1 at `index` and zeros past it.
-    A repeated diagonal value raises EigenSolveError.
-    """
-    found = [i for i, row in enumerate(rows) if row[i] == value]
-    if found != [index]:
-        raise EigenSolveError(
-            f"{name} sits on the diagonal at indices {found}, expected only "
-            f"{index}; the eigenspace is not a line")
-    v = [Fraction(0)] * len(rows)
-    v[index] = Fraction(1)
-    for i in range(index - 1, -1, -1):
-        row = rows[i]
-        v[i] = sum(row[j] * v[j] for j in range(i + 1, index + 1)) \
-            / (value - row[i])
-    return v
-
-
 def y_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of Y on span(z^-k .. z^k) in the position ordering.
 
@@ -135,35 +107,6 @@ def y_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def d_matrix(k: int, p: ParamSet) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of D on symmetric polynomials of degree <= k.
-
-    The basis is m_0 = 1 and m_j = z^j + z^-j.  Entry [i][j] is the m_i
-    coefficient of D m_j.  Degree preservation makes the matrix upper
-    triangular with lambda on the diagonal; both facts are checked.
-    """
-    if k < 0:
-        raise ValueError("window size must be nonnegative")
-    rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-    for j in range(k + 1):
-        basis_j = LaurentPoly.one() if j == 0 else LaurentPoly({j: 1, -j: 1})
-        image = apply_D(basis_j, p)
-        if not image.is_symmetric():
-            raise EigenSolveError(f"D m_{j} is not symmetric")
-        top = image.max_deg
-        if top is not None and top > j:
-            raise EigenSolveError(f"D m_{j} raises the degree to {top}")
-        for i in range(j + 1):
-            rows[i][j] = image.coeff(i)
-        want = lambda_n(j, p)
-        if rows[j][j] != want:
-            raise EigenSolveError(
-                f"D matrix diagonal at degree {j} is {rows[j][j]}, "
-                f"expected lambda = {want}"
-            )
-    return tuple(tuple(row) for row in rows)
-
-
 def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     """Monic symmetric polynomial P_n by the three-term recurrence.
 
@@ -191,25 +134,6 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
             step = step - ps[m - 1].scale(memo("c", c_n, m, p))
         ps.append(step)
     return ps[n]
-
-
-def askey_wilson_P_oracle(n: int, p: ParamSet) -> LaurentPoly:
-    """P_n constructed the slow way, as the lambda_n eigenvector of D.
-
-    Back-substitution in the triangular matrix of D on the symmetric
-    window of degree n, with an explicit check that lambda_n differs from
-    every other diagonal entry; the top coefficient comes out as 1.
-    Exists to cross-check askey_wilson_P through an unrelated computation.
-    """
-    if n < 0:
-        raise ValueError("askey_wilson_P_oracle needs n >= 0")
-    p.require_horizon(n)
-    v = _eigenvector(d_matrix(n, p), n, lambda_n(n, p), f"lambda_{n}")
-    coeffs = {0: v[0]}
-    for i in range(1, n + 1):
-        coeffs[i] = v[i]
-        coeffs[-i] = v[i]
-    return LaurentPoly(coeffs)
 
 
 def nonsymmetric_E(n: int, p: ParamSet) -> LaurentPoly:
@@ -244,20 +168,6 @@ def _spectral_E(n: int, p: ParamSet) -> LaurentPoly:
             f"mu_{m} = mu_-{m} = {top}; the eigenspace is not a line")
     pm = askey_wilson_P(m, p)
     return (apply_Y(pm, p) - pm.scale(other)).scale(1 / (top - other))
-
-
-def nonsymmetric_E_oracle(n: int, p: ParamSet) -> LaurentPoly:
-    """E_n constructed the slow way, as the mu_n eigenvector of Y.
-
-    Back-substitution in the triangular matrix of Y on the window
-    z^-|n| .. z^|n|, with an explicit check that mu_n differs from every
-    other diagonal entry in the window (G5 promises it); a repeated
-    diagonal value raises EigenSolveError.  Exists to cross-check
-    nonsymmetric_E through an unrelated computation.
-    """
-    p.require_horizon(n)
-    v = _eigenvector(y_matrix(abs(n), p), position(n), mu_n(n, p), f"mu_{n}")
-    return LaurentPoly({exponent_at(i): c for i, c in enumerate(v)})
 
 
 def symmetrize(f: LaurentPoly, p: ParamSet) -> LaurentPoly:

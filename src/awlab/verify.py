@@ -43,8 +43,6 @@ from .hecke import (
     apply_T1,
     apply_t0_T0_inv,
     apply_t1_T1_inv,
-    r0_fraction,
-    r1_fraction,
     s1,
 )
 from .identities import (
@@ -52,20 +50,20 @@ from .identities import (
     _Z,
     _ZI,
     IdentityReport,
-    _alpha_beta,
+    ScalarView,
     _finish,
-    _intertwiner,
-    _leading_coefficient,
-    _lowering_via_d,
-    _lowering_via_hecke,
-    _lowering_via_hecke_n1,
-    _q_difference,
-    _raising_via_d,
-    _raising_via_hecke,
-    _recurrence,
-    _ScalarView,
+    check_alpha_beta,
     check_E_eigen,
+    check_intertwiner,
+    check_leading_coefficient,
+    check_lowering_via_d,
+    check_lowering_via_hecke,
+    check_lowering_via_hecke_n1,
     check_projection,
+    check_q_difference,
+    check_raising_via_d,
+    check_raising_via_hecke,
+    check_recurrence,
     check_symmetrization,
 )
 from .laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly
@@ -151,13 +149,18 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     def fail(residual):
         return _finish("hecke-relations", p, None, residual)
 
-    # coefficient identities, denominators cleared
-    for fr, rule, t in ((r1_fraction(p), SUB_INV, t1),
-                        (r0_fraction(p), SUB_Q_OVER_Z, t0)):
-        tot = fr + fr.substitute(rule, q)
-        rhs = tot.den.scale(1 + t)
-        if tot.num != rhs:
-            return fail(tot.num - rhs)
+    # coefficient identities r + s(r) = t + 1 with r = num / den, cleared
+    # of denominators: num s(den) + s(num) den = (1 + t) den s(den)
+    z = _Z
+    for num, den, rule, t in (
+        ((1 - p.a * z) * (1 - p.b * z), 1 - z * z, SUB_INV, t1),
+        ((z - p.c) * (z - p.d), z * z - q, SUB_Q_OVER_Z, t0),
+    ):
+        s_num, s_den = num.substitute(rule, q), den.substitute(rule, q)
+        lhs = num * s_den + s_num * den
+        rhs = (den * s_den).scale(1 + t)
+        if lhs != rhs:
+            return fail(lhs - rhs)
 
     a_b, c_d, t1_1 = p.a + p.b, p.c + p.d, t1 - 1
     for _ in range(trials):
@@ -265,38 +268,37 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
 # random-input checks take (p, trials=, seed=, degree_window=).  The
 # "control-" rows build their own views, relative to the clean scalars.
 _SUITE = (
-    ("q-difference-eigen", lambda N: range(N + 1), _q_difference),
-    ("y-eigen", lambda N: range(1 - N, N) if N else (0,),
-     lambda n, p, v: check_E_eigen(n, p)),
-    ("three-term-recurrence", lambda N: range(2, N), _recurrence),
-    ("raising-via-d", lambda N: range(2, N), _raising_via_d),
-    ("lowering-via-d", lambda N: range(2, N), _lowering_via_d),
-    ("raising-via-hecke", range, _raising_via_hecke),
-    ("lowering-via-hecke", lambda N: range(2, N), _lowering_via_hecke),
+    ("q-difference-eigen", lambda N: range(N + 1), check_q_difference),
+    ("y-eigen", lambda N: range(1 - N, N) if N else (0,), check_E_eigen),
+    ("three-term-recurrence", lambda N: range(2, N), check_recurrence),
+    ("raising-via-d", lambda N: range(2, N), check_raising_via_d),
+    ("lowering-via-d", lambda N: range(2, N), check_lowering_via_d),
+    ("raising-via-hecke", range, check_raising_via_hecke),
+    ("lowering-via-hecke", lambda N: range(2, N), check_lowering_via_hecke),
     ("lowering-via-hecke-n1", lambda N: (1,) if N >= 1 else (),
-     _lowering_via_hecke_n1),
-    ("leading-coefficient", range, _leading_coefficient),
-    ("alpha-beta", lambda N: range(1, N + 1), _alpha_beta),
+     check_lowering_via_hecke_n1),
+    ("leading-coefficient", range, check_leading_coefficient),
+    ("alpha-beta", lambda N: range(1, N + 1), check_alpha_beta),
     ("symmetrization", lambda N: [n for n in range(1 - N, N) if n],
-     lambda n, p, v: check_symmetrization(n, p)),
-    ("projection", range, lambda n, p, v: check_projection(n, p)),
-    ("intertwiner", lambda N: range(1 - N, N), _intertwiner),
+     check_symmetrization),
+    ("projection", range, check_projection),
+    ("intertwiner", lambda N: range(1 - N, N), check_intertwiner),
     # looked up by name when called, so wrappers bound later still apply
     ("hecke-relations", None, lambda p, **kw: check_hecke_relations(p, **kw)),
     ("factorization", None, lambda p, **kw: check_factorization(p, **kw)),
     ("bridge-symmetric", None, lambda p, **kw: check_bridge_identity(p, **kw)),
     ("control-lambda-q-difference", lambda N: (2,) if N >= 2 else (),
-     lambda n, p, v: _q_difference(n, p, _ScalarView(p, "lambda"))),
+     lambda n, p, v: check_q_difference(n, p, ScalarView(p, "lambda"))),
     ("control-alpha-recurrence", lambda N: (2,) if N >= 3 else (),
-     lambda n, p, v: _recurrence(n, p, _ScalarView(p, "alpha"))),
+     lambda n, p, v: check_recurrence(n, p, ScalarView(p, "alpha"))),
     ("control-swap-raising-via-d", lambda N: (2,) if N >= 3 else (),
-     lambda n, p, v: _raising_via_d(n, p, _ScalarView(p),
-                                    lam_prev=lambda_n(n + 1, p),
-                                    lam_next=lambda_n(n - 1, p))),
+     lambda n, p, v: check_raising_via_d(n, p, ScalarView(p),
+                                         lam_prev=lambda_n(n + 1, p),
+                                         lam_next=lambda_n(n - 1, p))),
     ("control-kappa-intertwiner", lambda N: (1,) if N >= 2 else (),
-     lambda n, p, v: _intertwiner(n, p, _ScalarView(p, "kappa"))),
+     lambda n, p, v: check_intertwiner(n, p, ScalarView(p, "kappa"))),
     ("control-beta-raising-via-hecke", lambda N: (1,) if N >= 2 else (),
-     lambda n, p, v: _raising_via_hecke(n, p, _ScalarView(p, "beta"))),
+     lambda n, p, v: check_raising_via_hecke(n, p, ScalarView(p, "beta"))),
 )
 
 
@@ -344,7 +346,7 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
     # reject before any check runs rather than at the first such draw
     if degree_window < 1:
         raise ValueError(f"degree_window must be at least 1, got {degree_window}")
-    v = _ScalarView(p, fault)
+    v = ScalarView(p, fault)
 
     reports: list[IdentityReport] = []
     for identity_id, ns, check in _rows(n_max):

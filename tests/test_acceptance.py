@@ -18,22 +18,20 @@ import product_askey_wilson as ref
 from awlab.hecke import apply_D, apply_Y
 from awlab.identities import (
     FAULT_TARGETS,
+    ScalarView,
     check_alpha_beta,
-    check_hecke_ladder,
     check_intertwiner,
     check_leading_coefficient,
     check_lowering_via_d,
+    check_lowering_via_hecke,
+    check_lowering_via_hecke_n1,
     check_projection,
-    check_q_difference,
     check_raising_via_d,
+    check_raising_via_hecke,
     check_symmetrization,
 )
-from awlab.polynomials import (
-    askey_wilson_P,
-    askey_wilson_P_oracle,
-    nonsymmetric_E,
-    recurrence_ratio,
-)
+from awlab.polynomials import askey_wilson_P, nonsymmetric_E, recurrence_ratio
+from eigen_oracles import askey_wilson_P_oracle
 from awlab.scalars import lambda_n, mu_n
 from awlab.verify import (
     check_bridge_identity,
@@ -76,9 +74,10 @@ def test_criterion_2_eigenrelations(seeded_points):
 
 def test_criterion_3_ladders_via_d(seeded_points):
     for p in seeded_points:
+        v = ScalarView(p)
         for n in range(2, 8):
-            assert check_raising_via_d(n, p).passed
-            assert check_lowering_via_d(n, p).passed
+            assert check_raising_via_d(n, p, v).passed
+            assert check_lowering_via_d(n, p, v).passed
             # the proportionality multiples are nonzero, so both ladder
             # relations genuinely produce the neighbour polynomial
             assert lambda_n(n + 1, p) != lambda_n(n - 1, p)
@@ -87,12 +86,14 @@ def test_criterion_3_ladders_via_d(seeded_points):
 
 def test_criterion_4_ladders_via_hecke(seeded_points):
     for p in seeded_points:
+        v = ScalarView(p)
         for n in range(8):
-            assert check_hecke_ladder(n, p, "raise").passed
-        for n in range(1, 9):
-            assert check_hecke_ladder(n, p, "lower").passed
+            assert check_raising_via_hecke(n, p, v).passed
+        assert check_lowering_via_hecke_n1(1, p, v).passed
+        for n in range(2, 9):
+            assert check_lowering_via_hecke(n, p, v).passed
         for n in range(9):
-            assert check_leading_coefficient(n, p).passed
+            assert check_leading_coefficient(n, p, v).passed
 
 
 def test_criterion_5_hecke_relations(seeded_points):
@@ -103,18 +104,20 @@ def test_criterion_5_hecke_relations(seeded_points):
 
 def test_criterion_6_proportionality(seeded_points):
     for p in seeded_points:
+        v = ScalarView(p)
         for n in (-4, -3, -2, -1, 1, 2, 3, 4):
-            assert check_symmetrization(n, p).passed
+            assert check_symmetrization(n, p, v).passed
         for n in range(5):
-            assert check_projection(n, p).passed
+            assert check_projection(n, p, v).passed
         for n in range(-3, 4):
-            assert check_intertwiner(n, p).passed
+            assert check_intertwiner(n, p, v).passed
 
 
 def test_criterion_7_scalar_links(seeded_points):
     for p in seeded_points:
+        v = ScalarView(p)
         for n in range(1, 9):
-            assert check_alpha_beta(n, p).passed
+            assert check_alpha_beta(n, p, v).passed
         assert check_bridge_identity(p, trials=20).passed
 
 

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_hecke import s0, shift_q, shift_q_inv
+from fraction_hecke import (
+    LaurentFraction,
+    aw_fraction,
+    limit_at_infinity,
+    r0_fraction,
+    r1_fraction,
+    s0,
+    shift_q,
+    shift_q_inv,
+)
 from awlab.hecke import (
     NotSymmetricError,
     apply_D,
@@ -16,10 +25,6 @@ from awlab.hecke import (
     apply_T1,
     apply_t1_T1_inv,
     apply_Y,
-    aw_fraction,
-    limit_at_infinity,
-    r0_fraction,
-    r1_fraction,
     s1,
 )
 from awlab.laurent import SUB_INV, LaurentPoly
@@ -71,7 +76,6 @@ def test_r_fraction_cocycle():
     one = LaurentPoly.one()
     r1 = r1_fraction(P8)
     lhs = r1 + r1.substitute(SUB_INV)
-    from awlab.hecke import LaurentFraction
     assert lhs == LaurentFraction(one.scale(1 + P8.t1), one)
     r0 = r0_fraction(P8)
     lhs0 = r0 + r0.substitute("q/z", P8.q)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awlab.hecke import LaurentFraction, limit_at_infinity
 from awlab.identities import BOTH_ZERO, proportional
 from awlab.laurent import (
     SUB_INV,
@@ -21,6 +20,7 @@ from awlab.laurent import (
 )
 
 import fraction_laurent as ref
+from fraction_hecke import LaurentFraction, limit_at_infinity
 
 Q = F(1, 2)
 

@@ -19,11 +19,8 @@ from awlab.laurent import LaurentPoly
 from awlab.polynomials import (
     EigenSolveError,
     askey_wilson_P,
-    askey_wilson_P_oracle,
-    d_matrix,
     exponent_at,
     nonsymmetric_E,
-    nonsymmetric_E_oracle,
     polynomial_document,
     position,
     recurrence_ratio,
@@ -40,6 +37,7 @@ from awlab.scalars import (
     mu_n,
     random_param_sets,
 )
+from eigen_oracles import askey_wilson_P_oracle, d_matrix, nonsymmetric_E_oracle
 from test_scalars import param_set_from_json
 
 

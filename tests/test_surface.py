@@ -1,0 +1,66 @@
+"""Every top-level name in the package has a reader outside the tests.
+
+A function, class or constant that only tests call is surface kept for
+the tests' sake; reference code of that kind lives under tests/.  Each
+top-level name of src/awlab passes if another top-level statement of the
+package reads it, or if perfbench/, tools/ or the README's Library
+example names it.  perfbench names the functions it spans as strings, so
+those files are searched as text.  Dunder names (__version__) are module
+metadata and exempt.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [leaf.id for target in targets for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)]
+    return []
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    return {leaf.id for leaf in ast.walk(node)
+            if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)}
+
+
+def _outside_text(root: Path) -> str:
+    sources = [path.read_text()
+               for folder in ("perfbench", "tools")
+               for path in sorted((root / folder).glob("*.py"))]
+    readme = (root / "README.md").read_text().split("## Library", 1)[1]
+    sources.append(readme.split("```python\n", 1)[1].split("```", 1)[0])
+    return "\n".join(sources)
+
+
+def unread_names(root: Path = ROOT) -> list[str]:
+    """`module.name` for each top-level name nothing but tests reads."""
+    modules = {path.stem: ast.parse(path.read_text()).body
+               for path in sorted((root / "src" / "awlab").glob("*.py"))}
+    statements = [node for body in modules.values() for node in body]
+    outside = _outside_text(root)
+    unread = []
+    for module, body in modules.items():
+        for own in body:
+            for name in _bound_names(own):
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if any(name in _read_names(node) for node in statements
+                       if node is not own):
+                    continue
+                if re.search(rf"\b{re.escape(name)}\b", outside):
+                    continue
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_no_top_level_name_is_read_only_by_tests():
+    assert unread_names() == []

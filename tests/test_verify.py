@@ -4,19 +4,21 @@ import random
 
 import pytest
 
-from awlab import identities
 from awlab.identities import (
     FAULT_TARGETS,
     IdentityReport,
+    ScalarView,
     check_alpha_beta,
     check_E_eigen,
-    check_hecke_ladder,
     check_intertwiner,
     check_leading_coefficient,
     check_lowering_via_d,
+    check_lowering_via_hecke,
+    check_lowering_via_hecke_n1,
     check_projection,
     check_q_difference,
     check_raising_via_d,
+    check_raising_via_hecke,
     check_recurrence,
     check_symmetrization,
 )
@@ -44,7 +46,7 @@ EXPECTED_FAULT_SETS = {
 
 
 def test_report_json_schema(p8):
-    rep = check_q_difference(3, p8)
+    rep = check_q_difference(3, p8, ScalarView(p8))
     assert rep.passed and rep.residual_witness is None
     doc = rep.as_json_dict(seed=42)
     assert doc == {
@@ -58,39 +60,41 @@ def test_report_json_schema(p8):
 
 
 def test_individual_checks_pass(p8):
-    assert check_q_difference(0, p8).passed
-    assert check_E_eigen(-5, p8).passed
-    assert check_recurrence(4, p8).passed
-    assert check_raising_via_d(3, p8).passed
-    assert check_lowering_via_d(3, p8).passed
-    assert check_hecke_ladder(0, p8, "raise").passed
-    assert check_hecke_ladder(5, p8, "raise").passed
-    assert check_hecke_ladder(4, p8, "lower").passed
-    assert check_hecke_ladder(1, p8, "lower").passed
-    assert check_leading_coefficient(2, p8).passed
-    assert check_alpha_beta(1, p8).passed
-    assert check_alpha_beta(8, p8).passed
-    assert check_symmetrization(-2, p8).passed
-    assert check_projection(0, p8).passed
-    assert check_projection(4, p8).passed
-    assert check_intertwiner(-2, p8).passed
-    assert check_intertwiner(0, p8).passed
-    assert check_intertwiner(3, p8).passed
+    v = ScalarView(p8)
+    assert check_q_difference(0, p8, v).passed
+    assert check_E_eigen(-5, p8, v).passed
+    assert check_recurrence(4, p8, v).passed
+    assert check_raising_via_d(3, p8, v).passed
+    assert check_lowering_via_d(3, p8, v).passed
+    assert check_raising_via_hecke(0, p8, v).passed
+    assert check_raising_via_hecke(5, p8, v).passed
+    assert check_lowering_via_hecke(4, p8, v).passed
+    assert check_lowering_via_hecke_n1(1, p8, v).passed
+    assert check_leading_coefficient(2, p8, v).passed
+    assert check_alpha_beta(1, p8, v).passed
+    assert check_alpha_beta(8, p8, v).passed
+    assert check_symmetrization(-2, p8, v).passed
+    assert check_projection(0, p8, v).passed
+    assert check_projection(4, p8, v).passed
+    assert check_intertwiner(-2, p8, v).passed
+    assert check_intertwiner(0, p8, v).passed
+    assert check_intertwiner(3, p8, v).passed
 
 
 def test_check_argument_validation(p8):
+    v = ScalarView(p8)
     with pytest.raises(ValueError):
-        check_hecke_ladder(-1, p8, "raise")
+        check_raising_via_hecke(-1, p8, v)
     with pytest.raises(ValueError):
-        check_hecke_ladder(0, p8, "lower")
+        check_lowering_via_hecke_n1(0, p8, v)
     with pytest.raises(ValueError):
-        check_hecke_ladder(2, p8, "sideways")
+        check_lowering_via_hecke(0, p8, v)
     with pytest.raises(ValueError):
-        check_alpha_beta(0, p8)
+        check_alpha_beta(0, p8, v)
     with pytest.raises(ValueError):
-        check_symmetrization(0, p8)
+        check_symmetrization(0, p8, v)
     with pytest.raises(ValueError):
-        check_projection(-1, p8)
+        check_projection(-1, p8, v)
 
 
 def test_trial_based_checks_pass(p8):
@@ -215,51 +219,39 @@ def test_identity_report_value_semantics(p8):
 
 
 # Each check of a suite run, computed alone with a view of its own: the
-# public function where the run's fault cannot reach the check, the inner
-# check under a fresh faulted view where it can.
-PUBLIC = {
+# run's fault where it reaches the check, the clean view elsewhere.
+CHECKS = {
     "q-difference-eigen": check_q_difference,
     "y-eigen": check_E_eigen,
     "three-term-recurrence": check_recurrence,
     "raising-via-d": check_raising_via_d,
     "lowering-via-d": check_lowering_via_d,
-    "raising-via-hecke": lambda n, p: check_hecke_ladder(n, p, "raise"),
-    "lowering-via-hecke": lambda n, p: check_hecke_ladder(n, p, "lower"),
-    "lowering-via-hecke-n1": lambda n, p: check_hecke_ladder(n, p, "lower"),
+    "raising-via-hecke": check_raising_via_hecke,
+    "lowering-via-hecke": check_lowering_via_hecke,
+    "lowering-via-hecke-n1": check_lowering_via_hecke_n1,
     "leading-coefficient": check_leading_coefficient,
     "alpha-beta": check_alpha_beta,
     "symmetrization": check_symmetrization,
     "projection": check_projection,
     "intertwiner": check_intertwiner,
-    "hecke-relations": lambda n, p: check_hecke_relations(p, trials=2),
-    "factorization": lambda n, p: check_factorization(p, trials=2),
-    "bridge-symmetric": lambda n, p: check_bridge_identity(p, trials=2),
-}
-FAULTED = {
-    "q-difference-eigen": identities._q_difference,
-    "three-term-recurrence": identities._recurrence,
-    "raising-via-d": identities._raising_via_d,
-    "lowering-via-d": identities._lowering_via_d,
-    "raising-via-hecke": identities._raising_via_hecke,
-    "lowering-via-hecke": identities._lowering_via_hecke,
-    "lowering-via-hecke-n1": identities._lowering_via_hecke_n1,
-    "alpha-beta": identities._alpha_beta,
-    "intertwiner": identities._intertwiner,
+    "hecke-relations": lambda n, p, v: check_hecke_relations(p, trials=2),
+    "factorization": lambda n, p, v: check_factorization(p, trials=2),
+    "bridge-symmetric": lambda n, p, v: check_bridge_identity(p, trials=2),
 }
 # the perturbed check behind each negative control; the control passes
 # exactly when it fails
 CONTROLS = {
-    "control-lambda-q-difference": lambda n, p: identities._q_difference(
-        n, p, identities._ScalarView(p, "lambda")),
-    "control-alpha-recurrence": lambda n, p: identities._recurrence(
-        n, p, identities._ScalarView(p, "alpha")),
-    "control-swap-raising-via-d": lambda n, p: identities._raising_via_d(
-        n, p, identities._ScalarView(p), lam_prev=lambda_n(n + 1, p),
+    "control-lambda-q-difference": lambda n, p: check_q_difference(
+        n, p, ScalarView(p, "lambda")),
+    "control-alpha-recurrence": lambda n, p: check_recurrence(
+        n, p, ScalarView(p, "alpha")),
+    "control-swap-raising-via-d": lambda n, p: check_raising_via_d(
+        n, p, ScalarView(p), lam_prev=lambda_n(n + 1, p),
         lam_next=lambda_n(n - 1, p)),
-    "control-kappa-intertwiner": lambda n, p: identities._intertwiner(
-        n, p, identities._ScalarView(p, "kappa")),
-    "control-beta-raising-via-hecke": lambda n, p: identities._raising_via_hecke(
-        n, p, identities._ScalarView(p, "beta")),
+    "control-kappa-intertwiner": lambda n, p: check_intertwiner(
+        n, p, ScalarView(p, "kappa")),
+    "control-beta-raising-via-hecke": lambda n, p: check_raising_via_hecke(
+        n, p, ScalarView(p, "beta")),
 }
 
 
@@ -272,9 +264,8 @@ def _alone(identity_id, n, p, fault):
         passed = not CONTROLS[identity_id](n, p).passed
         return (identity_id, n, passed, None if passed else LaurentPoly.one())
     if fault is not None and identity_id in EXPECTED_FAULT_SETS[fault]:
-        return _outcome(FAULTED[identity_id](
-            n, p, identities._ScalarView(p, fault)))
-    return _outcome(PUBLIC[identity_id](n, p))
+        return _outcome(CHECKS[identity_id](n, p, ScalarView(p, fault)))
+    return _outcome(CHECKS[identity_id](n, p, ScalarView(p)))
 
 
 @pytest.mark.parametrize("fault", [None, *FAULT_TARGETS])
