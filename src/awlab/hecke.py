@@ -31,6 +31,13 @@ involution, or where the q-shift meets it); a nonzero remainder would mean
 the operator was fed an input outside its domain and surfaces as
 NotDivisibleError rather than a silently wrong answer.
 
+Every image here is exact but unreduced: the kernels return their
+numerators over the denominator they formed, and t0 T0^{-1}, t1 T1^{-1}
+and the factored D' are `laurent.combination`s of kernel images, so an
+image that is only zero-tested or summed again pays for no gcd pass.
+Equality, hashing and `scale` reduce a value first; the constructions
+in the polynomial layer reduce what they keep.
+
 The coefficients themselves, r1, r0 and A = N / ((1-z^2)(1-qz^2)), appear
 only in the verifier, which checks r + s(r) = t + 1 and the limits of A
 on numerator and denominator Laurent polynomials kept apart.
@@ -42,6 +49,7 @@ from .laurent import (
     SUB_INV,
     LaurentPoly,
     Plan,
+    combination,
     q_difference,
     reflection_difference,
 )
@@ -95,12 +103,12 @@ def apply_T0(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
 
 def apply_t1_T1_inv(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
     """t1 T1^{-1} f = (T1 - t1 + 1) f, read off from the quadratic relation."""
-    return apply_T1(f, p) + f.scale(1 - p.t1)
+    return combination(((1, apply_T1(f, p)), (1 - p.t1, f)))
 
 
 def apply_t0_T0_inv(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
     """t0 T0^{-1} f = (T0 - t0 + 1) f, read off from the quadratic relation."""
-    return apply_T0(f, p) + f.scale(1 - p.t0)
+    return combination(((1, apply_T0(f, p)), (1 - p.t0, f)))
 
 
 def apply_Y(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
@@ -133,8 +141,8 @@ def apply_D_prime(
     them rather than trusting either one.
     """
     if form == "factored":
-        g = apply_T0(f, p) - f.scale(p.t0)
-        return apply_T1(g, p) + g
+        g = combination(((1, apply_T0(f, p)), (-p.t0, f)))
+        return combination(((1, apply_T1(g, p)), (1, g)))
     if form == "direct":
         return q_difference(f, memo("D", _d_plan, None, p), one_sided=True)
     raise ValueError(f"unknown form {form!r}; expected 'factored' or 'direct'")

@@ -7,6 +7,12 @@ scalar.  Failures are never exceptions: each check returns an
 IdentityReport whose residual_witness is a nonzero polynomial explaining
 what went wrong.
 
+Each residual is one `laurent.combination` of the terms its docstring
+spells out, unreduced: testing it for zero needs no gcd pass, and on
+failure the same object is the witness.  Its text and JSON forms go
+through Fraction, and canonical form is unique, so the printed witness is
+the one a chain of reduced sums would give.
+
 Each identity family is one function, check_<family>(n, p, v).  The
 scalar families reach it through v, a ScalarView, which can add 1 to one
 family at a time; that is how the suite runner (awlab.verify) injects
@@ -25,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hecke import apply_D, apply_D_prime, apply_t0_T0_inv, apply_Y
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, combination
 from .polynomials import askey_wilson_P, nonsymmetric_E, symmetrize
 from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, memo, mu_n
 
@@ -144,6 +150,17 @@ def _d_prime_z_p(n: int, p: ParamSet) -> LaurentPoly:
     return apply_D_prime(_Z * askey_wilson_P(n, p), p)
 
 
+def _limit_ratios(_, p: ParamSet) -> tuple[Fraction, Fraction]:
+    """The limits of A(z) and A(1/z) at z -> infinity, A(z) = N / den with
+    N = (1-az)(1-bz)(1-cz)(1-dz) and den = (1 - z^2)(1 - q z^2): the ratios
+    of the top and of the bottom coefficients of N and den."""
+    z = _Z
+    num = (1 - p.a * z) * (1 - p.b * z) * (1 - p.c * z) * (1 - p.d * z)
+    den = (1 - z * z) * (1 - p.q * z * z)
+    return (num.coeff(num.max_deg) / den.coeff(den.max_deg),
+            num.coeff(num.min_deg) / den.coeff(den.min_deg))
+
+
 def _finish(identity_id: str, p: ParamSet, n: int | None,
             residual: LaurentPoly | None) -> IdentityReport:
     if residual is None or residual.is_zero():
@@ -173,9 +190,14 @@ def proportional(f: LaurentPoly, g: LaurentPoly):
         return BOTH_ZERO if f.is_zero() else None
     if f.is_zero():
         return Fraction(0)
+    c = _ratio(f, g)
+    return c if combination(((1, f), (-c, g))).is_zero() else None
+
+
+def _ratio(f: LaurentPoly, g: LaurentPoly) -> Fraction:
+    """The ratio of f's and g's coefficients at g's top degree."""
     ref = g.max_deg
-    c = f.coeff(ref) / g.coeff(ref)
-    return c if (f - g.scale(c)).is_zero() else None
+    return f.coeff(ref) / g.coeff(ref)
 
 
 def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
@@ -185,8 +207,7 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
     if c is BOTH_ZERO:
         witness = LaurentPoly.one()  # vacuous: both sides vanished
     elif c is None:
-        ref = g.max_deg
-        witness = f - g.scale(f.coeff(ref) / g.coeff(ref))
+        witness = combination(((1, f), (-_ratio(f, g), g)))
     elif c == 0:
         witness = g  # f vanished although g did not
     else:
@@ -202,7 +223,7 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
 def check_q_difference(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     """D P_n = lambda_n P_n, exactly."""
     pn = askey_wilson_P(n, p)
-    residual = apply_D(pn, p) - pn.scale(v.lam(n))
+    residual = combination(((1, apply_D(pn, p)), (-v.lam(n), pn)))
     return _finish("q-difference-eigen", p, n, residual)
 
 
@@ -215,8 +236,8 @@ def check_recurrence(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     """
     c = v.ratio(n)
     pn = askey_wilson_P(n, p)
-    residual = (v.m_p(n) - askey_wilson_P(n + 1, p) - pn.scale(v.alpha(n))
-                - askey_wilson_P(n - 1, p).scale(c))
+    residual = combination(((1, v.m_p(n)), (-1, askey_wilson_P(n + 1, p)),
+                            (-v.alpha(n), pn), (-c, askey_wilson_P(n - 1, p))))
     return _finish("three-term-recurrence", p, n, residual)
 
 
@@ -238,9 +259,9 @@ def check_raising_via_d(n: int, p: ParamSet, v: ScalarView,
         return _finish("raising-via-d", p, n, LaurentPoly.one())
     pn = askey_wilson_P(n, p)
     mp = v.m_p(n)
-    residual = (apply_D(mp, p) - mp.scale(lp)
-                - pn.scale(v.alpha(n) * (ln - lp))
-                - askey_wilson_P(n + 1, p).scale(multiple))
+    residual = combination(((1, apply_D(mp, p)), (-lp, mp),
+                            (-v.alpha(n) * (ln - lp), pn),
+                            (-multiple, askey_wilson_P(n + 1, p))))
     return _finish("raising-via-d", p, n, residual)
 
 
@@ -252,25 +273,26 @@ def check_lowering_via_d(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     if multiple == 0:
         return _finish("lowering-via-d", p, n, LaurentPoly.one())
     pn = askey_wilson_P(n, p)
-    g = v.m_p(n) - pn.scale(v.alpha(n))
-    residual = (apply_D(g, p) - g.scale(v.lam(n + 1))
-                - askey_wilson_P(n - 1, p).scale(multiple))
+    g = combination(((1, v.m_p(n)), (-v.alpha(n), pn)))
+    residual = combination(((1, apply_D(g, p)), (-v.lam(n + 1), g),
+                            (-multiple, askey_wilson_P(n - 1, p))))
     return _finish("lowering-via-d", p, n, residual)
 
 
 # The Hecke ladders: the raising and lowering relations built from D' and
-# the beta scalars.  "D'z" means multiply by z first, then apply D'.
+# the beta scalars.  "D'z" means multiply by z first, then apply D'.  Each
+# left side is a list of (scalar, polynomial) terms for `combination`.
 
-def _raising_lhs(n: int, p: ParamSet, v: ScalarView) -> LaurentPoly:
+def _raising_lhs(n: int, p: ParamSet, v: ScalarView) -> list:
     """[D'z + (1 - q^{1-n})(z + 1/z) + beta_{-n}] P_n."""
-    return (v.d_prime_z_p(n) + v.m_p(n).scale(1 - p.q ** (1 - n))
-            + askey_wilson_P(n, p).scale(v.beta(-n)))
+    return [(1, v.d_prime_z_p(n)), (1 - p.q ** (1 - n), v.m_p(n)),
+            (v.beta(-n), askey_wilson_P(n, p))]
 
 
-def _lowering_lhs(n: int, p: ParamSet, v: ScalarView) -> LaurentPoly:
+def _lowering_lhs(n: int, p: ParamSet, v: ScalarView) -> list:
     """[D'z + (1 - q^n abcd)(z + 1/z) + beta_n] P_n."""
-    return (v.d_prime_z_p(n) + v.m_p(n).scale(1 - p.q**n * p.abcd)
-            + askey_wilson_P(n, p).scale(v.beta(n)))
+    return [(1, v.d_prime_z_p(n)), (1 - p.q**n * p.abcd, v.m_p(n)),
+            (v.beta(n), askey_wilson_P(n, p))]
 
 
 def check_raising_via_hecke(n: int, p: ParamSet,
@@ -283,8 +305,8 @@ def check_raising_via_hecke(n: int, p: ParamSet,
     multiple = q**n * p.abcd - q ** (1 - n)
     if multiple == 0:
         return _finish("raising-via-hecke", p, n, LaurentPoly.one())
-    residual = (_raising_lhs(n, p, v)
-                - askey_wilson_P(n + 1, p).scale(multiple))
+    residual = combination(_raising_lhs(n, p, v)
+                           + [(-multiple, askey_wilson_P(n + 1, p))])
     return _finish("raising-via-hecke", p, n, residual)
 
 
@@ -300,8 +322,8 @@ def check_lowering_via_hecke(n: int, p: ParamSet,
     multiple = (q ** (1 - n) - q**n * p.abcd) * c
     if multiple == 0:
         return _finish("lowering-via-hecke", p, n, LaurentPoly.one())
-    residual = (_lowering_lhs(n, p, v)
-                - askey_wilson_P(n - 1, p).scale(multiple))
+    residual = combination(_lowering_lhs(n, p, v)
+                           + [(-multiple, askey_wilson_P(n - 1, p))])
     return _finish("lowering-via-hecke", p, n, residual)
 
 
@@ -315,8 +337,8 @@ def check_lowering_via_hecke_n1(n: int, p: ParamSet,
     """
     if n != 1:
         raise ValueError("the n1 lowering case needs n = 1")
-    lhs = _lowering_lhs(n, p, v)
-    residual = lhs - LaurentPoly.constant(lhs.coeff(0))
+    lhs = combination(_lowering_lhs(n, p, v))
+    residual = combination(((1, lhs), (-lhs.coeff(0), LaurentPoly.one())))
     return _finish("lowering-via-hecke-n1", p, n, residual)
 
 
@@ -329,19 +351,15 @@ def check_leading_coefficient(n: int, p: ParamSet,
     z -> infinity, N = (1-az)(1-bz)(1-cz)(1-dz): A tends to the ratio of
     the top coefficients of N and its denominator (abcd/q), A(1/z) to the
     ratio of the bottom ones (1); G1 and G2 fix both degrees.  So the check
-    would notice a wrong closed form on either route.  The beta term has
-    degree n, so a beta fault does not reach this check.
+    would notice a wrong closed form on either route.  The two ratios
+    depend only on the point and are read through `memo`.  The beta term
+    has degree n, so a beta fault does not reach this check.
     """
     q = p.q
     closed = q**n * p.abcd - q ** (1 - n)
-    z = _Z
-    num = (1 - p.a * z) * (1 - p.b * z) * (1 - p.c * z) * (1 - p.d * z)
-    den = (1 - z * z) * (1 - q * z * z)
-    via_limits = (num.coeff(num.max_deg) / den.coeff(den.max_deg)
-                  * q ** (n + 1)
-                  - num.coeff(num.min_deg) / den.coeff(den.min_deg)
-                  + (1 - q ** (1 - n)))
-    first = _raising_lhs(n, p, v).coeff(n + 1) - closed
+    top, bottom = memo("A_limits", _limit_ratios, None, p)
+    via_limits = top * q ** (n + 1) - bottom + (1 - q ** (1 - n))
+    first = combination(_raising_lhs(n, p, v)).coeff(n + 1) - closed
     second = via_limits - closed
     residual = LaurentPoly.constant(first if first else second)
     return _finish("leading-coefficient", p, n, residual)
@@ -366,7 +384,7 @@ def check_E_eigen(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     not read.
     """
     en = nonsymmetric_E(n, p)
-    residual = apply_Y(en, p) - en.scale(mu_n(n, p))
+    residual = combination(((1, apply_Y(en, p)), (-mu_n(n, p), en)))
     return _finish("y-eigen", p, n, residual)
 
 
@@ -385,7 +403,7 @@ def check_projection(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     if n < 0:
         raise ValueError("projection check needs n >= 0")
     pn = askey_wilson_P(n, p)
-    f = apply_t0_T0_inv(pn, p) - pn.scale(mu_n(-n, p))
+    f = combination(((1, apply_t0_T0_inv(pn, p)), (-mu_n(-n, p), pn)))
     g = nonsymmetric_E(-n, p)
     return _finish_proportional("projection", p, n, f, g)
 
@@ -397,6 +415,6 @@ def check_intertwiner(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     negative n included.
     """
     em = nonsymmetric_E(-n, p)
-    f = apply_t0_T0_inv(_Z * em, p) - em.scale(v.kappa(n))
+    f = combination(((1, apply_t0_T0_inv(_Z * em, p)), (-v.kappa(n), em)))
     g = nonsymmetric_E(n - 1, p)
     return _finish_proportional("intertwiner", p, n, f, g)

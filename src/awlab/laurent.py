@@ -1,17 +1,22 @@
 """Sparse exact Laurent polynomials in one variable z, and kernels on them.
 
 A LaurentPoly is an immutable polynomial with rational coefficients, stored
-as integer numerators {degree: int} over one positive integer denominator,
-in canonical form: the denominator is positive and coprime to the content
-(the gcd of the numerators), no numerator is zero, and zero has
-denominator 1.  Arithmetic combines integers and reduces each result once;
-`coeff`, `items`, the constructor and the JSON and text forms speak
-Fraction, and nothing outside this module sees the integer form.
+as integer numerators {degree: int} over one integer denominator, with
+no numerator zero.  Its canonical form, which is unique, has a positive
+denominator coprime to the content (the gcd of the numerators), and zero
+has denominator 1.  The kernels `reflection_difference` and `q_difference`
+and the sum `combination` return their exact numerators over the
+denominator they formed, unreduced (it may even be negative), so a value
+that is only zero-tested, like an identity's residual, pays for no gcd
+pass.  `canonical` reduces a value in place, once; `==`, `hash` and
+`scale` call it first.  `+`, `-`, `*`, `exact_quotient`, the q/z
+substitution and the constructor reduce each result.  `coeff`, `items`,
+the constructor and the JSON and text forms speak Fraction, so no reader
+outside this module sees which form a value is in.
 
-The four substitutions act monomial-wise:
+The two substitutions act monomial-wise:
 
-    z -> q*z :  z^k -> q^k z^k          z -> 1/z :  z^k -> z^-k
-    z -> z/q :  z^k -> q^-k z^k         z -> q/z :  z^k -> q^k z^-k
+    z -> 1/z :  z^k -> z^-k             z -> q/z :  z^k -> q^k z^-k
 
 `reflection_difference` and `q_difference`, the kernels of the operator
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
@@ -26,8 +31,6 @@ from typing import Mapping
 
 from .scalars import Scalar, format_scalar, parse_scalar
 
-SUB_QZ = "q*z"
-SUB_Z_OVER_Q = "z/q"
 SUB_INV = "1/z"
 SUB_Q_OVER_Z = "q/z"
 
@@ -55,10 +58,11 @@ class LaurentPoly:
     """Immutable sparse Laurent polynomial sum_k (num[k] / den) z^k.
 
     `_num` maps degree to a nonzero integer numerator and `_den` is the
-    common positive denominator, coprime to the numerators' content.
+    common denominator; `_canonical` is False while the pair may not be
+    in canonical form.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_canonical")
 
     def __init__(self, coeffs: Mapping[int, Scalar | int] | None = None):
         fracs: dict[int, Fraction] = {}
@@ -73,27 +77,35 @@ class LaurentPoly:
         den = lcm(*(v.denominator for v in fracs.values()))
         self._num = {k: v.numerator * (den // v.denominator)
                      for k, v in fracs.items()}
-        self._den = den
+        self._den, self._canonical = den, True
 
     @classmethod
-    def _raw(cls, num: dict[int, int], den: int) -> "LaurentPoly":
-        # internal fast path: (num, den) must already be canonical
+    def _raw(cls, num: dict[int, int], den: int,
+             canonical: bool = True) -> "LaurentPoly":
+        # internal fast path: num holds no zeros, den is nonzero, and the
+        # pair is in canonical form unless canonical is False
         self = object.__new__(cls)
-        self._num = num
-        self._den = den
+        self._num, self._den, self._canonical = num, den, canonical
         return self
 
     @classmethod
     def _reduced(cls, num: dict[int, int], den: int) -> "LaurentPoly":
         """Canonical form of num/den; num holds no zeros, den is nonzero."""
-        if den < 0:
-            den = -den
-            num = {k: -v for k, v in num.items()}
-        g = _gcd_with(den, num.values())
-        if g == 1:
-            return cls._raw(num, den)
-        # an empty num leaves g == den, which gives zero the denominator 1
-        return cls._raw({k: v // g for k, v in num.items()}, den // g)
+        return cls._raw(num, den, False).canonical()
+
+    def canonical(self) -> "LaurentPoly":
+        """This value, brought to canonical form in place if it is not."""
+        if not self._canonical:
+            num, den = self._num, self._den
+            if den < 0:
+                den = -den
+                num = {k: -v for k, v in num.items()}
+            g = _gcd_with(den, num.values())
+            if g != 1:
+                # an empty num leaves g == den: zero gets the denominator 1
+                num, den = {k: v // g for k, v in num.items()}, den // g
+            self._num, self._den, self._canonical = num, den, True
+        return self
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -142,13 +154,17 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        self.canonical()
+        other.canonical()
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
+        self.canonical()
         return hash((self._den, frozenset(self._num.items())))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({k: -v for k, v in self._num.items()}, self._den)
+        return LaurentPoly._raw({k: -v for k, v in self._num.items()},
+                                self._den, self._canonical)
 
     def __add__(self, other) -> "LaurentPoly":
         return self._plus(other, 1)
@@ -198,7 +214,8 @@ class LaurentPoly:
         for mono, f in ((other, self), (self, other)):
             if mono._den == 1 and len(mono._num) == 1 and 1 in mono._num.values():
                 e, = mono._num
-                return LaurentPoly._raw({k + e: v for k, v in f._num.items()}, f._den)
+                return LaurentPoly._raw({k + e: v for k, v in f._num.items()},
+                                        f._den, f._canonical)
         out: dict[int, int] = {}
         for k1, v1 in self._num.items():
             for k2, v2 in other._num.items():
@@ -215,9 +232,12 @@ class LaurentPoly:
             c = Fraction(c)
         if not c:
             return LaurentPoly.zero()
+        n, d = c.numerator, c.denominator
+        if not self._canonical:
+            return LaurentPoly._reduced(
+                {k: v * n for k, v in self._num.items()}, self._den * d)
         # both factors are in lowest terms, so the result's gcd splits into
         # gcd(c's numerator, den) and gcd(content, c's denominator)
-        n, d = c.numerator, c.denominator
         g_n = gcd(n, self._den)
         g_d = _gcd_with(d, self._num.values())
         n //= g_n
@@ -228,28 +248,23 @@ class LaurentPoly:
         """Apply one of the monomial-wise substitutions named above."""
         if rule == SUB_INV:
             return LaurentPoly._raw({-k: v for k, v in self._num.items()},
-                                    self._den)
+                                    self._den, self._canonical)
+        if rule != SUB_Q_OVER_Z:
+            raise ValueError(f"unknown substitution rule {rule!r}")
         if q is None:
             raise ValueError(f"substitution {rule!r} needs the scalar q")
         q = Fraction(q)
         if q == 0:
             raise ValueError("substitution needs q != 0")
-        # z^k picks up the factor (qn/qd)^k and moves to degree sign*k
-        if rule == SUB_QZ:
-            qn, qd, sign = q.numerator, q.denominator, 1
-        elif rule == SUB_Z_OVER_Q:
-            qn, qd, sign = q.denominator, q.numerator, 1
-        elif rule == SUB_Q_OVER_Z:
-            qn, qd, sign = q.numerator, q.denominator, -1
-        else:
-            raise ValueError(f"unknown substitution rule {rule!r}")
         if not self._num:
             return self
-        # one denominator qn^lo * qd^hi for every degree in [-lo, hi]
+        # z^k picks up the factor (qn/qd)^k and moves to degree -k, over one
+        # denominator qn^lo * qd^hi for every degree in [-lo, hi]
+        qn, qd = q.numerator, q.denominator
         lo = max(0, -min(self._num))
         hi = max(0, max(self._num))
         return LaurentPoly._reduced(
-            {sign * k: v * qn ** (k + lo) * qd ** (hi - k)
+            {-k: v * qn ** (k + lo) * qd ** (hi - k)
              for k, v in self._num.items()},
             self._den * qn**lo * qd**hi)
 
@@ -258,38 +273,48 @@ class LaurentPoly:
         return all(self._num.get(-k) == v for k, v in self._num.items())
 
     def __str__(self) -> str:
-        if not self._num:
-            return "0"
         parts = []
         for k, v in reversed(self.items()):
-            if k == 0:
-                term = format_scalar(v)
-            else:
+            term = format_scalar(v)
+            if k:
                 zs = "z" if k == 1 else f"z^{k}"
-                if v == 1:
-                    term = zs
-                elif v == -1:
-                    term = f"-{zs}"
-                else:
-                    term = f"{format_scalar(v)}*{zs}"
+                term = zs if v == 1 else f"-{zs}" if v == -1 else f"{term}*{zs}"
             parts.append(term)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "var": "z",
-            "coeffs": {str(k): format_scalar(v) for k, v in self.items()},
-        }
+        return {"var": "z",
+                "coeffs": {str(k): format_scalar(v) for k, v in self.items()}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LaurentPoly":
         if doc.get("var") != "z":
             raise ValueError(f"expected a polynomial in z, got {doc.get('var')!r}")
         return cls({int(k): parse_scalar(v) for k, v in doc["coeffs"].items()})
+
+
+def combination(terms) -> LaurentPoly:
+    """The sum of c f over the (c, f) pairs in terms, c an int or Fraction,
+    unreduced: one pass sums integer numerators over the lcm of the terms'
+    denominators, and no gcd touches a numerator.  A sum that cancels is
+    the canonical zero."""
+    parts = [(c.numerator, c.denominator * f._den, f._num)
+             for c, f in terms if c and f._num]
+    if not parts:
+        return LaurentPoly.zero()
+    den = lcm(*[d for _, d, _ in parts])
+    (n, d, num), *rest = parts
+    m = n * (den // d)
+    out = dict(num) if m == 1 else {k: v * m for k, v in num.items()}
+    for n, d, num in rest:
+        m = n * (den // d)
+        for k, v in num.items():
+            out[k] = out.get(k, 0) + v * m
+    out = {k: v for k, v in out.items() if v}
+    return LaurentPoly._raw(out, den, False) if out else LaurentPoly.zero()
 
 
 def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -418,8 +443,8 @@ def reflection_difference(f: LaurentPoly, plan: Plan) -> LaurentPoly:
     quot = _binomial_quotient(diff, -K, plan.qd, -plan.qn)
     ts = plan.t * s
     out = [ts * v + w for v, w in zip(fl, _times(plan.num, quot))]
-    return LaurentPoly._reduced({k: v for k, v in enumerate(out, -K) if v},
-                                plan.den * s * n)
+    return LaurentPoly._raw({k: v for k, v in enumerate(out, -K) if v},
+                            plan.den * s * n, False)
 
 
 def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
@@ -449,5 +474,6 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     # exact_quotient takes the last division, so the benchmark's tracer,
     # which spans it, still measures the operator layer's divisions
     out = LaurentPoly._raw({k: v for k, v in enumerate(out, -K) if v}, 1)
-    return LaurentPoly._reduced(
-        exact_quotient(out, LaurentPoly._raw({0: 1, 2: -1}, 1))._num, n * s * plan.den)
+    return LaurentPoly._raw(
+        exact_quotient(out, LaurentPoly._raw({0: 1, 2: -1}, 1))._num,
+        n * s * plan.den, False)

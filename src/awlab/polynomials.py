@@ -29,7 +29,10 @@ and verifies its triangular structure at runtime instead of assuming it.
 What is built at a point is kept on that point, in `ParamSet.memo`: the
 list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n and
 closed-form scalar, through `memo`.  So each is built once per point
-object, and freed with it.
+object, and freed with it.  Each step sums its terms with
+`laurent.combination` and stores the result in canonical form, reduced
+once: every later step and check builds on it, and unreduced P_n would
+carry about twice the coefficient bits by n = 40.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hecke import apply_T1, apply_Y
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, combination
 from .scalars import ParamSet, Scalar, alpha_n, c_n, memo, mu_n
 
 _M = LaurentPoly({1: 1, -1: 1})  # multiplication by z + 1/z
@@ -129,10 +132,10 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     ps = p.memo.setdefault("P", [LaurentPoly.one()])
     while len(ps) <= n:
         m = len(ps) - 1
-        step = _M * ps[m] - ps[m].scale(memo("alpha", alpha_n, m, p))
+        terms = [(1, _M * ps[m]), (-memo("alpha", alpha_n, m, p), ps[m])]
         if m:
-            step = step - ps[m - 1].scale(memo("c", c_n, m, p))
-        ps.append(step)
+            terms.append((-memo("c", c_n, m, p), ps[m - 1]))
+        ps.append(combination(terms).canonical())
     return ps[n]
 
 
@@ -155,24 +158,26 @@ def nonsymmetric_E(n: int, p: ParamSet) -> LaurentPoly:
 def _spectral_E(n: int, p: ParamSet) -> LaurentPoly:
     m = abs(n)
     if n < 0:
-        rest = askey_wilson_P(m, p) - nonsymmetric_E(m, p)
+        rest = combination(((1, askey_wilson_P(m, p)),
+                            (-1, nonsymmetric_E(m, p))))
         c = rest.coeff(-m)
         if c == 0:
             raise EigenSolveError(
                 f"P_{m} - E_{m} has no z^-{m} term, so it is no multiple "
                 f"of E_-{m}")
-        return rest.scale(1 / c)
+        return rest.scale(1 / c)  # scale brings rest to canonical form
     top, other = mu_n(m, p), mu_n(-m, p)
     if top == other:
         raise EigenSolveError(
             f"mu_{m} = mu_-{m} = {top}; the eigenspace is not a line")
     pm = askey_wilson_P(m, p)
-    return (apply_Y(pm, p) - pm.scale(other)).scale(1 / (top - other))
+    inv = 1 / (top - other)
+    return combination(((inv, apply_Y(pm, p)), (-other * inv, pm))).canonical()
 
 
 def symmetrize(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """(T1 + 1) f, which is always symmetric."""
-    return apply_T1(f, p) + f
+    """(T1 + 1) f, which is always symmetric; unreduced (`combination`)."""
+    return combination(((1, apply_T1(f, p)), (1, f)))
 
 
 def recurrence_ratio(n: int, p: ParamSet) -> Scalar:

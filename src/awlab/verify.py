@@ -24,11 +24,11 @@ Random inputs are drawn from a generator seeded per identity id, so a
 suite run is a pure function of (params, n_max, trials, seed).  Reports
 carry no timing: a caller that wants it times the calls from outside.
 
-The random-input checks test each identity as lhs == rhs on canonical
-LaurentPolys, which is exact coefficient equality, and build the witness
-lhs - rhs only when the two sides differ.  The products one trial reads
-more than once (z f, z^-1 f, (z + 1/z) f, T1 f + f) are formed once, and
-the scalars of a point once per check.
+The random-input checks test each identity as lhs - rhs == 0, with the
+two sides' terms summed by `laurent.combination`, which needs no gcd
+pass, and build the canonical witness lhs - rhs only when it is nonzero.
+The products one trial reads more than once (z f, z^-1 f, (z + 1/z) f,
+T1 f + f) are formed once, and the scalars of a point once per check.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .identities import (
     check_recurrence,
     check_symmetrization,
 )
-from .laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly
+from .laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly, combination
 from .scalars import HorizonError, ParamSet, e1, e3, lambda_n
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,8 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     criterion (T1 f = t1 f exactly for symmetric f, and (T1 + 1) f is always
     symmetric).  The coefficient identities r_i + s_i(r_i) = t_i + 1 are
     checked once, as cleared-denominator Laurent identities.  Each relation
-    compares the canonical forms of its two sides; the first that differ
-    give the witness lhs - rhs.
+    zero-tests the combination lhs - rhs; the first that is nonzero gives
+    the witness lhs - rhs.
     """
     _require_trials(trials)
     rng = random.Random(f"{seed}:hecke-relations")
@@ -157,10 +157,9 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
         ((z - p.c) * (z - p.d), z * z - q, SUB_Q_OVER_Z, t0),
     ):
         s_num, s_den = num.substitute(rule, q), den.substitute(rule, q)
-        lhs = num * s_den + s_num * den
-        rhs = (den * s_den).scale(1 + t)
-        if lhs != rhs:
-            return fail(lhs - rhs)
+        left, right, both = num * s_den, s_num * den, den * s_den
+        if combination(((1, left), (1, right), (-1 - t, both))):
+            return fail(left + right - both.scale(1 + t))
 
     a_b, c_d, t1_1 = p.a + p.b, p.c + p.d, t1 - 1
     for _ in range(trials):
@@ -168,40 +167,41 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
         zif = _ZI * f
         t1f = apply_T1(f, p)  # reused by a commutation
         t0f = apply_T0(f, p)
-        h1 = t1f + f  # reused by the symmetrizer
+        h1 = combination(((1, t1f), (1, f)))  # reused by the symmetrizer
+        h0 = combination(((1, t0f), (1, f)))
         for h, tf, apply_T, t, apply_inv in (
             (h1, t1f, apply_T1, t1, apply_t1_T1_inv),
-            (t0f + f, t0f, apply_T0, t0, apply_t0_T0_inv),
+            (h0, t0f, apply_T0, t0, apply_t0_T0_inv),
         ):
-            lhs, rhs = apply_T(h, p), h.scale(t)  # (T - t)(T + 1) f = 0
-            if lhs != rhs:
-                return fail(lhs - rhs)
-            lhs, rhs = apply_inv(tf, p), f.scale(t)  # t T^{-1} T f = t f
-            if lhs != rhs:
-                return fail(lhs - rhs)
+            lhs = apply_T(h, p)  # (T - t)(T + 1) f = 0
+            if combination(((1, lhs), (-t, h))):
+                return fail(lhs - h.scale(t))
+            lhs = apply_inv(tf, p)  # t T^{-1} T f = t f
+            if combination(((1, lhs), (-t, f))):
+                return fail(lhs - f.scale(t))
         # commutation: z t0 T0^{-1} = q T0 z^{-1} + (c + d)
         lhs = _Z * apply_t0_T0_inv(f, p)
-        rhs = apply_T0(zif, p).scale(q) + f.scale(c_d)
-        if lhs != rhs:
-            return fail(lhs - rhs)
+        t0zif = apply_T0(zif, p)
+        if combination(((1, lhs), (-q, t0zif), (-c_d, f))):
+            return fail(lhs - (t0zif.scale(q) + f.scale(c_d)))
         # commutation: (T1 + 1) z^{-1} = t1 z^{-1} + z T1 + (a + b)
         lhs = apply_T1(zif, p)
-        rhs = zif.scale(t1_1) + _Z * t1f + f.scale(a_b)
-        if lhs != rhs:
-            return fail(lhs - rhs)
+        zt1f = _Z * t1f
+        if combination(((1, lhs), (-t1_1, zif), (-1, zt1f), (-a_b, f))):
+            return fail(lhs - (zif.scale(t1_1) + zt1f + f.scale(a_b)))
         # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b),
         # compared without the factor t1 = -ab, which G2 keeps nonzero
         lhs = apply_T1(_Z * f, p)
-        rhs = _ZI * apply_t1_T1_inv(f, p) - f.scale(a_b)
-        if lhs != rhs:
-            return fail((lhs - rhs).scale(t1))
+        zi_inv = _ZI * apply_t1_T1_inv(f, p)
+        if combination(((1, lhs), (-1, zi_inv), (a_b, f))):
+            return fail((lhs - (zi_inv - f.scale(a_b))).scale(t1))
         # symmetry criterion, both directions, and the symmetrizer
         fs = random_symmetric_laurent(rng, degree_window)
-        lhs, rhs = apply_T1(fs, p), fs.scale(t1)
-        if lhs != rhs:
-            return fail(lhs - rhs)
+        lhs = apply_T1(fs, p)
+        if combination(((1, lhs), (-t1, fs))):
+            return fail(lhs - fs.scale(t1))
         fa = random_asymmetric_laurent(rng, degree_window)
-        if apply_T1(fa, p) == fa.scale(t1):
+        if not combination(((1, apply_T1(fa, p)), (-t1, fa))):
             return fail(LaurentPoly.one())  # asymmetric f must not be fixed
         if not h1.is_symmetric():
             return fail(h1 - s1(h1))
@@ -211,20 +211,19 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
 def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
                         degree_window: int = 6) -> IdentityReport:
     """(T1 + 1)(T0 - t0) agrees with the direct form of D' on random f,
-    and D' agrees with D on random symmetric f.  The images' canonical
-    forms are compared; the first pair that differ give the witness
-    lhs - rhs."""
+    and D' agrees with D on random symmetric f.  The first pair of images
+    whose difference is nonzero gives the witness lhs - rhs."""
     _require_trials(trials)
     rng = random.Random(f"{seed}:factorization")
     for _ in range(trials):
         f = random_laurent(rng, degree_window)
         lhs = apply_D_prime(f, p, form="factored")
         rhs = apply_D_prime(f, p, form="direct")
-        if lhs != rhs:
+        if combination(((1, lhs), (-1, rhs))):
             return _finish("factorization", p, None, lhs - rhs)
         fs = random_symmetric_laurent(rng, degree_window)
         lhs, rhs = apply_D_prime(fs, p), apply_D(fs, p)
-        if lhs != rhs:
+        if combination(((1, lhs), (-1, rhs))):
             return _finish("factorization", p, None, lhs - rhs)
     return _finish("factorization", p, None, None)
 
@@ -237,8 +236,8 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
       = (1 - q) [(e1 - e3) - (1 - abcd)(z + 1/z)] f
 
     where D'z and D (z+1/z) multiply first and then apply the operator,
-    while (z+1/z) D applies D first.  The canonical forms of the two sides
-    are compared; if they differ, lhs - rhs is the witness.
+    while (z+1/z) D applies D first.  The combination lhs - rhs is
+    zero-tested; if it is nonzero, the canonical lhs - rhs is the witness.
     """
     _require_trials(trials)
     rng = random.Random(f"{seed}:bridge-symmetric")
@@ -250,11 +249,13 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
     for _ in range(trials):
         f = random_symmetric_laurent(rng, degree_window)
         mf = _M * f
-        lhs = (apply_D_prime(_Z * f, p).scale(one_q2)
-               + apply_D(mf, p).scale(q2)
-               - (_M * apply_D(f, p)).scale(q))
-        rhs = f.scale(k_const) - mf.scale(k_m)
-        if lhs != rhs:
+        dpzf = apply_D_prime(_Z * f, p)
+        dmf = apply_D(mf, p)
+        mdf = _M * apply_D(f, p)
+        if combination(((one_q2, dpzf), (q2, dmf), (-q, mdf),
+                        (-k_const, f), (k_m, mf))):
+            lhs = dpzf.scale(one_q2) + dmf.scale(q2) - mdf.scale(q)
+            rhs = f.scale(k_const) - mf.scale(k_m)
             return _finish("bridge-symmetric", p, None, lhs - rhs)
     return _finish("bridge-symmetric", p, None, None)
 

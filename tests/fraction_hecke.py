@@ -9,22 +9,18 @@ the package checks the coefficients on plain numerator and denominator
 pairs instead.  These operators share the substitution rules and
 exact_quotient with the package, but none of the kernels' integer
 arithmetic.  The substitutions z -> q/z, z -> qz and z -> z/q that they
-apply live here, as s0, shift_q and shift_q_inv.
+apply live here, as s0, shift_q and shift_q_inv; the two q-shifts go
+through the Fraction reference (tests/fraction_laurent.py), since the
+package has no rule for them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import fraction_laurent as ref
 from awlab.hecke import NotSymmetricError, s1
-from awlab.laurent import (
-    SUB_INV,
-    SUB_Q_OVER_Z,
-    SUB_QZ,
-    SUB_Z_OVER_Q,
-    LaurentPoly,
-    exact_quotient,
-)
+from awlab.laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly, exact_quotient
 from awlab.scalars import ParamSet, Scalar
 
 
@@ -133,12 +129,12 @@ def s0(f: LaurentPoly, p) -> LaurentPoly:
 
 def shift_q(f: LaurentPoly, p) -> LaurentPoly:
     """Substitute z -> q*z."""
-    return f.substitute(SUB_QZ, p.q)
+    return LaurentPoly(ref.substitute(dict(f.items()), ref.SUB_QZ, p.q))
 
 
 def shift_q_inv(f: LaurentPoly, p) -> LaurentPoly:
     """Substitute z -> z/q."""
-    return f.substitute(SUB_Z_OVER_Q, p.q)
+    return LaurentPoly(ref.substitute(dict(f.items()), ref.SUB_Z_OVER_Q, p.q))
 
 
 def apply_T1(f: LaurentPoly, p) -> LaurentPoly:

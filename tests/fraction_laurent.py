@@ -3,14 +3,19 @@
 The oracle for awlab.laurent: every operation works coefficient by
 coefficient over Fraction, with no shared denominator, so it shares no
 code or representation with the integer-numerator LaurentPoly.  Results
-never hold zero coefficients.
+never hold zero coefficients.  The q-shifts z -> qz and z -> z/q, which
+the package does not need, live only here, as the rules SUB_QZ and
+SUB_Z_OVER_Q of `substitute`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from awlab.laurent import SUB_INV, SUB_Q_OVER_Z, SUB_QZ, SUB_Z_OVER_Q
+from awlab.laurent import SUB_INV, SUB_Q_OVER_Z
+
+SUB_QZ = "q*z"
+SUB_Z_OVER_Q = "z/q"
 
 Poly = dict[int, Fraction]
 

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_hecke
+from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1, s1
 from awlab.identities import BOTH_ZERO, proportional
 from awlab.laurent import (
     SUB_INV,
     SUB_Q_OVER_Z,
-    SUB_QZ,
-    SUB_Z_OVER_Q,
     LaurentPoly,
     NotDivisibleError,
     _binomial_quotient,
+    combination,
     exact_quotient,
 )
+from awlab.scalars import check_genericity
 
 import fraction_laurent as ref
 from fraction_hecke import LaurentFraction, limit_at_infinity
@@ -97,13 +99,15 @@ def test_ring_laws(f, g, h):
 @given(laurents)
 def test_substitution_involutions(f):
     assert f.substitute(SUB_INV).substitute(SUB_INV) == f
-    assert f.substitute(SUB_QZ, Q).substitute(SUB_Z_OVER_Q, Q) == f
+    rf = dict(f.items())
+    assert ref.substitute(ref.substitute(rf, ref.SUB_QZ, Q),
+                          ref.SUB_Z_OVER_Q, Q) == rf
     assert f.substitute(SUB_Q_OVER_Z, Q).substitute(SUB_Q_OVER_Z, Q) == f
 
 
 @given(laurents, laurents)
 def test_substitution_is_a_ring_map(f, g):
-    for rule in (SUB_INV, SUB_QZ, SUB_Z_OVER_Q, SUB_Q_OVER_Z):
+    for rule in (SUB_INV, SUB_Q_OVER_Z):
         assert (f * g).substitute(rule, Q) == \
             f.substitute(rule, Q) * g.substitute(rule, Q)
         assert (f + g).substitute(rule, Q) == \
@@ -112,8 +116,8 @@ def test_substitution_is_a_ring_map(f, g):
 
 def test_substitution_on_monomials():
     z3 = LaurentPoly.monomial(3)
-    assert z3.substitute(SUB_QZ, Q) == LaurentPoly.monomial(3, F(1, 8))
-    assert z3.substitute(SUB_Z_OVER_Q, Q) == LaurentPoly.monomial(3, 8)
+    assert ref.substitute({3: F(1)}, ref.SUB_QZ, Q) == {3: F(1, 8)}
+    assert ref.substitute({3: F(1)}, ref.SUB_Z_OVER_Q, Q) == {3: F(8)}
     assert z3.substitute(SUB_INV) == LaurentPoly.monomial(-3)
     assert z3.substitute(SUB_Q_OVER_Z, Q) == LaurentPoly.monomial(-3, F(1, 8))
 
@@ -122,11 +126,13 @@ def test_substitution_requires_q_when_scaling():
     f = LaurentPoly({1: 1})
     f.substitute(SUB_INV)  # fine without q
     with pytest.raises(ValueError):
-        f.substitute(SUB_QZ)
+        f.substitute(SUB_Q_OVER_Z)
     with pytest.raises(ValueError):
-        f.substitute(SUB_QZ, 0)
+        f.substitute(SUB_Q_OVER_Z, 0)
     with pytest.raises(ValueError):
         f.substitute("z^2", Q)
+    with pytest.raises(ValueError):
+        f.substitute(ref.SUB_QZ, Q)  # the q-shifts live in the reference
 
 
 def test_is_symmetric():
@@ -302,7 +308,7 @@ def test_arithmetic_matches_fraction_reference(f, g, c):
 @given(fraction_dicts, q_values)
 def test_substitutions_match_fraction_reference(f, q):
     pf, rf = LaurentPoly(f), ref.clean(f)
-    for rule in (SUB_INV, SUB_QZ, SUB_Z_OVER_Q, SUB_Q_OVER_Z):
+    for rule in (SUB_INV, SUB_Q_OVER_Z):
         _agrees(pf.substitute(rule, q), ref.substitute(rf, rule, q))
 
 
@@ -326,7 +332,7 @@ def test_exact_quotient_matches_fraction_reference(f, g):
 def test_zero_results_are_canonical(f, q):
     pf = LaurentPoly(f)
     for zero in (pf - pf, pf + (-pf), pf.scale(0), pf * LaurentPoly.zero(),
-                 (pf - pf).substitute(SUB_QZ, q)):
+                 (pf - pf).substitute(SUB_Q_OVER_Z, q)):
         _assert_canonical(zero)
         assert zero.items() == []
         assert zero == LaurentPoly.zero() == 0
@@ -340,7 +346,8 @@ def test_equal_values_by_different_routes_hash_equal(f, g, q):
         (pf * pg, pg * pf),
         ((pf + pg) - pg, pf),
         (pf.scale(F(6, 35)).scale(F(35, 6)), pf),
-        (pf.substitute(SUB_QZ, q).substitute(SUB_Z_OVER_Q, q), pf),
+        (pf.substitute(SUB_Q_OVER_Z, q).substitute(SUB_INV),
+         LaurentPoly(ref.substitute(dict(pf.items()), ref.SUB_QZ, q))),
         (pf.substitute(SUB_Q_OVER_Z, q).substitute(SUB_Q_OVER_Z, q), pf),
         (LaurentPoly(dict(pf.items())), pf),
     ]
@@ -352,10 +359,9 @@ def test_equal_values_by_different_routes_hash_equal(f, g, q):
 def test_negative_q_keeps_denominator_positive():
     f = LaurentPoly({-3: F(2, 5), 1: 1, 4: F(-7, 3)})
     q = F(-2, 3)
-    for rule in (SUB_QZ, SUB_Z_OVER_Q, SUB_Q_OVER_Z):
-        g = f.substitute(rule, q)
-        _assert_canonical(g)
-        _agrees(g, ref.substitute(ref.clean(dict(f.items())), rule, q))
+    g = f.substitute(SUB_Q_OVER_Z, q)
+    _assert_canonical(g)
+    _agrees(g, ref.substitute(ref.clean(dict(f.items())), SUB_Q_OVER_Z, q))
 
 
 def test_exact_quotient_divisor_with_content_and_rational_coefficients():
@@ -407,3 +413,108 @@ def test_binomial_quotient_agrees_with_exact_quotient(quot, lo, binomial, slip):
         assert got.value.remainder == err.remainder
     else:
         assert LaurentPoly(dict(enumerate(_binomial_quotient(r, lo, A, B), lo))) == want
+
+
+# --- canonical form on demand ------------------------------------------------
+
+# nonzero multipliers, of either sign, that take a value out of lowest terms
+multipliers = st.integers(min_value=-30, max_value=30).filter(bool)
+
+
+def _unreduced(poly, k):
+    """poly with its numerators and denominator multiplied by k, unreduced."""
+    return LaurentPoly._raw({d: v * k for d, v in poly._num.items()},
+                            poly._den * k, False)
+
+
+def _chained(terms):
+    total = LaurentPoly.zero()
+    for c, f in terms:
+        total = total + f.scale(c)
+    return total
+
+
+def _same_form(got, want):
+    """got, once reduced, has exactly want's canonical numerators."""
+    got.canonical()
+    _assert_canonical(got)
+    assert (got._num, got._den) == (want._num, want._den)
+
+
+@given(st.lists(st.tuples(scalars, fraction_dicts, multipliers), max_size=5))
+def test_combination_matches_chained_sums(raw):
+    terms = [(c, LaurentPoly(f)) for c, f, _ in raw]
+    want = _chained(terms)
+    # the same values, each out of lowest terms, some over a negative
+    # denominator; and the int scalar 1 beside Fraction scalars
+    loose = [(c, _unreduced(f, k)) for (c, f), (_, _, k) in zip(terms, raw)]
+    for got in (combination(terms), combination(loose),
+                combination(loose + [(1, want), (-1, want)])):
+        assert got == want
+        _same_form(got, want)
+    # adding every term's negation cancels to the canonical zero
+    zero = combination(loose + [(-c, f) for c, f in terms])
+    assert zero.is_zero() and (zero._num, zero._den) == ({}, 1)
+
+
+def test_combination_edge_cases():
+    f = LaurentPoly({-2: F(1, 3), 0: -4, 5: F(7, 2)})
+    g = LaurentPoly({1: F(-5, 6), 5: 1})
+    assert combination([]) == 0 and combination([])._den == 1
+    # zero scalars and zero polynomials drop out
+    _same_form(combination([(0, f), (F(0), g), (2, LaurentPoly.zero())]),
+               LaurentPoly.zero())
+    _same_form(combination([(0, f), (F(3, 4), g)]), g.scale(F(3, 4)))
+    # a negative unreduced denominator and a sum that cancels
+    for k in (-1, -6, 35):
+        cancel = combination([(F(2, 5), _unreduced(f, k)), (F(-2, 5), f)])
+        assert (cancel._num, cancel._den) == ({}, 1)
+        _same_form(combination([(1, _unreduced(f, k)), (-1, g)]), f - g)
+
+
+@given(fraction_dicts, multipliers, multipliers, scalars)
+def test_unreduced_and_canonical_values_compare_and_hash_equal(f, k, j, c):
+    pf = LaurentPoly(f)
+    for left, right in ((_unreduced(pf, k), pf), (pf, _unreduced(pf, k)),
+                        (_unreduced(pf, k), _unreduced(pf, j))):
+        assert left == right
+        assert hash(left) == hash(right)
+    loose = _unreduced(pf, k)
+    # scale reduces an unreduced input in full
+    _same_form(loose.scale(c), pf.scale(c))
+    # the operations that keep the denominator keep the value
+    _same_form(-_unreduced(pf, k), -pf)
+    _same_form(LaurentPoly.monomial(3) * _unreduced(pf, k),
+               LaurentPoly.monomial(3) * pf)
+    _same_form(_unreduced(pf, k).substitute(SUB_INV), pf.substitute(SUB_INV))
+    assert _unreduced(pf, k).items() == pf.items()
+    assert str(_unreduced(pf, k)) == str(pf)
+
+
+# q = -3/5 makes the kernels' factor s = (qn qd)^K negative for odd K, so
+# their unreduced images come over negative denominators
+NEG_Q = check_genericity(F(-3, 5), F(2, 7), F(-5, 3), F(7, 4), F(3, 11), 6)
+
+
+def test_kernel_images_at_negative_q_have_negative_denominators():
+    z = LaurentPoly.monomial(1)
+    image = apply_T0(z, NEG_Q)
+    assert image._den < 0
+    _same_form(image, fraction_hecke.apply_T0(z, NEG_Q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents)
+def test_kernel_images_at_negative_q_match_reference(f):
+    fs = f + s1(f)
+    images = [
+        (apply_T0(f, NEG_Q), fraction_hecke.apply_T0(f, NEG_Q)),
+        (apply_T1(f, NEG_Q), fraction_hecke.apply_T1(f, NEG_Q)),
+        (apply_D(fs, NEG_Q), fraction_hecke.apply_D(fs, NEG_Q)),
+    ]
+    for form in ("direct", "factored"):
+        images.append((apply_D_prime(f, NEG_Q, form=form),
+                       fraction_hecke.apply_D_prime(f, NEG_Q, form=form)))
+    for got, want in images:
+        assert got.items() == want.items()
+        _same_form(got, want)

@@ -6,6 +6,7 @@ import json
 import pickle
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from awlab.scalars import (
     mu_n,
     random_param_sets,
 )
+from awlab.verify import run_suite
 from eigen_oracles import askey_wilson_P_oracle, d_matrix, nonsymmetric_E_oracle
 from test_scalars import param_set_from_json
 
@@ -354,3 +356,25 @@ def test_pickled_point_drops_its_store(p8):
         assert copied == p and hash(copied) == hash(p)
         assert copied.memo == {}
     assert p.memo
+
+
+@pytest.mark.parametrize("point", [
+    (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)),
+    (F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13)),
+])
+def test_stored_constructions_stay_canonical(point):
+    # the checks' residuals stay unreduced, but what the point stores and
+    # every later step builds on must not: an unreduced P_n doubles the
+    # coefficient bits at n40
+    p = check_genericity(*point, 12)
+    run_suite(p, n_max=12, trials=2)
+    stored = list(p.memo["P"]) + [v for key, v in p.memo.items()
+                                  if isinstance(key, tuple) and key[0] == "E"]
+    assert len(stored) == 13 + 24  # P_0..P_12, E_n for 0 < |n| <= 12
+    for poly in stored:
+        reduced = LaurentPoly(dict(poly.items()))
+        assert (poly._num, poly._den) == (reduced._num, reduced._den)
+        content = 0
+        for v in poly._num.values():
+            content = gcd(content, v)
+        assert poly._den > 0 and gcd(content, poly._den) == 1

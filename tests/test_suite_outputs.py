@@ -8,6 +8,12 @@ JSON at nmax 2, plus suite_plan(N) for N = 0..12 with and without the
 negative controls.  Together these pin every family's index range, the
 horizons at which the controls start, and the SKIP lines, none of which
 the behavioural tests look at.
+
+tests/data/negative_q_outputs.json holds the stdout and exit code of
+`awlab verify --json` at a point with q = -2/3 at nmax 12, clean and
+under each fault.  A negative q makes the operator kernels form negative
+unreduced denominators, so this pins every witness where a sign slip in
+their reduction would show.
 """
 
 import json
@@ -18,18 +24,29 @@ import pytest
 from awlab.cli import main
 from awlab.verify import suite_plan
 
-FIXTURE = json.loads(
-    (Path(__file__).parent / "data" / "suite_outputs.json").read_text())
+DATA = Path(__file__).parent / "data"
+FIXTURE = json.loads((DATA / "suite_outputs.json").read_text())
+NEGATIVE_Q = json.loads((DATA / "negative_q_outputs.json").read_text())
 
 
-@pytest.mark.parametrize("case", FIXTURE["commands"],
-                         ids=lambda case: " ".join(case["argv"][4:]))
-def test_verify_output_is_byte_identical(case, capsys, monkeypatch):
+def _assert_output(case, capsys, monkeypatch):
     monkeypatch.delenv("AWLAB_SEED", raising=False)
     rc = main(case["argv"])
     out, err = capsys.readouterr()
     assert (rc, err) == (case["exit"], "")
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", FIXTURE["commands"],
+                         ids=lambda case: " ".join(case["argv"][4:]))
+def test_verify_output_is_byte_identical(case, capsys, monkeypatch):
+    _assert_output(case, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("case", NEGATIVE_Q["commands"],
+                         ids=lambda case: " ".join(case["argv"][4:]))
+def test_negative_q_output_is_byte_identical(case, capsys, monkeypatch):
+    _assert_output(case, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("negative_controls", [True, False])
