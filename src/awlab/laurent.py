@@ -273,21 +273,32 @@ class LaurentPoly:
         return all(self._num.get(-k) == v for k, v in self._num.items())
 
     def __str__(self) -> str:
+        if not self._num:
+            return "0"
         parts = []
         for k, v in reversed(self.items()):
-            term = format_scalar(v)
-            if k:
+            if k == 0:
+                term = format_scalar(v)
+            else:
                 zs = "z" if k == 1 else f"z^{k}"
-                term = zs if v == 1 else f"-{zs}" if v == -1 else f"{term}*{zs}"
+                if v == 1:
+                    term = zs
+                elif v == -1:
+                    term = f"-{zs}"
+                else:
+                    term = f"{format_scalar(v)}*{zs}"
             parts.append(term)
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        text = " + ".join(parts)
+        return text.replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"
 
     def to_json_dict(self) -> dict:
-        return {"var": "z",
-                "coeffs": {str(k): format_scalar(v) for k, v in self.items()}}
+        return {
+            "var": "z",
+            "coeffs": {str(k): format_scalar(v) for k, v in self.items()},
+        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LaurentPoly":
