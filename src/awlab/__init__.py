@@ -10,8 +10,8 @@ Layers, bottom up:
 
   scalars      parameter handling, genericity certification, the closed-form
                constants (lambda, mu, alpha, c, beta, kappa)
-  laurent      sparse exact Laurent polynomials (integer numerators over
-               one denominator) and the fused operator kernels on them
+  laurent      dense exact Laurent polynomials (a list of integer numerators
+               over one denominator) and the fused operator kernels on them
   hecke        the operators: substitutions, T0/T1, Y, D and D'
   polynomials  the symmetric family P_n and nonsymmetric family E_n
   identities   per-index identity checks with residual witnesses, and the

@@ -206,6 +206,8 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
     c = proportional(f, g)
     if c is BOTH_ZERO:
         witness = LaurentPoly.one()  # vacuous: both sides vanished
+    elif g.is_zero():
+        witness = f  # g vanished although f did not
     elif c is None:
         witness = combination(((1, f), (-_ratio(f, g), g)))
     elif c == 0:

@@ -1,18 +1,20 @@
-"""Sparse exact Laurent polynomials in one variable z, and kernels on them.
+"""Dense exact Laurent polynomials in one variable z, and kernels on them.
 
 A LaurentPoly is an immutable polynomial with rational coefficients, stored
-as integer numerators {degree: int} over one integer denominator, with
-no numerator zero.  Its canonical form, which is unique, has a positive
-denominator coprime to the content (the gcd of the numerators), and zero
-has denominator 1.  The kernels `reflection_difference` and `q_difference`
-and the sum `combination` return their exact numerators over the
-denominator they formed, unreduced (it may even be negative), so a value
-that is only zero-tested, like an identity's residual, pays for no gcd
-pass.  `canonical` reduces a value in place, once; `==`, `hash` and
-`scale` call it first.  `+`, `-`, `*`, `exact_quotient`, the q/z
-substitution and the constructor reduce each result.  `coeff`, `items`,
-the constructor and the JSON and text forms speak Fraction, so no reader
-outside this module sees which form a value is in.
+as a list of integer numerators, from its lowest degree up, over one
+integer denominator; the list's first and last entries are nonzero, and
+zero is the empty list from degree 0.  Its canonical form, which is
+unique, has a positive denominator coprime to the content (the gcd of the
+numerators), and zero has denominator 1.  The kernels
+`reflection_difference` and `q_difference` and the sum `combination`
+return their exact numerators over the denominator they formed, unreduced
+(it may even be negative), so a value that is only zero-tested, like an
+identity's residual, pays for no gcd pass.  `canonical` reduces a value in
+place, once; `==`, `hash` and `scale` call it first.  `+`, `-`, `*`,
+`exact_quotient`, the q/z substitution and the constructor reduce each
+result.  `coeff`, `items`, the constructor and the JSON and text forms
+speak Fraction, so no reader outside this module sees which form a value
+is in.
 
 The two substitutions act monomial-wise:
 
@@ -55,14 +57,15 @@ def _gcd_with(g: int, values) -> int:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial sum_k (num[k] / den) z^k.
+    """Immutable dense Laurent polynomial sum_i (num[i] / den) z^(lo + i).
 
-    `_num` maps degree to a nonzero integer numerator and `_den` is the
-    common denominator; `_canonical` is False while the pair may not be
-    in canonical form.
+    `_num` lists integer numerators from degree `_lo` up, its first and
+    last entries nonzero, and `_den` is the common denominator; zero is
+    `_lo, _num, _den = 0, [], 1`.  `_canonical` is False while the triple
+    may not be in canonical form.
     """
 
-    __slots__ = ("_num", "_den", "_canonical")
+    __slots__ = ("_lo", "_num", "_den", "_canonical")
 
     def __init__(self, coeffs: Mapping[int, Scalar | int] | None = None):
         fracs: dict[int, Fraction] = {}
@@ -75,23 +78,37 @@ class LaurentPoly:
         # over the lcm of lowest-terms denominators, every prime of the lcm
         # misses some numerator, so the result is already canonical
         den = lcm(*(v.denominator for v in fracs.values()))
-        self._num = {k: v.numerator * (den // v.denominator)
-                     for k, v in fracs.items()}
-        self._den, self._canonical = den, True
+        lo = min(fracs, default=0)
+        num = [0] * (max(fracs, default=-1) - lo + 1)
+        for k, v in fracs.items():
+            num[k - lo] = v.numerator * (den // v.denominator)
+        self._lo, self._num, self._den, self._canonical = lo, num, den, True
 
     @classmethod
-    def _raw(cls, num: dict[int, int], den: int,
+    def _raw(cls, lo: int, num: list[int], den: int,
              canonical: bool = True) -> "LaurentPoly":
-        # internal fast path: num holds no zeros, den is nonzero, and the
-        # pair is in canonical form unless canonical is False
+        # internal fast path: num's end entries are nonzero (or num is zero's
+        # empty list from lo = 0), den is nonzero, and the triple is in
+        # canonical form unless canonical is False
         self = object.__new__(cls)
-        self._num, self._den, self._canonical = num, den, canonical
+        self._lo, self._num, self._den, self._canonical = lo, num, den, canonical
         return self
 
     @classmethod
-    def _reduced(cls, num: dict[int, int], den: int) -> "LaurentPoly":
-        """Canonical form of num/den; num holds no zeros, den is nonzero."""
-        return cls._raw(num, den, False).canonical()
+    def _trimmed(cls, lo: int, num: list[int], den: int,
+                 canonical: bool = True) -> "LaurentPoly":
+        """num/den from degree lo up, with its zero end entries dropped."""
+        top = len(num)
+        while top and not num[top - 1]:
+            top -= 1
+        if not top:
+            return cls.zero()
+        bottom = 0
+        while not num[bottom]:
+            bottom += 1
+        if bottom or top < len(num):
+            num = num[bottom:top]
+        return cls._raw(lo + bottom, num, den, canonical)
 
     def canonical(self) -> "LaurentPoly":
         """This value, brought to canonical form in place if it is not."""
@@ -99,21 +116,20 @@ class LaurentPoly:
             num, den = self._num, self._den
             if den < 0:
                 den = -den
-                num = {k: -v for k, v in num.items()}
-            g = _gcd_with(den, num.values())
+                num = [-v for v in num]
+            g = _gcd_with(den, num)
             if g != 1:
-                # an empty num leaves g == den: zero gets the denominator 1
-                num, den = {k: v // g for k, v in num.items()}, den // g
+                num, den = [v // g for v in num], den // g
             self._num, self._den, self._canonical = num, den, True
         return self
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({}, 1)
+        return cls._raw(0, [], 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({0: 1}, 1)
+        return cls._raw(0, [1], 1)
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
@@ -124,27 +140,28 @@ class LaurentPoly:
         return cls({degree: coeff})
 
     def coeff(self, degree: int) -> Fraction:
-        v = self._num.get(degree)
-        return _ZERO if v is None else Fraction(v, self._den)
+        i = degree - self._lo
+        v = self._num[i] if 0 <= i < len(self._num) else 0
+        return Fraction(v, self._den) if v else _ZERO
 
     def items(self) -> list[tuple[int, Fraction]]:
         """(degree, coefficient) pairs in increasing degree order."""
         den = self._den
-        return [(k, Fraction(v, den)) for k, v in sorted(self._num.items())]
+        return [(k, Fraction(v, den)) for k, v in enumerate(self._num, self._lo) if v]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._num))
+        return tuple(k for k, v in enumerate(self._num, self._lo) if v)
 
     def is_zero(self) -> bool:
         return not self._num
 
     @property
     def min_deg(self) -> int | None:
-        return min(self._num) if self._num else None
+        return self._lo if self._num else None
 
     @property
     def max_deg(self) -> int | None:
-        return max(self._num) if self._num else None
+        return self._lo + len(self._num) - 1 if self._num else None
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -156,14 +173,15 @@ class LaurentPoly:
             return NotImplemented
         self.canonical()
         other.canonical()
-        return self._den == other._den and self._num == other._num
+        return (self._lo == other._lo and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
         self.canonical()
-        return hash((self._den, frozenset(self._num.items())))
+        return hash((self._lo, self._den, tuple(self._num)))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({k: -v for k, v in self._num.items()},
+        return LaurentPoly._raw(self._lo, [-v for v in self._num],
                                 self._den, self._canonical)
 
     def __add__(self, other) -> "LaurentPoly":
@@ -175,32 +193,12 @@ class LaurentPoly:
         return self._plus(other, -1)
 
     def _plus(self, other, sign: int) -> "LaurentPoly":
-        """self + sign * other, in one pass over other's terms."""
+        """self + sign * other, reduced."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other if sign == 1 else -other
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, sign * (d1 // g)
-        d = dict(self._num) if m1 == 1 else {k: v * m1 for k, v in self._num.items()}
-        for k, v in other._num.items():
-            if m2 != 1:
-                v *= m2
-            s = d.get(k)
-            if s is None:
-                d[k] = v
-            else:
-                s += v
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return LaurentPoly._reduced(d, d1 * m1)
+        return combination(((1, self), (sign, other))).canonical()
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -210,20 +208,15 @@ class LaurentPoly:
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if not self._num or not other._num:
+            return LaurentPoly.zero()
         # a factor z^e shifts the other factor's degrees by e
         for mono, f in ((other, self), (self, other)):
-            if mono._den == 1 and len(mono._num) == 1 and 1 in mono._num.values():
-                e, = mono._num
-                return LaurentPoly._raw({k + e: v for k, v in f._num.items()},
-                                        f._den, f._canonical)
-        out: dict[int, int] = {}
-        for k1, v1 in self._num.items():
-            for k2, v2 in other._num.items():
-                k = k1 + k2
-                s = out.get(k)
-                out[k] = v1 * v2 if s is None else s + v1 * v2
-        return LaurentPoly._reduced({k: v for k, v in out.items() if v},
-                                    self._den * other._den)
+            if mono._num == [1] and mono._den == 1:
+                return LaurentPoly._raw(f._lo + mono._lo, f._num, f._den, f._canonical)
+        # the product of nonzero end entries is nonzero: no trimming
+        return LaurentPoly._raw(self._lo + other._lo, _times(self._num, other._num),
+                                self._den * other._den, False).canonical()
 
     __rmul__ = __mul__
 
@@ -234,20 +227,22 @@ class LaurentPoly:
             return LaurentPoly.zero()
         n, d = c.numerator, c.denominator
         if not self._canonical:
-            return LaurentPoly._reduced(
-                {k: v * n for k, v in self._num.items()}, self._den * d)
+            return LaurentPoly._raw(self._lo, [v * n for v in self._num],
+                                    self._den * d, False).canonical()
         # both factors are in lowest terms, so the result's gcd splits into
         # gcd(c's numerator, den) and gcd(content, c's denominator)
         g_n = gcd(n, self._den)
-        g_d = _gcd_with(d, self._num.values())
+        g_d = _gcd_with(d, self._num)
         n //= g_n
-        return LaurentPoly._raw({k: v // g_d * n for k, v in self._num.items()},
+        return LaurentPoly._raw(self._lo, [v // g_d * n for v in self._num],
                                 self._den // g_n * (d // g_d))
 
     def substitute(self, rule: str, q: Scalar | None = None) -> "LaurentPoly":
         """Apply one of the monomial-wise substitutions named above."""
         if rule == SUB_INV:
-            return LaurentPoly._raw({-k: v for k, v in self._num.items()},
+            if not self._num:
+                return self
+            return LaurentPoly._raw(-self.max_deg, self._num[::-1],
                                     self._den, self._canonical)
         if rule != SUB_Q_OVER_Z:
             raise ValueError(f"unknown substitution rule {rule!r}")
@@ -261,16 +256,17 @@ class LaurentPoly:
         # z^k picks up the factor (qn/qd)^k and moves to degree -k, over one
         # denominator qn^lo * qd^hi for every degree in [-lo, hi]
         qn, qd = q.numerator, q.denominator
-        lo = max(0, -min(self._num))
-        hi = max(0, max(self._num))
-        return LaurentPoly._reduced(
-            {-k: v * qn ** (k + lo) * qd ** (hi - k)
-             for k, v in self._num.items()},
-            self._den * qn**lo * qd**hi)
+        top = self.max_deg
+        lo, hi = max(0, -self._lo), max(0, top)
+        num = [v * qn ** (k + lo) * qd ** (hi - k) if v else 0
+               for k, v in enumerate(self._num, self._lo)]
+        return LaurentPoly._raw(-top, num[::-1], self._den * qn**lo * qd**hi,
+                                False).canonical()
 
     def is_symmetric(self) -> bool:
         """True when the polynomial is invariant under z -> 1/z."""
-        return all(self._num.get(-k) == v for k, v in self._num.items())
+        num = self._num
+        return num == num[::-1] and (not num or self._lo == -self.max_deg)
 
     def __str__(self) -> str:
         if not self._num:
@@ -312,20 +308,19 @@ def combination(terms) -> LaurentPoly:
     unreduced: one pass sums integer numerators over the lcm of the terms'
     denominators, and no gcd touches a numerator.  A sum that cancels is
     the canonical zero."""
-    parts = [(c.numerator, c.denominator * f._den, f._num)
+    parts = [(c.numerator, c.denominator * f._den, f)
              for c, f in terms if c and f._num]
     if not parts:
         return LaurentPoly.zero()
     den = lcm(*[d for _, d, _ in parts])
-    (n, d, num), *rest = parts
-    m = n * (den // d)
-    out = dict(num) if m == 1 else {k: v * m for k, v in num.items()}
-    for n, d, num in rest:
+    lo = min(f._lo for _, _, f in parts)
+    out = [0] * (max(f._lo + len(f._num) for _, _, f in parts) - lo)
+    for n, d, f in parts:
         m = n * (den // d)
-        for k, v in num.items():
-            out[k] = out.get(k, 0) + v * m
-    out = {k: v for k, v in out.items() if v}
-    return LaurentPoly._raw(out, den, False) if out else LaurentPoly.zero()
+        i = f._lo - lo
+        j = i + len(f._num)
+        out[i:j] = [a + m * v for a, v in zip(out[i:j], f._num)]
+    return LaurentPoly._trimmed(lo, out, den, False)
 
 
 def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -344,33 +339,32 @@ def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    content = _gcd_with(0, den._num.values())
-    d_max = den.max_deg
-    d_lead = den._num[d_max] // content
-    d_tail = [(k - d_max, v // content) for k, v in den._num.items() if k != d_max]
-    rem = dict(num._num)
-    out: dict[int, int] = {}
-    # an exact quotient cannot reach below degree num.min_deg - den.min_deg,
-    # so no division step is taken below this remainder degree
-    lowest = num.min_deg - den.min_deg + d_max
-    for r_deg in range(num.max_deg, lowest - 1, -1):
-        r = rem.pop(r_deg, 0)
+    content = _gcd_with(0, den._num)
+    span = len(den._num) - 1
+    d_lead = den._num[span] // content
+    d_tail = [(j, v // content) for j, v in enumerate(den._num[:span]) if v]
+    rem = list(num._num)
+    # an exact quotient spans degrees num.min_deg - den.min_deg up to
+    # num.max_deg - den.max_deg; the step for entry i of it clears rem[i + span]
+    out = [0] * max(0, len(rem) - span)
+    for i in range(len(out) - 1, -1, -1):
+        r = rem[i + span]
         if not r:
             continue
         c, inexact = divmod(r, d_lead)
         if inexact:
             # no quotient exists, so the remainder cannot vanish; go on over Q
             c = Fraction(r, d_lead)
-        out[r_deg - d_max] = c
-        for off, dv in d_tail:
-            key = r_deg + off
-            rem[key] = rem.get(key, 0) - c * dv
-    if not any(rem.values()):
+        out[i], rem[i + span] = c, 0
+        for j, dv in d_tail:
+            rem[i + j] -= c * dv
+    if not any(rem):
+        # num's lowest entry over den's: the quotient's end entries are nonzero
         m = den._den
-        return LaurentPoly._reduced({k: v * m for k, v in out.items()},
-                                    num._den * content)
+        return LaurentPoly._raw(num._lo - den._lo, [v * m for v in out],
+                                num._den * content, False).canonical()
     raise NotDivisibleError(LaurentPoly(
-        {k: Fraction(v, num._den) for k, v in rem.items()}))
+        {k: Fraction(v, num._den) for k, v in enumerate(rem, num._lo)}))
 
 
 class Plan:
@@ -397,13 +391,11 @@ class Plan:
         return [v * a * b for v, a, b in zip(fl, pn, pd[2 * K::-1])], pn[K] * pd[K]
 
 
-def _dense(F: dict[int, int]) -> tuple[list[int], int]:
-    """F's numerators listed over degrees -K..K, and K >= 1."""
-    K = max(1, -min(F), max(F))
-    fl = [0] * (2 * K + 1)
-    for k, v in F.items():
-        fl[k + K] = v
-    return fl, K
+def _padded(f: LaurentPoly) -> tuple[list[int], int]:
+    """f's numerators listed over degrees -K..K, and K >= 1."""
+    lo, hi = f._lo, f.max_deg
+    K = max(1, -lo, hi)
+    return [0] * (K + lo) + f._num + [0] * (K - hi), K
 
 
 def _times(poly: list[int], seq: list[int]) -> list[int]:
@@ -432,8 +424,7 @@ def _binomial_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
             if inexact:
                 break
     if inexact or r[0] != B * quot[0] or r[1] != B * quot[1]:
-        exact_quotient(LaurentPoly._raw({k: v for k, v in enumerate(r, lo) if v}, 1),
-                       LaurentPoly._raw({2: A, 0: B}, 1))
+        exact_quotient(LaurentPoly._trimmed(lo, r, 1), LaurentPoly._raw(0, [B, 0, A], 1))
         raise AssertionError("exact_quotient divided what the kernel could not")
     return quot[:-2]
 
@@ -441,10 +432,9 @@ def _binomial_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
 def reflection_difference(f: LaurentPoly, plan: Plan) -> LaurentPoly:
     """t f + num(z) (f(q/z) - f(z)) / (z^2 - q) by the plan; f(q/z) - f(z)
     vanishes where z^2 = q, so the division is exact."""
-    F, n = f._num, f._den
-    if not F:
+    if not f._num:
         return f
-    fl, K = _dense(F)
+    fl, K = _padded(f)
     if plan.qn == plan.qd:  # q = 1: f(1/z) is fl reversed
         s, diff = 1, [a - b for a, b in zip(reversed(fl), fl)]
     else:  # s f(q/z) is s f(qz) reversed
@@ -454,8 +444,7 @@ def reflection_difference(f: LaurentPoly, plan: Plan) -> LaurentPoly:
     quot = _binomial_quotient(diff, -K, plan.qd, -plan.qn)
     ts = plan.t * s
     out = [ts * v + w for v, w in zip(fl, _times(plan.num, quot))]
-    return LaurentPoly._raw({k: v for k, v in enumerate(out, -K) if v},
-                            plan.den * s * n, False)
+    return LaurentPoly._trimmed(-K, out, plan.den * s * f._den, False)
 
 
 def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
@@ -464,10 +453,9 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     if one_sided, else f(z) for f(1/z) and f(z/q) for f(q/z).  Each q-pole
     cancels in its own term; the terms agree at z = +-1 (f symmetric if not
     one_sided)."""
-    F, n = f._num, f._den
-    if not F:
+    if not f._num:
         return f
-    fl, K = _dense(F)
+    fl, K = _padded(f)
     up, s = plan.scaled_shift(fl, K)
     sf = [s * v for v in fl]
     if one_sided:
@@ -484,7 +472,8 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     out = [a - b for a, b in zip(_times(plan.num, g), _times(plan.num[::-1], h))]
     # exact_quotient takes the last division, so the benchmark's tracer,
     # which spans it, still measures the operator layer's divisions
-    out = LaurentPoly._raw({k: v for k, v in enumerate(out, -K) if v}, 1)
-    return LaurentPoly._raw(
-        exact_quotient(out, LaurentPoly._raw({0: 1, 2: -1}, 1))._num,
-        n * s * plan.den, False)
+    quot = exact_quotient(LaurentPoly._trimmed(-K, out, 1),
+                          LaurentPoly._raw(0, [1, 0, -1], 1))
+    if not quot._num:
+        return quot
+    return LaurentPoly._raw(quot._lo, quot._num, f._den * s * plan.den, False)

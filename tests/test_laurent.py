@@ -270,11 +270,21 @@ q_values = st.fractions(min_value=-3, max_value=3,
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
+def _assert_trimmed(p):
+    """p's numerator list is integer with nonzero end entries, or p is zero
+    stored as (0, [], 1)."""
+    assert p._den and all(type(v) is int for v in p._num)
+    if p._num:
+        assert p._num[0] and p._num[-1]
+    else:
+        assert (p._lo, p._num, p._den) == (0, [], 1)
+
+
 def _assert_canonical(p):
+    _assert_trimmed(p)
     assert p._den > 0
-    assert all(type(v) is int and v for v in p._num.values())
     content = 0
-    for v in p._num.values():
+    for v in p._num:
         content = gcd(content, v)
     assert gcd(content, p._den) == 1   # gcd(0, den) == den pins zero to 1
 
@@ -423,7 +433,7 @@ multipliers = st.integers(min_value=-30, max_value=30).filter(bool)
 
 def _unreduced(poly, k):
     """poly with its numerators and denominator multiplied by k, unreduced."""
-    return LaurentPoly._raw({d: v * k for d, v in poly._num.items()},
+    return LaurentPoly._raw(poly._lo, [v * k for v in poly._num],
                             poly._den * k, False)
 
 
@@ -438,7 +448,7 @@ def _same_form(got, want):
     """got, once reduced, has exactly want's canonical numerators."""
     got.canonical()
     _assert_canonical(got)
-    assert (got._num, got._den) == (want._num, want._den)
+    assert (got._lo, got._num, got._den) == (want._lo, want._num, want._den)
 
 
 @given(st.lists(st.tuples(scalars, fraction_dicts, multipliers), max_size=5))
@@ -454,7 +464,7 @@ def test_combination_matches_chained_sums(raw):
         _same_form(got, want)
     # adding every term's negation cancels to the canonical zero
     zero = combination(loose + [(-c, f) for c, f in terms])
-    assert zero.is_zero() and (zero._num, zero._den) == ({}, 1)
+    assert zero.is_zero() and (zero._lo, zero._num, zero._den) == (0, [], 1)
 
 
 def test_combination_edge_cases():
@@ -468,7 +478,7 @@ def test_combination_edge_cases():
     # a negative unreduced denominator and a sum that cancels
     for k in (-1, -6, 35):
         cancel = combination([(F(2, 5), _unreduced(f, k)), (F(-2, 5), f)])
-        assert (cancel._num, cancel._den) == ({}, 1)
+        assert (cancel._lo, cancel._num, cancel._den) == (0, [], 1)
         _same_form(combination([(1, _unreduced(f, k)), (-1, g)]), f - g)
 
 
@@ -518,3 +528,36 @@ def test_kernel_images_at_negative_q_match_reference(f):
     for got, want in images:
         assert got.items() == want.items()
         _same_form(got, want)
+
+
+# --- dense storage: nonzero end entries --------------------------------------
+
+# a term that spans past any `laurents` value at both ends
+WIDE = LaurentPoly({-8: 1, 8: F(-2, 3)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents, nonzero_laurents, st.integers(-4, 4).filter(bool))
+def test_every_value_has_nonzero_end_entries(p8, f, g, e):
+    values = []
+    for p in (p8, NEG_Q):  # unreduced kernel images, at q = 1/2 and q = -3/5
+        fs = f + s1(f)
+        values += [apply_T0(f, p), apply_T1(f, p), apply_D(fs, p),
+                   apply_D_prime(f, p, form="direct"),
+                   apply_D_prime(f, p, form="factored")]
+    # sums that cancel at the top, at the bottom, at both ends and in full
+    values += [combination(((1, f + WIDE), (-1, WIDE))),
+               combination(((1, f + g), (-1, g))),
+               combination(((1, g + f), (-1, f), (F(1, 2), f - f))),
+               combination(((1, f), (-1, f))),
+               combination(((3, f), (F(-3, 2), f + f)))]
+    values.append(exact_quotient(f * g, g))
+    try:
+        values.append(exact_quotient(f, g))
+    except NotDivisibleError as err:
+        values.append(err.remainder)
+    # zero times a shift z^e, on either side, is the zero form
+    z_e = LaurentPoly.monomial(e)
+    values += [LaurentPoly.zero() * z_e, z_e * (f - f), f * z_e]
+    for value in values:
+        _assert_trimmed(value)

@@ -373,8 +373,9 @@ def test_stored_constructions_stay_canonical(point):
     assert len(stored) == 13 + 24  # P_0..P_12, E_n for 0 < |n| <= 12
     for poly in stored:
         reduced = LaurentPoly(dict(poly.items()))
-        assert (poly._num, poly._den) == (reduced._num, reduced._den)
+        assert (poly._lo, poly._num, poly._den) == \
+            (reduced._lo, reduced._num, reduced._den)
         content = 0
-        for v in poly._num.values():
+        for v in poly._num:
             content = gcd(content, v)
         assert poly._den > 0 and gcd(content, poly._den) == 1

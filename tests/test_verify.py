@@ -8,6 +8,7 @@ from awlab.identities import (
     FAULT_TARGETS,
     IdentityReport,
     ScalarView,
+    _finish_proportional,
     check_alpha_beta,
     check_E_eigen,
     check_intertwiner,
@@ -216,6 +217,14 @@ def test_identity_report_value_semantics(p8):
         hash(report)
     assert report.as_json_dict(7)["residual"] == {"var": "z",
                                                   "coeffs": {"1": "2"}}
+
+
+def test_proportionality_to_zero_fails_with_the_other_side_as_witness(p8):
+    # g = 0 while f != 0: no scalar exists, and the witness is f itself
+    for f in (LaurentPoly.one(), LaurentPoly({-2: 3, 1: -1})):
+        report = _finish_proportional("x", p8, 1, f, LaurentPoly.zero())
+        assert not report.passed
+        assert report.residual_witness == f
 
 
 # Each check of a suite run, computed alone with a view of its own: the
