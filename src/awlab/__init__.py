@@ -16,8 +16,8 @@ Layers, bottom up:
   polynomials  the symmetric family P_n and nonsymmetric family E_n
   identities   per-index identity checks with residual witnesses, and the
                scalar view that injects faults
-  verify       randomized relation checks, negative controls, and the
-               suite runner
+  verify       relation checks on a basis of the degree window, negative
+               controls, and the suite runner
   cli          the `awlab` command
 
 The package itself exports only what callers read from it: certifying a

@@ -226,10 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="draw one certified random point instead")
     verify.add_argument("--nmax", type=int, default=8, help="horizon (default 8)")
     verify.add_argument("--trials", type=int, default=25,
-                        help="random inputs per randomized check (default 25)")
+                        help="random inputs of each window check's linearity "
+                             "guard (default 25)")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--degree-window", type=int, default=6,
-                        help="degree window [-w, w] for random inputs (default 6)")
+                        help="degree window [-w, w] on whose basis the window "
+                             "checks prove their relations, and of the guard's "
+                             "inputs (default 6)")
     verify.add_argument("--json", action="store_true",
                         help="one JSON report per line instead of text")
     verify.add_argument("--inject-fault", choices=FAULT_TARGETS,

@@ -137,7 +137,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
-        return cls({degree: coeff})
+        return cls._raw(degree, [1], 1) if coeff == 1 else cls({degree: coeff})
 
     def coeff(self, degree: int) -> Fraction:
         i = degree - self._lo
@@ -321,6 +321,25 @@ def combination(terms) -> LaurentPoly:
         j = i + len(f._num)
         out[i:j] = [a + m * v for a, v in zip(out[i:j], f._num)]
     return LaurentPoly._trimmed(lo, out, den, False)
+
+
+def linear_extension(image, f: LaurentPoly, lowest: int | None = None,
+                     plus=()) -> LaurentPoly:
+    """f mapped by the linear operator whose image of the k-th basis element
+    is image(k), plus the sum of c g over the pairs (c, g) in plus.
+
+    The map is the sum of c image(k) over the terms c z^k of f, those with
+    k >= lowest if it is given.  Everything is one unreduced combination:
+    f's integer numerators are its coefficients, and f's denominator
+    divides the sum once at the end.
+    """
+    den = f._den
+    total = combination([*((n, image(k)) for k, n in enumerate(f._num, f._lo)
+                           if n and (lowest is None or k >= lowest)),
+                         *((c * den, g) for c, g in plus)])
+    if not total._num:
+        return total
+    return LaurentPoly._raw(total._lo, total._num, total._den * den, False)
 
 
 def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

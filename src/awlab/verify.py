@@ -1,14 +1,14 @@
-"""The identity suite: randomized relation checks, controls and the runner.
+"""The identity suite: the window checks, controls and the runner.
 
-`run_suite` runs every identity check (awlab.identities, plus the
-randomized-input checks defined here) over its full index range at one
-certified point.  The suite is one table, `_SUITE`: a row per identity
-family gives its id, its n values as a function of the horizon, and its
-check.  `suite_plan` (which the CLI's SKIP lines come from) and
-`run_suite` both walk that table.  The three random-input rows call
-their check by its module-level name at run time rather than holding the
-function, so a wrapper bound over that name later (a profiler, a tracer)
-still sees every call.  Two safeguards keep the suite honest:
+`run_suite` runs every identity check (awlab.identities, plus the three
+window checks defined here) over its full index range at one certified
+point.  The suite is one table, `_SUITE`: a row per identity family
+gives its id, its n values as a function of the horizon, and its check.
+`suite_plan` (which the CLI's SKIP lines come from) and `run_suite` both
+walk that table.  The three window rows call their check by its
+module-level name at run time rather than holding the function, so a
+wrapper bound over that name later (a profiler, a tracer) still sees
+every call.  Two safeguards keep the suite honest:
 
 * Negative controls, the rows whose id starts with "control-", run in
   every suite: each perturbs one constant and passes only when the
@@ -20,15 +20,23 @@ still sees every call.  Two safeguards keep the suite honest:
   Exactly the checks that depend on that scalar must flip to failed;
   the test suite pins down those dependence sets.
 
-Random inputs are drawn from a generator seeded per identity id, so a
-suite run is a pure function of (params, n_max, trials, seed).  Reports
-carry no timing: a caller that wants it times the calls from outside.
+The window checks, hecke-relations, factorization and bridge-symmetric,
+test relations that are linear in f.  Each proves its relations on a
+basis of the degree window z^-w .. z^w (the monomials z^k, or the
+symmetric 1 and z^j + z^-j), which proves them for every f there.  The
+basis images are computed once per check call, through this module's
+operator names, and a relation that applies an operator to an image
+reads the result off the images.  Then a linearity guard draws `trials`
+random f, whose non-unit denominators the basis never has, and tests
+op(f) against the same combination of the basis images, for each
+operator the check applies.  Every relation is zero-tested as one
+`laurent.combination`, which needs no gcd pass, and the first nonzero
+one is the witness lhs - rhs.
 
-The random-input checks test each identity as lhs - rhs == 0, with the
-two sides' terms summed by `laurent.combination`, which needs no gcd
-pass, and build the canonical witness lhs - rhs only when it is nonzero.
-The products one trial reads more than once (z f, z^-1 f, (z + 1/z) f,
-T1 f + f) are formed once, and the scalars of a point once per check.
+Random inputs are drawn from a generator seeded per identity id, so a
+suite run is a pure function of (params, n_max, trials, seed,
+degree_window).  Reports carry no timing: a caller that wants it times
+the calls from outside.
 """
 
 from __future__ import annotations
@@ -66,11 +74,18 @@ from .identities import (
     check_recurrence,
     check_symmetrization,
 )
-from .laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly, combination
+from .laurent import (
+    SUB_INV,
+    SUB_Q_OVER_Z,
+    LaurentPoly,
+    combination,
+    linear_extension,
+)
 from .scalars import HorizonError, ParamSet, e1, e3, lambda_n
 
 # ---------------------------------------------------------------------------
-# randomized-input checks
+# window checks: relations proven on a basis of the degree window, then a
+# seeded linearity guard
 # ---------------------------------------------------------------------------
 
 _HEIGHT = 9  # random coefficients are r/s with |r| and s at most _HEIGHT
@@ -111,44 +126,81 @@ def random_symmetric_laurent(rng: random.Random,
             return f
 
 
-def random_asymmetric_laurent(rng: random.Random,
-                              degree_window: int = 6) -> LaurentPoly:
-    """Random Laurent polynomial guaranteed NOT to be symmetric."""
-    if degree_window < 1:
-        raise ValueError("an asymmetric polynomial needs degree_window >= 1")
-    f = random_laurent(rng, degree_window)
-    if f.is_symmetric():
-        # break the symmetry at the top degree
-        f = f + LaurentPoly.monomial(degree_window, 1)
-    return f
-
-
 def _require_trials(trials: int) -> None:
-    # zero trials would let a randomized check pass without testing anything
+    # zero trials would leave the linearity guard without an input
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+def _require_window(degree_window: int) -> None:
+    # the certificate of hecke-relations needs z - 1/z in the window
+    if degree_window < 1:
+        raise ValueError(f"degree_window must be at least 1, got {degree_window}")
+
+
+def _symmetric(j: int) -> LaurentPoly:
+    """The symmetric basis of the window: 1 for j = 0, else z^j + z^-j."""
+    return LaurentPoly({j: 1, -j: 1}) if j else LaurentPoly.one()
+
+
+def _images(op, basis):
+    """k -> op(basis(k)), computed at most once per k in one check call."""
+    held = {}
+
+    def image(k):
+        if k not in held:
+            held[k] = op(basis(k))
+        return held[k]
+    return image
+
+
+def _guard(value: LaurentPoly, image, f: LaurentPoly,
+           lowest: int | None = None) -> LaurentPoly:
+    """value - sum_k f_k image(k), where value = op(f) and image(k) is op on
+    the k-th basis element: zero when op is linear on f."""
+    return linear_extension(image, -f, lowest, plus=((1, value),))
+
+
+def _first_nonzero(residuals) -> LaurentPoly | None:
+    return next(filter(None, residuals), None)
+
+
 def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
                           degree_window: int = 6) -> IdentityReport:
-    """Defining relations of the T0/T1 pair on random inputs.
+    """Defining relations of the T0/T1 pair, proven on the degree window.
 
-    Covers, for each random f: the quadratic relation (T_i - t_i)(T_i + 1) = 0,
-    invertibility ((T_i - t_i + 1) T_i f = t_i f), all three commutation
-    relations between multiplication by z and the T's, and the symmetry
-    criterion (T1 f = t1 f exactly for symmetric f, and (T1 + 1) f is always
-    symmetric).  The coefficient identities r_i + s_i(r_i) = t_i + 1 are
-    checked once, as cleared-denominator Laurent identities.  Each relation
-    zero-tests the combination lhs - rhs; the first that is nonzero gives
-    the witness lhs - rhs.
+    Every relation is linear in f, so checking it on a basis of the window
+    z^-w .. z^w (w = degree_window) proves it for every f there:
+
+    * the coefficient identities r_i + s_i(r_i) = t_i + 1, once, as
+      cleared-denominator Laurent identities;
+    * on the symmetric basis 1, z^j + z^-j: T1 f = t1 f;
+    * a certificate that T1 - t1 is injective on the antisymmetric part,
+      so that T1 fixes exactly the symmetric f: (T1 - t1)(z^j - z^-j) has
+      top degree exactly j, for j = 1..w;
+    * on each monomial z^k: the quadratic relation (T_i - t_i)(T_i + 1) = 0,
+      invertibility ((T_i - t_i + 1) T_i f = t_i f, through t_i T_i^{-1}),
+      the three commutation relations between multiplication by z and the
+      T's, and that (T1 + 1) f is symmetric.
+
+    The images of the monomials are computed once each.  The quadratic
+    relation reads T_i of T_i z^k off them, and the commutations read
+    t_i T_i^{-1} z^k as T_i z^k + (1 - t_i) z^k; invertibility runs
+    t_i T_i^{-1} itself on T_i z^k.  Then `trials` seeded random f guard
+    linearity: T_i f must equal the same combination of the monomial
+    images.  Each relation zero-tests the combination
+    lhs - rhs, and the first that is nonzero is the witness; a failed
+    certificate gives the element z^j - z^-j.
     """
     _require_trials(trials)
+    _require_window(degree_window)
     rng = random.Random(f"{seed}:hecke-relations")
+    return _finish("hecke-relations", p, None, _first_nonzero(
+        _hecke_residuals(p, trials, rng, degree_window)))
+
+
+def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
     q, t0, t1 = p.q, p.t0, p.t1
-
-    def fail(residual):
-        return _finish("hecke-relations", p, None, residual)
-
     # coefficient identities r + s(r) = t + 1 with r = num / den, cleared
     # of denominators: num s(den) + s(num) den = (1 + t) den s(den)
     z = _Z
@@ -157,75 +209,96 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
         ((z - p.c) * (z - p.d), z * z - q, SUB_Q_OVER_Z, t0),
     ):
         s_num, s_den = num.substitute(rule, q), den.substitute(rule, q)
-        left, right, both = num * s_den, s_num * den, den * s_den
-        if combination(((1, left), (1, right), (-1 - t, both))):
-            return fail(left + right - both.scale(1 + t))
+        yield combination(((1, num * s_den), (1, s_num * den),
+                           (-1 - t, den * s_den)))
 
-    a_b, c_d, t1_1 = p.a + p.b, p.c + p.d, t1 - 1
-    for _ in range(trials):
-        f = random_laurent(rng, degree_window)
-        zif = _ZI * f
-        t1f = apply_T1(f, p)  # reused by a commutation
-        t0f = apply_T0(f, p)
-        h1 = combination(((1, t1f), (1, f)))  # reused by the symmetrizer
-        h0 = combination(((1, t0f), (1, f)))
-        for h, tf, apply_T, t, apply_inv in (
-            (h1, t1f, apply_T1, t1, apply_t1_T1_inv),
-            (h0, t0f, apply_T0, t0, apply_t0_T0_inv),
-        ):
-            lhs = apply_T(h, p)  # (T - t)(T + 1) f = 0
-            if combination(((1, lhs), (-t, h))):
-                return fail(lhs - h.scale(t))
-            lhs = apply_inv(tf, p)  # t T^{-1} T f = t f
-            if combination(((1, lhs), (-t, f))):
-                return fail(lhs - f.scale(t))
+    def T1(f):
+        return apply_T1(f, p)
+
+    def T0(f):
+        return apply_T0(f, p)
+
+    mono = LaurentPoly.monomial
+    t1z, t0z = _images(T1, mono), _images(T0, mono)
+    for j in range(w + 1):
+        fs = _symmetric(j)
+        yield combination(((1, T1(fs)), (-t1, fs)))
+        if j and combination(((1, t1z(j)), (-1, t1z(-j)), (-t1, mono(j)),
+                              (t1, mono(-j)))).max_deg != j:
+            yield LaurentPoly({j: 1, -j: -1})
+
+    a_b, c_d = p.a + p.b, p.c + p.d
+    for k in range(-w, w + 1):
+        b, t1b, t0b = mono(k), t1z(k), t0z(k)
+        for tb, image, t, apply_inv in ((t1b, t1z, t1, apply_t1_T1_inv),
+                                        (t0b, t0z, t0, apply_t0_T0_inv)):
+            # (T - t)(T + 1) b = T(T b) + (1 - t) T b - t b = 0
+            yield linear_extension(image, tb, plus=((1 - t, tb), (-t, b)))
+            yield combination(((1, apply_inv(tb, p)), (-t, b)))  # t T^{-1} T b = t b
         # commutation: z t0 T0^{-1} = q T0 z^{-1} + (c + d)
-        lhs = _Z * apply_t0_T0_inv(f, p)
-        t0zif = apply_T0(zif, p)
-        if combination(((1, lhs), (-q, t0zif), (-c_d, f))):
-            return fail(lhs - (t0zif.scale(q) + f.scale(c_d)))
+        yield combination(((1, _Z * t0b), (1 - t0, mono(k + 1)),
+                           (-q, t0z(k - 1)), (-c_d, b)))
         # commutation: (T1 + 1) z^{-1} = t1 z^{-1} + z T1 + (a + b)
-        lhs = apply_T1(zif, p)
-        zt1f = _Z * t1f
-        if combination(((1, lhs), (-t1_1, zif), (-1, zt1f), (-a_b, f))):
-            return fail(lhs - (zif.scale(t1_1) + zt1f + f.scale(a_b)))
-        # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b),
-        # compared without the factor t1 = -ab, which G2 keeps nonzero
-        lhs = apply_T1(_Z * f, p)
-        zi_inv = _ZI * apply_t1_T1_inv(f, p)
-        if combination(((1, lhs), (-1, zi_inv), (a_b, f))):
-            return fail((lhs - (zi_inv - f.scale(a_b))).scale(t1))
-        # symmetry criterion, both directions, and the symmetrizer
-        fs = random_symmetric_laurent(rng, degree_window)
-        lhs = apply_T1(fs, p)
-        if combination(((1, lhs), (-t1, fs))):
-            return fail(lhs - fs.scale(t1))
-        fa = random_asymmetric_laurent(rng, degree_window)
-        if not combination(((1, apply_T1(fa, p)), (-t1, fa))):
-            return fail(LaurentPoly.one())  # asymmetric f must not be fixed
-        if not h1.is_symmetric():
-            return fail(h1 - s1(h1))
-    return _finish("hecke-relations", p, None, None)
+        yield combination(((1, t1z(k - 1)), (1 - t1, mono(k - 1)),
+                           (-1, _Z * t1b), (-a_b, b)))
+        # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b)
+        yield combination(((t1, t1z(k + 1)), (-t1, _ZI * t1b),
+                           (t1 * (t1 - 1), mono(k - 1)), (t1 * a_b, b)))
+        # (T1 + 1) b is symmetric
+        yield combination(((1, t1b), (1, b), (-1, s1(t1b)), (-1, mono(-k))))
+
+    for _ in range(trials):  # the linearity guard
+        f = random_laurent(rng, w)
+        yield _guard(T1(f), t1z, f)
+        yield _guard(T0(f), t0z, f)
 
 
 def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
                         degree_window: int = 6) -> IdentityReport:
-    """(T1 + 1)(T0 - t0) agrees with the direct form of D' on random f,
-    and D' agrees with D on random symmetric f.  The first pair of images
-    whose difference is nonzero gives the witness lhs - rhs."""
+    """(T1 + 1)(T0 - t0) agrees with the direct form of D', and D' with D
+    on symmetric f, proven on the degree window.
+
+    The two forms of D' are compared on each monomial z^k, k = -w..w, and
+    D' (read off the monomial images of the factored form) with D on the
+    symmetric basis 1, z^j + z^-j.  Then `trials` seeded random f guard
+    linearity: the factored form of D' on a random f, and D on a random
+    symmetric f, must equal the same combination of their basis images,
+    and the direct form must equal the factored one there.  The first
+    combination lhs - rhs that is nonzero is the witness.
+    """
     _require_trials(trials)
     rng = random.Random(f"{seed}:factorization")
-    for _ in range(trials):
-        f = random_laurent(rng, degree_window)
-        lhs = apply_D_prime(f, p, form="factored")
-        rhs = apply_D_prime(f, p, form="direct")
-        if combination(((1, lhs), (-1, rhs))):
-            return _finish("factorization", p, None, lhs - rhs)
-        fs = random_symmetric_laurent(rng, degree_window)
-        lhs, rhs = apply_D_prime(fs, p), apply_D(fs, p)
-        if combination(((1, lhs), (-1, rhs))):
-            return _finish("factorization", p, None, lhs - rhs)
-    return _finish("factorization", p, None, None)
+    return _finish("factorization", p, None, _first_nonzero(
+        _factorization_residuals(p, trials, rng, degree_window)))
+
+
+def _factorization_residuals(p: ParamSet, trials: int, rng: random.Random,
+                             w: int):
+    def factored(f):
+        return apply_D_prime(f, p, form="factored")
+
+    def direct(f):
+        return apply_D_prime(f, p, form="direct")
+
+    def D(f):
+        return apply_D(f, p)
+
+    mono = LaurentPoly.monomial
+    dpf, dpd = _images(factored, mono), _images(direct, mono)
+    ds = _images(D, _symmetric)
+    for k in range(-w, w + 1):
+        yield combination(((1, dpf(k)), (-1, dpd(k))))
+    for j in range(w + 1):
+        yield linear_extension(dpf, _symmetric(j), plus=((-1, ds(j)),))
+
+    for _ in range(trials):  # the linearity guard
+        f = random_laurent(rng, w)
+        value = factored(f)
+        yield _guard(value, dpf, f)
+        # the factored form's value has just matched the combination
+        yield combination(((1, direct(f)), (-1, value)))
+        fs = random_symmetric_laurent(rng, w)
+        yield _guard(D(fs), ds, fs, 0)
 
 
 def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
@@ -236,37 +309,52 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
       = (1 - q) [(e1 - e3) - (1 - abcd)(z + 1/z)] f
 
     where D'z and D (z+1/z) multiply first and then apply the operator,
-    while (z+1/z) D applies D first.  The combination lhs - rhs is
-    zero-tested; if it is nonzero, the canonical lhs - rhs is the witness.
+    while (z+1/z) D applies D first.  It is proven on the symmetric basis
+    1, z^j + z^-j, j = 0..w, of the degree window; D (z + 1/z) f is read
+    off the images of D on that basis.  Then `trials` seeded random
+    symmetric f guard linearity: D'(z f) and D f must equal the same
+    combinations of the basis images.  The first combination lhs - rhs
+    that is nonzero is the witness.
     """
     _require_trials(trials)
     rng = random.Random(f"{seed}:bridge-symmetric")
+    return _finish("bridge-symmetric", p, None, _first_nonzero(
+        _bridge_residuals(p, trials, rng, degree_window)))
+
+
+def _bridge_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
     q = p.q
     q2 = q**2
     one_q2 = 1 - q2
     k_const = (1 - q) * (e1(p) - e3(p))
     k_m = (1 - q) * (1 - p.abcd)
-    for _ in range(trials):
-        f = random_symmetric_laurent(rng, degree_window)
-        mf = _M * f
-        dpzf = apply_D_prime(_Z * f, p)
-        dmf = apply_D(mf, p)
-        mdf = _M * apply_D(f, p)
-        if combination(((one_q2, dpzf), (q2, dmf), (-q, mdf),
-                        (-k_const, f), (k_m, mf))):
-            lhs = dpzf.scale(one_q2) + dmf.scale(q2) - mdf.scale(q)
-            rhs = f.scale(k_const) - mf.scale(k_m)
-            return _finish("bridge-symmetric", p, None, lhs - rhs)
-    return _finish("bridge-symmetric", p, None, None)
+
+    def DPz(f):
+        return apply_D_prime(_Z * f, p)
+
+    def D(f):
+        return apply_D(f, p)
+
+    dpz, ds = _images(DPz, _symmetric), _images(D, _symmetric)
+    for j in range(w + 1):
+        b = _symmetric(j)
+        mb = _M * b
+        yield combination(((one_q2, dpz(j)), (q2, linear_extension(ds, mb, 0)),
+                           (-q, _M * ds(j)), (-k_const, b), (k_m, mb)))
+
+    for _ in range(trials):  # the linearity guard
+        f = random_symmetric_laurent(rng, w)
+        yield _guard(DPz(f), dpz, f, 0)
+        yield _guard(D(f), ds, f, 0)
 
 
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
-# (id, n values at horizon N or None for a random-input family, check).
+# (id, n values at horizon N or None for a window family, check).
 # Per-index checks take (n, p, v), v being the run's scalar view;
-# random-input checks take (p, trials=, seed=, degree_window=).  The
+# window checks take (p, trials=, seed=, degree_window=).  The
 # "control-" rows build their own views, relative to the clean scalars.
 _SUITE = (
     ("q-difference-eigen", lambda N: range(N + 1), check_q_difference),
@@ -314,7 +402,7 @@ def _rows(n_max: int):
 def suite_plan(n_max: int) -> list[tuple[str, tuple[int, ...] | None]]:
     """Identity families with the n values the suite runs at this horizon.
 
-    Trial-based families carry None instead of an n tuple; families whose
+    Window families carry None instead of an n tuple; families whose
     n-range is empty at this horizon carry an empty tuple, so callers can
     report them as skipped rather than silently absent.
     """
@@ -329,8 +417,9 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
 
     Deterministic given (p, n_max, trials, seed).  n_max defaults to the
     horizon p was certified for and may not exceed it; trials must be at
-    least 1, so no randomized check passes vacuously, and degree_window at
-    least 1, which the asymmetric random inputs need.  `fault` corrupts
+    least 1, so that the linearity guards test something, and
+    degree_window at least 1, which the certificate of hecke-relations
+    needs: z - 1/z must lie in the window.  `fault` corrupts
     one scalar family (see FAULT_TARGETS) at the checking layer so that
     exactly the dependent checks fail; the negative controls stay
     relative to the clean scalars, and each passes exactly when its
@@ -343,10 +432,7 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
             f"suite horizon {n_max} exceeds the certified horizon {p.n_max}"
         )
     _require_trials(trials)
-    # the asymmetric inputs of hecke-relations need a degree besides 0;
-    # reject before any check runs rather than at the first such draw
-    if degree_window < 1:
-        raise ValueError(f"degree_window must be at least 1, got {degree_window}")
+    _require_window(degree_window)  # before any check runs
     v = ScalarView(p, fault)
 
     reports: list[IdentityReport] = []

@@ -1,21 +1,30 @@
-"""Verdicts and witnesses of the random-input checks under broken operators.
+"""Verdicts and witnesses of the window checks under broken operators.
 
 Each mutation swaps one of the operators that awlab.verify calls by its
-module-level name for a wrong one, and the three random-input checks run
-at the p8 point with two trials.  tests/data/trial_check_mutations.json
-holds, per mutation and check, the `passed` value and the witness
-`lhs - rhs` as recorded from the checks while they still built every
-residual and tested it for zero; they now compare canonical forms and
-build the witness only on failure, and must report the same thing.
+module-level name for a wrong one, and the three checks that prove their
+relations on a basis of the degree window run at the p8 point with two
+guard trials.  tests/data/trial_check_mutations.json holds, per mutation
+and check, the `passed` value and the witness `lhs - rhs`.  The verdicts
+of the whole-operator mutations are the ones the checks gave when they
+sampled 25 random inputs; the witnesses were re-recorded when the inputs
+became the basis and the guard's draws.
 
 Two kinds of mutation are pinned:
 
 * "<name>+z" adds z to every image of one operator, and "T1*2" doubles
   every image of T1;
-* "call<k>+z" adds z to the k-th operator call of the first trial only,
-  counting calls to all six operators together.  Each sub-identity of a
-  check is then the first to fail under some k, so every witness,
-  including the rearranged ones, is compared.
+* "call<k>+z" adds z to the k-th operator call only, counting calls to
+  all six operators together, in the order of CALLS_PER_TRIAL.  Each
+  sub-identity and each operator's guard is then the first to fail under
+  some k, so every witness, including the rearranged ones, is compared.
+  Two parts of hecke-relations never fail first: the certificate, which
+  adding z to one image cannot break (it has its own test below), and
+  the symmetrizer, which the quadratic relation, the symmetric criterion
+  and the certificate imply.
+
+Two more kinds are checked by what they must do rather than pinned: an
+operator that is exact on the basis but not linear, which only the guard
+can catch, and a T1 that fixes z - 1/z, which only the certificate can.
 """
 
 import json
@@ -25,6 +34,7 @@ import pytest
 
 from awlab import verify
 from awlab.identities import _Z
+from awlab.laurent import LaurentPoly
 from awlab.verify import (
     check_bridge_identity,
     check_factorization,
@@ -40,13 +50,17 @@ CHECKS = {
     "bridge-symmetric": check_bridge_identity,
 }
 
-# the operator calls of one trial of each check, in the order they are made
+# the operator calls of each check at trials=1, in the order they are made:
+# the basis proof's, then the one guard trial's
 CALLS_PER_TRIAL = {
-    "hecke-relations": ["T1", "T0", "T1", "t1_T1_inv", "T0", "t0_T0_inv",
-                        "t0_T0_inv", "T0", "T1", "T1", "t1_T1_inv", "T1",
-                        "T1"],
-    "factorization": ["D_prime", "D_prime", "D_prime", "D"],
-    "bridge-symmetric": ["D_prime", "D", "D"],
+    "hecke-relations": (
+        # per j: T1 on 1 or z^j + z^-j, then the certificate's T1 z^j, T1 z^-j
+        ["T1"] * 19
+        + ["T0", "T1", "t1_T1_inv"] + ["T0"] * 12 + ["t0_T0_inv", "T0", "T1"]
+        + ["t1_T1_inv", "t0_T0_inv"] * 12 + ["T1"]  # z^-5 .. z^6
+        + ["T1", "T0"]),
+    "factorization": ["D_prime"] * 26 + ["D"] * 7 + ["D_prime", "D_prime", "D"],
+    "bridge-symmetric": ["D_prime", "D", "D"] + ["D_prime", "D"] * 7,
 }
 
 FIXTURE = json.loads(
@@ -128,3 +142,47 @@ def test_calls_per_trial(check_id, p8, monkeypatch):
         monkeypatch.setattr(verify, name, wrapped)
     assert CHECKS[check_id](p8, trials=1).passed
     assert log == CALLS_PER_TRIAL[check_id]
+
+
+def _exact_on_integer_inputs(op):
+    """op, plus z on every input with a non-integer coefficient."""
+    def mutated(f, p, *args, **kwargs):
+        image = op(f, p, *args, **kwargs)
+        if all(c.denominator == 1 for _, c in f.items()):
+            return image
+        return image + _Z
+    return mutated
+
+
+@pytest.mark.parametrize("name, check_ids", [
+    ("apply_T1", ["hecke-relations"]),
+    ("apply_D", ["factorization", "bridge-symmetric"]),
+])
+def test_guard_catches_an_operator_exact_on_the_basis(name, check_ids, p8,
+                                                      monkeypatch):
+    # the basis proof feeds these operators only integer inputs, so the
+    # failure comes from the guard: op(f) + z against the combination of
+    # the exact basis images leaves exactly z
+    monkeypatch.setattr(verify, name,
+                        _exact_on_integer_inputs(getattr(verify, name)))
+    for check_id in check_ids:
+        report = CHECKS[check_id](p8, trials=2)
+        assert not report.passed
+        assert report.residual_witness == _Z
+
+
+def test_certificate_catches_a_T1_that_fixes_z_minus_inverse(p8, monkeypatch):
+    op = verify.apply_T1
+    a = LaurentPoly({1: 1, -1: -1})
+    u = op(a, p8) - a.scale(p8.t1)  # (T1 - t1)(z - 1/z), nonzero
+
+    def fixes_a(f, p):
+        # subtract the share of (T1 - t1) that f's z - 1/z part gets;
+        # still linear, and equal to T1 on symmetric f
+        return op(f, p) - u.scale((f.coeff(1) - f.coeff(-1)) / 2)
+
+    assert fixes_a(a, p8) == a.scale(p8.t1)
+    monkeypatch.setattr(verify, "apply_T1", fixes_a)
+    report = check_hecke_relations(p8, trials=2)
+    assert not report.passed
+    assert report.residual_witness == a

@@ -29,7 +29,6 @@ from awlab.verify import (
     check_bridge_identity,
     check_factorization,
     check_hecke_relations,
-    random_asymmetric_laurent,
     random_laurent,
     random_symmetric_laurent,
     run_suite,
@@ -128,10 +127,6 @@ def test_random_laurent_generators():
         assert -4 <= f.min_deg and f.max_deg <= 4
         g = random_symmetric_laurent(rng, degree_window=4)
         assert g.is_symmetric() and not g.is_zero()
-        h = random_asymmetric_laurent(rng, degree_window=4)
-        assert not h.is_symmetric()
-    with pytest.raises(ValueError):
-        random_asymmetric_laurent(rng, degree_window=0)
 
 
 def test_suite_plan_full_horizon():
