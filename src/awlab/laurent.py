@@ -137,7 +137,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
-        return cls._raw(degree, [1], 1) if coeff == 1 else cls({degree: coeff})
+        return cls({degree: coeff})
 
     def coeff(self, degree: int) -> Fraction:
         i = degree - self._lo

@@ -29,7 +29,9 @@ operator names, and a relation that applies an operator to an image
 reads the result off the images.  Then a linearity guard draws `trials`
 random f, whose non-unit denominators the basis never has, and tests
 op(f) against the same combination of the basis images, for each
-operator the check applies.  Every relation is zero-tested as one
+operator the check applies to f itself (T0, T1, D and both forms of
+D'; t_i T_i^{-1}, which the check applies to the images T_i z^k, is not
+guarded).  Every relation is zero-tested as one
 `laurent.combination`, which needs no gcd pass, and the first nonzero
 one is the witness lhs - rhs.
 
@@ -174,7 +176,8 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
 
     * the coefficient identities r_i + s_i(r_i) = t_i + 1, once, as
       cleared-denominator Laurent identities;
-    * on the symmetric basis 1, z^j + z^-j: T1 f = t1 f;
+    * on the symmetric basis 1, z^j + z^-j: T1 f = t1 f, with T1 f read
+      off the monomial images;
     * a certificate that T1 - t1 is injective on the antisymmetric part,
       so that T1 fixes exactly the symmetric f: (T1 - t1)(z^j - z^-j) has
       top degree exactly j, for j = 1..w;
@@ -188,9 +191,11 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     t_i T_i^{-1} z^k as T_i z^k + (1 - t_i) z^k; invertibility runs
     t_i T_i^{-1} itself on T_i z^k.  Then `trials` seeded random f guard
     linearity: T_i f must equal the same combination of the monomial
-    images.  Each relation zero-tests the combination
-    lhs - rhs, and the first that is nonzero is the witness; a failed
-    certificate gives the element z^j - z^-j.
+    images.  Invertibility is proven for every f in the window only as
+    far as t_i T_i^{-1} is linear, which the guard does not test.  Each
+    relation zero-tests the combination lhs - rhs, and the first that is
+    nonzero is the witness; a failed certificate gives the element
+    z^j - z^-j.
     """
     _require_trials(trials)
     _require_window(degree_window)
@@ -222,7 +227,7 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
     t1z, t0z = _images(T1, mono), _images(T0, mono)
     for j in range(w + 1):
         fs = _symmetric(j)
-        yield combination(((1, T1(fs)), (-t1, fs)))
+        yield linear_extension(t1z, fs, plus=((-t1, fs),))
         if j and combination(((1, t1z(j)), (-1, t1z(-j)), (-t1, mono(j)),
                               (t1, mono(-j)))).max_deg != j:
             yield LaurentPoly({j: 1, -j: -1})
@@ -244,7 +249,10 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
         # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b)
         yield combination(((t1, t1z(k + 1)), (-t1, _ZI * t1b),
                            (t1 * (t1 - 1), mono(k - 1)), (t1 * a_b, b)))
-        # (T1 + 1) b is symmetric
+        # (T1 + 1) b is symmetric.  The quadratic relation puts it in the
+        # kernel of T1 - t1, which the criterion and the certificate show
+        # is the symmetric part of the window, but only if T1 b lies in the
+        # window, which nothing above checks; this line needs no kernel call
         yield combination(((1, t1b), (1, b), (-1, s1(t1b)), (-1, mono(-k))))
 
     for _ in range(trials):  # the linearity guard

@@ -20,7 +20,7 @@ Two kinds of mutation are pinned:
   Two parts of hecke-relations never fail first: the certificate, which
   adding z to one image cannot break (it has its own test below), and
   the symmetrizer, which the quadratic relation, the symmetric criterion
-  and the certificate imply.
+  and the certificate imply while T1 keeps the window.
 
 Two more kinds are checked by what they must do rather than pinned: an
 operator that is exact on the basis but not linear, which only the guard
@@ -54,9 +54,9 @@ CHECKS = {
 # the basis proof's, then the one guard trial's
 CALLS_PER_TRIAL = {
     "hecke-relations": (
-        # per j: T1 on 1 or z^j + z^-j, then the certificate's T1 z^j, T1 z^-j
-        ["T1"] * 19
-        + ["T0", "T1", "t1_T1_inv"] + ["T0"] * 12 + ["t0_T0_inv", "T0", "T1"]
+        # T1 z^j and T1 z^-j per j, for the symmetric criterion
+        ["T1"] * 13
+        + ["T0", "t1_T1_inv"] + ["T0"] * 12 + ["t0_T0_inv", "T0", "T1"]
         + ["t1_T1_inv", "t0_T0_inv"] * 12 + ["T1"]  # z^-5 .. z^6
         + ["T1", "T0"]),
     "factorization": ["D_prime"] * 26 + ["D"] * 7 + ["D_prime", "D_prime", "D"],
