@@ -1,11 +1,15 @@
 """Exact identity checks at one index, and the reports they return.
 
 Every check computes a residual in exact rational arithmetic and passes
-only when that residual is literally the zero polynomial; proportionality
-claims ("f is a nonzero multiple of g") pass only with a certified nonzero
-scalar.  Failures are never exceptions: each check returns an
-IdentityReport whose residual_witness is a nonzero polynomial explaining
-what went wrong.
+only when that residual is literally the zero polynomial.  Failures are
+never exceptions: each check returns an IdentityReport whose
+residual_witness is a nonzero polynomial explaining what went wrong.
+
+A claim that f is a nonzero multiple of g is decided by one rule.  c is
+f's coefficient over g's, both read at g's top degree (0 when g is zero).
+When c != 0 the residual is f - c g, so the claim passes iff f = c g.
+When c == 0 no nonzero multiple can work, and the witness is f if it is
+nonzero, else g if it is nonzero, else the constant 1.
 
 Each residual is one `laurent.combination` of the terms its docstring
 spells out, unreduced: testing it for zero needs no gcd pass, and on
@@ -20,70 +24,49 @@ faults without touching the constructions.  The view reads every
 ingredient that several checks share (the clean scalars, c_n,
 (z + 1/z) P_n and D'(z P_n)) through the point's store, `scalars.memo`,
 so each is computed once per point: across checks, across runs and with
-the P_n build, which reads the same alpha_n and c_n.  Only identical computations are shared, never one image rewritten
-from another.  The two modules are kept apart on purpose: imported from
+the P_n build, which reads the same alpha_n, c_n and (z + 1/z) P_n.
+Only identical computations are shared, never one image rewritten from
+another.  The two modules are kept apart on purpose: imported from
 source, one module of their joint size left about 1 MB more heap behind
 in the importing process than the two halves do.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .hecke import apply_D, apply_D_prime, apply_t0_T0_inv, apply_Y
 from .laurent import LaurentPoly, combination
-from .polynomials import askey_wilson_P, nonsymmetric_E, symmetrize
+from .polynomials import _m_p, askey_wilson_P, nonsymmetric_E, symmetrize
 from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, memo, mu_n
 
 FAULT_TARGETS = ("lambda", "alpha", "beta", "kappa")
 
 _Z = LaurentPoly.monomial(1)
 _ZI = LaurentPoly.monomial(-1)
-_M = LaurentPoly({1: 1, -1: 1})  # multiplication by z + 1/z
 
 
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "identity_id params n "
+                                "passed residual_witness")):
     """Outcome of one identity check at one parameter point.
 
-    passed is true iff residual_witness is None or the zero polynomial;
-    on failure the witness is a nonzero polynomial (or constant) showing
-    the discrepancy.
+    A stored witness is never the zero polynomial, so residual_witness is
+    None exactly when the report passed; on failure it is a nonzero
+    polynomial (or constant) showing the discrepancy.  Reports compare by
+    value and are not hashable.
     """
 
-    __slots__ = ("identity_id", "params", "n", "passed", "residual_witness")
-
-    def __init__(self, identity_id: str, params: ParamSet, n: int | None,
-                 passed: bool, residual_witness: LaurentPoly | None):
-        self.identity_id = identity_id
-        self.params = params
-        self.n = n
-        self.passed = passed
-        self.residual_witness = residual_witness
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
+    __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._fields()))
-        return f"IdentityReport({fields})"
-
     def as_json_dict(self, seed: int) -> dict:
-        residual = None
-        if not self.passed and self.residual_witness is not None:
-            residual = self.residual_witness.to_json_dict()
+        witness = self.residual_witness
         return {
             "identity": self.identity_id,
             "n": self.n,
             "passed": self.passed,
-            "residual": residual,
+            "residual": None if witness is None else witness.to_json_dict(),
             "params": self.params.as_json_dict(),
             "seed": seed,
         }
@@ -142,10 +125,6 @@ class ScalarView:
         return memo("d_prime_z_p", _d_prime_z_p, n, self.p)
 
 
-def _m_p(n: int, p: ParamSet) -> LaurentPoly:
-    return _M * askey_wilson_P(n, p)
-
-
 def _d_prime_z_p(n: int, p: ParamSet) -> LaurentPoly:
     return apply_D_prime(_Z * askey_wilson_P(n, p), p)
 
@@ -163,57 +142,19 @@ def _limit_ratios(_, p: ParamSet) -> tuple[Fraction, Fraction]:
 
 def _finish(identity_id: str, p: ParamSet, n: int | None,
             residual: LaurentPoly | None) -> IdentityReport:
-    if residual is None or residual.is_zero():
-        return IdentityReport(identity_id, p, n, True, None)
-    return IdentityReport(identity_id, p, n, False, residual)
-
-
-class _BothZero:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "BOTH_ZERO"
-
-
-#: Returned by `proportional` when both arguments are the zero polynomial,
-#: so every scalar works and none is distinguished.
-BOTH_ZERO = _BothZero()
-
-
-def proportional(f: LaurentPoly, g: LaurentPoly):
-    """The scalar c with f == c*g, if one exists.
-
-    Returns BOTH_ZERO when f and g both vanish, the Fraction c (possibly 0)
-    when it is determined, and None when f is not a multiple of g.
-    """
-    if g.is_zero():
-        return BOTH_ZERO if f.is_zero() else None
-    if f.is_zero():
-        return Fraction(0)
-    c = _ratio(f, g)
-    return c if combination(((1, f), (-c, g))).is_zero() else None
-
-
-def _ratio(f: LaurentPoly, g: LaurentPoly) -> Fraction:
-    """The ratio of f's and g's coefficients at g's top degree."""
-    ref = g.max_deg
-    return f.coeff(ref) / g.coeff(ref)
+    passed = residual is None or residual.is_zero()
+    return IdentityReport(identity_id, p, n, passed, None if passed else residual)
 
 
 def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
                          f: LaurentPoly, g: LaurentPoly) -> IdentityReport:
-    """Pass iff f = c*g for a nonzero scalar c."""
-    c = proportional(f, g)
-    if c is BOTH_ZERO:
-        witness = LaurentPoly.one()  # vacuous: both sides vanished
-    elif g.is_zero():
-        witness = f  # g vanished although f did not
-    elif c is None:
-        witness = combination(((1, f), (-_ratio(f, g), g)))
-    elif c == 0:
-        witness = g  # f vanished although g did not
+    """Pass iff f = c*g for a nonzero scalar c, by the module's rule."""
+    top = g.max_deg
+    c = 0 if top is None else f.coeff(top) / g.coeff(top)
+    if c:
+        witness = combination(((1, f), (-c, g)))
     else:
-        witness = None
+        witness = f or g or LaurentPoly.one()
     return _finish(identity_id, p, n, witness)
 
 
@@ -331,17 +272,19 @@ def check_lowering_via_hecke(n: int, p: ParamSet,
 
 def check_lowering_via_hecke_n1(n: int, p: ParamSet,
                                 v: ScalarView) -> IdentityReport:
-    """The n = 1 lowering case, as proportionality to P_0 = 1 only.
+    """The n = 1 lowering case: the left side is a nonzero multiple of P_0 = 1.
 
     c_1 is not read (the three-term recurrence check starts at n = 2),
-    so this check asserts that the left side collapses to a constant
-    without asserting which constant.
+    so this check asserts that the left side is a nonzero constant
+    without asserting which one; at a certified point it is
+    (1 - q abcd) c_1, which G1, G3 and G4 keep nonzero.  A left side
+    that vanishes fails with witness 1, as any proportionality does.
     """
     if n != 1:
         raise ValueError("the n1 lowering case needs n = 1")
     lhs = combination(_lowering_lhs(n, p, v))
-    residual = combination(((1, lhs), (-lhs.coeff(0), LaurentPoly.one())))
-    return _finish("lowering-via-hecke-n1", p, n, residual)
+    return _finish_proportional("lowering-via-hecke-n1", p, n, lhs,
+                                LaurentPoly.one())
 
 
 def check_leading_coefficient(n: int, p: ParamSet,

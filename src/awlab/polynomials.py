@@ -27,9 +27,9 @@ window.  `y_matrix` builds the matrix of Y, in the position ordering
 and verifies its triangular structure at runtime instead of assuming it.
 
 What is built at a point is kept on that point, in `ParamSet.memo`: the
-list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n and
-closed-form scalar, through `memo`.  So each is built once per point
-object, and freed with it.  Each step sums its terms with
+list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n,
+(z + 1/z) P_n and closed-form scalar, through `memo`.  So each is built
+once per point object, and freed with it.  Each step sums its terms with
 `laurent.combination` and stores the result in canonical form, reduced
 once: every later step and check builds on it, and unreduced P_n would
 carry about twice the coefficient bits by n = 40.
@@ -123,8 +123,8 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     because at a certified point the lambda_n eigenspace of D is a line
     (G6) and the suite checks D P_n = lambda_n P_n for every n.  The point
     keeps P_0, P_1, ... as one list that each call extends as far as it
-    needs, and alpha_n and c_n go through `memo`, where the checks read
-    them too.
+    needs, and alpha_n, c_n and (z + 1/z) P_n go through `memo`, where
+    the checks read them too.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")
@@ -132,11 +132,17 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     ps = p.memo.setdefault("P", [LaurentPoly.one()])
     while len(ps) <= n:
         m = len(ps) - 1
-        terms = [(1, _M * ps[m]), (-memo("alpha", alpha_n, m, p), ps[m])]
+        terms = [(1, memo("m_p", _m_p, m, p)),
+                 (-memo("alpha", alpha_n, m, p), ps[m])]
         if m:
             terms.append((-memo("c", c_n, m, p), ps[m - 1]))
         ps.append(combination(terms).canonical())
     return ps[n]
+
+
+def _m_p(n: int, p: ParamSet) -> LaurentPoly:
+    """(z + 1/z) P_n, which the P recurrence and the checks read alike."""
+    return _M * askey_wilson_P(n, p)
 
 
 def nonsymmetric_E(n: int, p: ParamSet) -> LaurentPoly:

@@ -56,7 +56,6 @@ from .hecke import (
     s1,
 )
 from .identities import (
-    _M,
     _Z,
     _ZI,
     IdentityReport,
@@ -83,6 +82,7 @@ from .laurent import (
     combination,
     linear_extension,
 )
+from .polynomials import _M
 from .scalars import HorizonError, ParamSet, e1, e3, lambda_n
 
 # ---------------------------------------------------------------------------
@@ -452,8 +452,7 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
         for n in ns:
             report = check(n, p, v)
             if identity_id.startswith("control-"):
-                passed = not report.passed
-                report = IdentityReport(identity_id, p, n, passed,
-                                        None if passed else LaurentPoly.one())
+                report = _finish(identity_id, p, n, LaurentPoly.one()
+                                 if report.passed else None)
             reports.append(report)
     return reports

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import fraction_hecke
 from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1, s1
-from awlab.identities import BOTH_ZERO, proportional
 from awlab.laurent import (
     SUB_INV,
     SUB_Q_OVER_Z,
@@ -178,16 +177,6 @@ def test_exact_quotient_never_silently_wrong(f, g):
         assert f - err.remainder != f  # remainder is nonzero
     else:
         assert h * g == f
-
-
-def test_proportional():
-    f = LaurentPoly({2: 1, 0: -3})
-    assert proportional(f.scale(F(7, 3)), f) == F(7, 3)
-    assert proportional(f, f) == 1
-    assert proportional(LaurentPoly.zero(), f) == 0
-    assert proportional(LaurentPoly.zero(), LaurentPoly.zero()) is BOTH_ZERO
-    assert proportional(f + 1, f) is None
-    assert proportional(LaurentPoly({1: 1}), LaurentPoly({2: 1})) is None
 
 
 def test_laurent_fraction_equality_by_cross_multiplication():

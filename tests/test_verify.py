@@ -1,9 +1,11 @@
 """Identity checks, the suite runner, fault injection, negative controls."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from awlab import identities
 from awlab.identities import (
     FAULT_TARGETS,
     IdentityReport,
@@ -214,12 +216,36 @@ def test_identity_report_value_semantics(p8):
                                                   "coeffs": {"1": "2"}}
 
 
-def test_proportionality_to_zero_fails_with_the_other_side_as_witness(p8):
-    # g = 0 while f != 0: no scalar exists, and the witness is f itself
-    for f in (LaurentPoly.one(), LaurentPoly({-2: 3, 1: -1})):
-        report = _finish_proportional("x", p8, 1, f, LaurentPoly.zero())
-        assert not report.passed
-        assert report.residual_witness == f
+_F = LaurentPoly({2: 1, 0: -3})
+_ZERO = LaurentPoly.zero()
+
+
+# (f, g, witness of "f is a nonzero multiple of g"; None when it passes)
+@pytest.mark.parametrize("f, g, witness", [
+    (_F.scale(Fraction(7, 3)), _F, None),
+    (_F, _F, None),
+    (_ZERO, _F, _F),  # f vanished although g did not
+    (_ZERO, _ZERO, LaurentPoly.one()),  # vacuous: both sides vanished
+    (_F + 1, _F, LaurentPoly.one()),  # f - 1*g
+    (LaurentPoly({1: 1}), LaurentPoly({2: 1}), LaurentPoly({1: 1})),  # c = 0
+    (LaurentPoly.one(), _ZERO, LaurentPoly.one()),  # g vanished, f did not
+    (LaurentPoly({-2: 3, 1: -1}), _ZERO, LaurentPoly({-2: 3, 1: -1})),
+], ids=["seven-thirds-times", "equal", "f-zero", "both-zero", "f-plus-1",
+        "z-vs-z2", "g-zero-const", "g-zero-poly"])
+def test_proportionality_to_zero_fails_with_the_other_side_as_witness(
+        p8, f, g, witness):
+    report = _finish_proportional("x", p8, 1, f, g)
+    assert report.passed is (witness is None)
+    assert report.residual_witness == witness
+
+
+def test_n1_lowering_with_a_vanishing_left_side_fails(p8, monkeypatch):
+    # no terms: the left side is the zero polynomial, no nonzero multiple
+    # of P_0 = 1
+    monkeypatch.setattr(identities, "_lowering_lhs", lambda n, p, v: [])
+    report = check_lowering_via_hecke_n1(1, p8, ScalarView(p8))
+    assert not report.passed
+    assert report.residual_witness == LaurentPoly.one()
 
 
 # Each check of a suite run, computed alone with a view of its own: the
