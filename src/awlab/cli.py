@@ -12,8 +12,10 @@ exactness survives the round trip.  Exit codes:
 
   0  success: every identity passed
   1  at least one identity failed
-  2  invalid input: InputError (a parse error, --nmax below 0, --trials or
-     --degree-window below 1, ...), GenericityError or HorizonError
+  2  invalid input: awlab.scalars.InputError, which the library raises for
+     --nmax below 0, --trials or --degree-window below 1 and a point it
+     cannot certify or draw (GenericityError and HorizonError are
+     InputErrors), and this module for a parse error
   3  internal error: any other exception, a ValueError included (e.g.
      EigenSolveError, ZeroDivisionError, NotSymmetricError), reported as
      one "internal error: ..." line on stderr, so a crash never looks like
@@ -33,7 +35,7 @@ import sys
 from .polynomials import askey_wilson_P, nonsymmetric_E, polynomial_document
 from .scalars import (
     GenericityError,
-    HorizonError,
+    InputError,
     ParamSet,
     alpha_n,
     beta_n,
@@ -48,10 +50,6 @@ from .identities import FAULT_TARGETS
 from .verify import run_suite, suite_plan
 
 _PARAM_KEYS = ("q", "a", "b", "c", "d")
-
-
-class InputError(ValueError):
-    """Invalid command-line input; maps to exit code 2."""
 
 
 def parse_param_string(text: str) -> dict:
@@ -76,18 +74,7 @@ def parse_param_string(text: str) -> dict:
     return values
 
 
-def _require_nmax(n_max: int) -> None:
-    if n_max < 0:
-        raise InputError("n_max must be nonnegative")
-
-
-def _require_at_least_one(name: str, value: int) -> None:
-    if value < 1:
-        raise InputError(f"{name} must be at least 1, got {value}")
-
-
 def _certify(values: dict, n_max: int) -> ParamSet:
-    _require_nmax(n_max)
     return check_genericity(
         values["q"], values["a"], values["b"], values["c"], values["d"], n_max
     )
@@ -142,15 +129,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if (args.params is None) == (not args.random):
         raise InputError("choose exactly one of --params or --random")
     if args.random:
-        _require_nmax(args.nmax)
-        try:
-            p = random_param_sets(args.seed, 1, args.nmax)[0]
-        except RuntimeError as exc:
-            raise InputError(str(exc)) from None
+        p = random_param_sets(args.seed, 1, args.nmax)[0]
     else:
         p = _certify(parse_param_string(args.params), args.nmax)
-    _require_at_least_one("trials", args.trials)
-    _require_at_least_one("degree_window", args.degree_window)
     reports = run_suite(
         p,
         n_max=args.nmax,
@@ -182,13 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_random_params(args: argparse.Namespace) -> int:
-    _require_at_least_one("trials", args.trials)
-    _require_nmax(args.nmax)
-    try:
-        points = random_param_sets(args.seed, args.trials, args.nmax)
-    except RuntimeError as exc:
-        raise InputError(str(exc)) from None
-    for p in points:
+    for p in random_param_sets(args.seed, args.trials, args.nmax):
         print(json.dumps(p.as_json_dict()))
     return 0
 
@@ -264,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except GenericityError as exc:
         print(f"GenericityError({exc.condition}): {exc.detail}", file=sys.stderr)
         return 2
-    except (InputError, HorizonError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

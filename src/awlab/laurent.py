@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar
 
 SUB_INV = "1/z"
 SUB_Q_OVER_Z = "q/z"
@@ -148,9 +148,6 @@ class LaurentPoly:
         """(degree, coefficient) pairs in increasing degree order."""
         den = self._den
         return [(k, Fraction(v, den)) for k, v in enumerate(self._num, self._lo) if v]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, v in enumerate(self._num, self._lo) if v)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -295,12 +292,6 @@ class LaurentPoly:
             "var": "z",
             "coeffs": {str(k): format_scalar(v) for k, v in self.items()},
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LaurentPoly":
-        if doc.get("var") != "z":
-            raise ValueError(f"expected a polynomial in z, got {doc.get('var')!r}")
-        return cls({int(k): parse_scalar(v) for k, v in doc["coeffs"].items()})
 
 
 def combination(terms) -> LaurentPoly:

@@ -212,8 +212,8 @@ def polynomial_document(kind: str, n: int, p: ParamSet,
                         poly: LaurentPoly) -> dict:
     """JSON-ready record of one constructed polynomial.
 
-    The polynomial's own keys (var, coeffs) sit at the top level, so the
-    document round-trips through LaurentPoly.from_json_dict unchanged.
+    The polynomial's own keys (var, coeffs) sit at the top level, as
+    LaurentPoly.to_json_dict writes them.
     """
     return {"kind": kind, "n": n, "params": p.as_json_dict(),
             **poly.to_json_dict()}

@@ -5,10 +5,13 @@ means equality and a zero residual is exactly the zero polynomial.  This
 module owns parsing and formatting of rationals, the genericity conditions
 G1..G6 that keep every downstream denominator nonzero, and the closed-form
 scalar families attached to a parameter point: operator eigenvalues and the
-coefficients of the raising and lowering relations.  It also owns `memo`,
-the one accessor of a point's store, so that every layer (the operator
-plans, the polynomials, the checks' shared ingredients) reaches the store
-without importing a layer above its own.
+coefficients of the raising and lowering relations.  The rules on what a
+caller asks for (a horizon of at least 0, a count of at least 1, a generic
+point used within its horizon) raise `InputError`, defined here, or a
+subclass, so a caller maps bad input to one exception and repeats no rule.
+It also owns `memo`, the one accessor of a point's store, so that every
+layer (the operator plans, the polynomials, the checks' shared
+ingredients) reaches the store without importing a layer above its own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ Scalar = Fraction
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
 
-class GenericityError(ValueError):
+class InputError(ValueError):
+    """An input breaks a rule of the library: bad input, not a crash."""
+
+
+class GenericityError(InputError):
     """A parameter point violates one of the genericity conditions G1..G6."""
 
     def __init__(self, condition: str, detail: str):
@@ -31,7 +38,7 @@ class GenericityError(ValueError):
         self.detail = detail
 
 
-class HorizonError(ValueError):
+class HorizonError(InputError):
     """An index lies beyond the horizon a parameter set was certified for."""
 
 
@@ -170,7 +177,7 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
              "c": _as_scalar("c", c), "d": _as_scalar("d", d)}
     n_max = int(n_max)
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise InputError("n_max must be nonnegative")
     if q in (0, 1, -1):
         raise GenericityError("G1", f"q must avoid 0 and 1 and -1 (q={format_scalar(q)})")
     for name, v in named.items():
@@ -307,7 +314,8 @@ def random_param_set(rng: random.Random, n_max: int) -> ParamSet:
 
     q is drawn with 0 < |q| < 1; a, b, c, d are nonzero with numerator and
     denominator magnitudes at most _DRAW_HEIGHT.  Draws violating G1..G6
-    are rejected and retried.
+    are rejected and retried; after _DRAW_TRIES of them it is an
+    InputError, since the horizon admits too few small points.
     """
     for _ in range(_DRAW_TRIES):
         den = rng.randint(2, _DRAW_HEIGHT)
@@ -320,7 +328,7 @@ def random_param_set(rng: random.Random, n_max: int) -> ParamSet:
             return check_genericity(q, *vals, n_max)
         except GenericityError:
             continue
-    raise RuntimeError(
+    raise InputError(
         f"could not draw a certified parameter set in {_DRAW_TRIES} tries"
     )
 
@@ -328,10 +336,10 @@ def random_param_set(rng: random.Random, n_max: int) -> ParamSet:
 def random_param_sets(seed: int, trials: int, n_max: int) -> list[ParamSet]:
     """trials certified points, deterministic for a given seed.
 
-    A count below 1 is a ValueError, so a typo cannot pass for an empty
+    A count below 1 is an InputError, so a typo cannot pass for an empty
     result.
     """
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise InputError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     return [random_param_set(rng, n_max) for _ in range(trials)]

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .hecke import (
     apply_D,
@@ -83,7 +84,7 @@ from .laurent import (
     linear_extension,
 )
 from .polynomials import _M
-from .scalars import HorizonError, ParamSet, e1, e3, lambda_n
+from .scalars import HorizonError, InputError, ParamSet, e1, e3, lambda_n
 
 # ---------------------------------------------------------------------------
 # window checks: relations proven on a basis of the degree window, then a
@@ -93,51 +94,44 @@ from .scalars import HorizonError, ParamSet, e1, e3, lambda_n
 _HEIGHT = 9  # random coefficients are r/s with |r| and s at most _HEIGHT
 
 
-def random_laurent(rng: random.Random, degree_window: int = 6) -> LaurentPoly:
-    """Random nonzero Laurent polynomial with support inside [-w, w]."""
-    if degree_window < 0:
+def _draws(rng: random.Random, degrees: range) -> dict[int, Fraction]:
+    """Nonzero coefficients at some of `degrees`, at least one: each degree
+    draws with chance 1/2, and keeps r/s when r is nonzero."""
+    if not degrees:
         raise ValueError("degree_window must be nonnegative")
     while True:
         coeffs = {}
-        for k in range(-degree_window, degree_window + 1):
+        for k in degrees:
             if rng.random() < 0.5:
                 num = rng.randint(-_HEIGHT, _HEIGHT)
                 if num:
                     coeffs[k] = Fraction(num, rng.randint(1, _HEIGHT))
-        f = LaurentPoly(coeffs)
-        if not f.is_zero():
-            return f
+        if coeffs:
+            return coeffs
+
+
+def random_laurent(rng: random.Random, degree_window: int = 6) -> LaurentPoly:
+    """Random nonzero Laurent polynomial with support inside [-w, w]."""
+    return LaurentPoly(_draws(rng, range(-degree_window, degree_window + 1)))
 
 
 def random_symmetric_laurent(rng: random.Random,
                              degree_window: int = 6) -> LaurentPoly:
     """Random nonzero Laurent polynomial invariant under z -> 1/z."""
-    if degree_window < 0:
-        raise ValueError("degree_window must be nonnegative")
-    while True:
-        coeffs = {}
-        for k in range(degree_window + 1):
-            if rng.random() < 0.5:
-                num = rng.randint(-_HEIGHT, _HEIGHT)
-                if num:
-                    val = Fraction(num, rng.randint(1, _HEIGHT))
-                    coeffs[k] = val
-                    coeffs[-k] = val
-        f = LaurentPoly(coeffs)
-        if not f.is_zero():
-            return f
+    half = _draws(rng, range(degree_window + 1))
+    return LaurentPoly({**half, **{-k: v for k, v in half.items()}})
 
 
 def _require_trials(trials: int) -> None:
     # zero trials would leave the linearity guard without an input
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise InputError(f"trials must be at least 1, got {trials}")
 
 
 def _require_window(degree_window: int) -> None:
     # the certificate of hecke-relations needs z - 1/z in the window
     if degree_window < 1:
-        raise ValueError(f"degree_window must be at least 1, got {degree_window}")
+        raise InputError(f"degree_window must be at least 1, got {degree_window}")
 
 
 def _symmetric(j: int) -> LaurentPoly:
@@ -163,8 +157,15 @@ def _guard(value: LaurentPoly, image, f: LaurentPoly,
     return linear_extension(image, -f, lowest, plus=((1, value),))
 
 
-def _first_nonzero(residuals) -> LaurentPoly | None:
-    return next(filter(None, residuals), None)
+def _window_report(identity_id: str, residuals, p: ParamSet, trials: int,
+                   seed: int, w: int) -> IdentityReport:
+    """The report of one window check: residuals(p, trials, rng, w) yields
+    its combinations lhs - rhs, drawing from a generator seeded by `seed`
+    and the id, and the first that is nonzero is the witness."""
+    _require_trials(trials)
+    rng = random.Random(f"{seed}:{identity_id}")
+    return _finish(identity_id, p, None,
+                   next(filter(None, residuals(p, trials, rng, w)), None))
 
 
 def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
@@ -197,14 +198,13 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     nonzero is the witness; a failed certificate gives the element
     z^j - z^-j.
     """
-    _require_trials(trials)
-    _require_window(degree_window)
-    rng = random.Random(f"{seed}:hecke-relations")
-    return _finish("hecke-relations", p, None, _first_nonzero(
-        _hecke_residuals(p, trials, rng, degree_window)))
+    return _window_report("hecke-relations", _hecke_residuals, p, trials,
+                          seed, degree_window)
 
 
 def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
+    # runs at the first residual, so after _window_report's trials check
+    _require_window(w)
     q, t0, t1 = p.q, p.t0, p.t1
     # coefficient identities r + s(r) = t + 1 with r = num / den, cleared
     # of denominators: num s(den) + s(num) den = (1 + t) den s(den)
@@ -217,12 +217,7 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
         yield combination(((1, num * s_den), (1, s_num * den),
                            (-1 - t, den * s_den)))
 
-    def T1(f):
-        return apply_T1(f, p)
-
-    def T0(f):
-        return apply_T0(f, p)
-
+    T1, T0 = partial(apply_T1, p=p), partial(apply_T0, p=p)
     mono = LaurentPoly.monomial
     t1z, t0z = _images(T1, mono), _images(T0, mono)
     for j in range(w + 1):
@@ -274,23 +269,15 @@ def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,
     and the direct form must equal the factored one there.  The first
     combination lhs - rhs that is nonzero is the witness.
     """
-    _require_trials(trials)
-    rng = random.Random(f"{seed}:factorization")
-    return _finish("factorization", p, None, _first_nonzero(
-        _factorization_residuals(p, trials, rng, degree_window)))
+    return _window_report("factorization", _factorization_residuals, p,
+                          trials, seed, degree_window)
 
 
 def _factorization_residuals(p: ParamSet, trials: int, rng: random.Random,
                              w: int):
-    def factored(f):
-        return apply_D_prime(f, p, form="factored")
-
-    def direct(f):
-        return apply_D_prime(f, p, form="direct")
-
-    def D(f):
-        return apply_D(f, p)
-
+    factored = partial(apply_D_prime, p=p, form="factored")
+    direct = partial(apply_D_prime, p=p, form="direct")
+    D = partial(apply_D, p=p)
     mono = LaurentPoly.monomial
     dpf, dpd = _images(factored, mono), _images(direct, mono)
     ds = _images(D, _symmetric)
@@ -324,10 +311,8 @@ def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
     combinations of the basis images.  The first combination lhs - rhs
     that is nonzero is the witness.
     """
-    _require_trials(trials)
-    rng = random.Random(f"{seed}:bridge-symmetric")
-    return _finish("bridge-symmetric", p, None, _first_nonzero(
-        _bridge_residuals(p, trials, rng, degree_window)))
+    return _window_report("bridge-symmetric", _bridge_residuals, p, trials,
+                          seed, degree_window)
 
 
 def _bridge_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
@@ -340,9 +325,7 @@ def _bridge_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
     def DPz(f):
         return apply_D_prime(_Z * f, p)
 
-    def D(f):
-        return apply_D(f, p)
-
+    D = partial(apply_D, p=p)
     dpz, ds = _images(DPz, _symmetric), _images(D, _symmetric)
     for j in range(w + 1):
         b = _symmetric(j)
@@ -401,7 +384,7 @@ _SUITE = (
 
 def _rows(n_max: int):
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise InputError("n_max must be nonnegative")
     for identity_id, n_values, check in _SUITE:
         ns = None if n_values is None else tuple(n_values(n_max))
         yield identity_id, ns, check
@@ -427,11 +410,11 @@ def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
     horizon p was certified for and may not exceed it; trials must be at
     least 1, so that the linearity guards test something, and
     degree_window at least 1, which the certificate of hecke-relations
-    needs: z - 1/z must lie in the window.  `fault` corrupts
-    one scalar family (see FAULT_TARGETS) at the checking layer so that
-    exactly the dependent checks fail; the negative controls stay
-    relative to the clean scalars, and each passes exactly when its
-    perturbed check fails.
+    needs: z - 1/z must lie in the window.  A broken rule is an
+    InputError.  `fault` corrupts one scalar family (see FAULT_TARGETS)
+    at the checking layer so that exactly the dependent checks fail; the
+    negative controls stay relative to the clean scalars, and each passes
+    exactly when its perturbed check fails.
     """
     if n_max is None:
         n_max = p.n_max

@@ -9,6 +9,7 @@ import pytest
 
 import awlab.cli
 import awlab.identities
+import awlab.scalars
 from awlab.cli import InputError, main, parse_param_string
 from awlab.laurent import LaurentPoly
 from awlab.polynomials import EigenSolveError
@@ -214,7 +215,7 @@ def test_not_symmetric_error_is_internal(capsys, monkeypatch):
 
 def test_internal_value_error_exits_3(capsys, monkeypatch):
     # a ValueError raised inside the program is a crash, not bad input:
-    # only InputError, GenericityError and HorizonError exit 2
+    # only an InputError (GenericityError and HorizonError are ones) exits 2
     def broken(n, p):
         raise ValueError("internal bug")
 
@@ -236,6 +237,26 @@ def test_negative_nmax_is_input_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n_max must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["random-params", "--nmax", "3"],
+    ["verify", "--random", "--nmax", "3"],
+], ids=["random-params", "verify-random"])
+def test_giving_up_on_a_draw_is_input_error(capsys, monkeypatch, argv):
+    # the library's InputError is the one the CLI maps to exit 2
+    assert InputError is awlab.scalars.InputError
+
+    def never_generic(*args):
+        raise awlab.scalars.GenericityError("G1", "never certified")
+
+    monkeypatch.setattr(awlab.scalars, "check_genericity", never_generic)
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: could not draw a certified parameter set in 1000 tries\n"
 
 
 @pytest.mark.parametrize("window", ["0", "-1"])

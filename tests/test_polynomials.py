@@ -36,6 +36,7 @@ from awlab.scalars import (
     check_genericity,
     lambda_n,
     mu_n,
+    parse_scalar,
     random_param_sets,
 )
 from awlab.verify import run_suite
@@ -278,8 +279,8 @@ def test_polynomial_document_shape(p8):
         "var": "z",
         "coeffs": {"-1": "1", "0": "-430/577", "1": "1"},
     }
-    back = LaurentPoly.from_json_dict({"var": doc["var"],
-                                       "coeffs": doc["coeffs"]})
+    back = LaurentPoly({int(k): parse_scalar(v)
+                        for k, v in doc["coeffs"].items()})
     assert back == askey_wilson_P(1, p8)
 
 

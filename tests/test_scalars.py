@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from awlab import scalars
 from awlab.scalars import (
     GenericityError,
     HorizonError,
+    InputError,
     ParamSet,
     alpha_n,
     beta_n,
@@ -157,7 +159,7 @@ def test_genericity_rejects_floats():
 
 
 def test_genericity_rejects_negative_horizon():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="n_max must be nonnegative"):
         check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), -1)
 
 
@@ -254,8 +256,24 @@ def test_random_param_sets_deterministic():
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_random_param_sets_rejects_count_below_one(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
+    with pytest.raises(InputError, match="trials must be at least 1"):
         random_param_sets(42, trials, 5)
+
+
+def test_genericity_and_horizon_errors_are_input_errors():
+    assert issubclass(GenericityError, InputError)
+    assert issubclass(HorizonError, InputError)
+    assert issubclass(InputError, ValueError)
+
+
+def test_random_param_sets_give_up_with_input_error(monkeypatch):
+    def never_generic(*args):
+        raise GenericityError("G1", "never certified")
+
+    monkeypatch.setattr(scalars, "check_genericity", never_generic)
+    with pytest.raises(InputError, match="could not draw a certified "
+                                         "parameter set in 1000 tries"):
+        random_param_sets(42, 1, 5)
 
 
 def test_random_param_sets_are_certified():

@@ -1,12 +1,14 @@
-"""Every top-level name in the package has a reader outside the tests.
+"""Every top-level name in the package, and every public method of
+LaurentPoly, has a reader outside the tests.
 
-A function, class or constant that only tests call is surface kept for
-the tests' sake; reference code of that kind lives under tests/.  Each
-top-level name of src/awlab passes if another top-level statement of the
-package reads it, or if perfbench/, tools/ or the README's Library
-example names it.  perfbench names the functions it spans as strings, so
-those files are searched as text.  Dunder names (__version__) are module
-metadata and exempt.
+A function, class, method or constant that only tests call is surface
+kept for the tests' sake; reference code of that kind lives under tests/.
+Each top-level name of src/awlab passes if another top-level statement of
+the package reads it, and each public LaurentPoly method if the package
+reads that attribute outside the method itself; either also passes if
+perfbench/, tools/ or the README's Library example names it.  perfbench
+names the functions it spans as strings, so those files are searched as
+text.  Dunder names (__version__) are module metadata and exempt.
 """
 
 import ast
@@ -32,6 +34,20 @@ def _read_names(node: ast.AST) -> set[str]:
             if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)}
 
 
+def _read_attributes(node: ast.AST) -> set[str]:
+    return {leaf.attr for leaf in ast.walk(node)
+            if isinstance(leaf, ast.Attribute)}
+
+
+def _modules(root: Path) -> dict[str, list[ast.stmt]]:
+    return {path.stem: ast.parse(path.read_text()).body
+            for path in sorted((root / "src" / "awlab").glob("*.py"))}
+
+
+def _named_outside(name: str, outside: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", outside) is not None
+
+
 def _outside_text(root: Path) -> str:
     sources = [path.read_text()
                for folder in ("perfbench", "tools")
@@ -43,8 +59,7 @@ def _outside_text(root: Path) -> str:
 
 def unread_names(root: Path = ROOT) -> list[str]:
     """`module.name` for each top-level name nothing but tests reads."""
-    modules = {path.stem: ast.parse(path.read_text()).body
-               for path in sorted((root / "src" / "awlab").glob("*.py"))}
+    modules = _modules(root)
     statements = [node for body in modules.values() for node in body]
     outside = _outside_text(root)
     unread = []
@@ -56,11 +71,31 @@ def unread_names(root: Path = ROOT) -> list[str]:
                 if any(name in _read_names(node) for node in statements
                        if node is not own):
                     continue
-                if re.search(rf"\b{re.escape(name)}\b", outside):
+                if _named_outside(name, outside):
                     continue
                 unread.append(f"{module}.{name}")
     return unread
 
 
+def unread_methods(root: Path = ROOT) -> list[str]:
+    """`LaurentPoly.name` for each public method nothing but tests reads."""
+    modules = _modules(root)
+    cls = next(node for node in modules["laurent"]
+               if isinstance(node, ast.ClassDef) and node.name == "LaurentPoly")
+    units = [node for body in modules.values() for node in body
+             if node is not cls] + cls.body
+    outside = _outside_text(root)
+    return [f"LaurentPoly.{own.name}" for own in cls.body
+            if isinstance(own, ast.FunctionDef)
+            and not own.name.startswith("_")
+            and not any(own.name in _read_attributes(node)
+                        for node in units if node is not own)
+            and not _named_outside(own.name, outside)]
+
+
 def test_no_top_level_name_is_read_only_by_tests():
     assert unread_names() == []
+
+
+def test_no_laurent_method_is_read_only_by_tests():
+    assert unread_methods() == []

@@ -26,7 +26,12 @@ from awlab.identities import (
     check_symmetrization,
 )
 from awlab.laurent import LaurentPoly
-from awlab.scalars import HorizonError, lambda_n, random_param_sets
+from awlab.scalars import (
+    HorizonError,
+    InputError,
+    lambda_n,
+    random_param_sets,
+)
 from awlab.verify import (
     check_bridge_identity,
     check_factorization,
@@ -107,18 +112,27 @@ def test_trial_based_checks_pass(p8):
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_trials_below_one_are_rejected(p8, trials):
-    for check in (check_hecke_relations, check_factorization,
-                  check_bridge_identity):
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            check(p8, trials=trials)
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        run_suite(p8, n_max=2, trials=trials)
+    # with both values bad, the trials rule is the one named
+    for window in (6, 0):
+        for check in (check_hecke_relations, check_factorization,
+                      check_bridge_identity):
+            with pytest.raises(InputError, match="trials must be at least 1"):
+                check(p8, trials=trials, degree_window=window)
+        with pytest.raises(InputError, match="trials must be at least 1"):
+            run_suite(p8, n_max=2, trials=trials, degree_window=window)
 
 
 @pytest.mark.parametrize("window", [0, -2])
 def test_degree_window_below_one_is_rejected(p8, window):
-    with pytest.raises(ValueError, match="degree_window must be at least 1"):
+    with pytest.raises(InputError, match="degree_window must be at least 1"):
+        check_hecke_relations(p8, trials=1, degree_window=window)
+    with pytest.raises(InputError, match="degree_window must be at least 1"):
         run_suite(p8, n_max=2, trials=1, degree_window=window)
+
+
+def test_negative_horizon_is_input_error():
+    with pytest.raises(InputError, match="n_max must be nonnegative"):
+        suite_plan(-1)
 
 
 def test_random_laurent_generators():
