@@ -25,7 +25,10 @@ the point's store (`scalars.memo`).  With N = (1-az)(1-bz)(1-cz)(1-dz),
            g1 = (f(qz) - f(1/z)) / (1 - q z^2),  g2 = z^2 (f(q/z) - f(z)) / (z^2 - q)
 
 and D is the same with f(z) for f(1/z) and f(z/q) for f(q/z), which for
-symmetric f changes nothing.  Each division is exact because the
+symmetric f changes nothing.  Since g2(z) = g1(1/z), the kernel forms
+g1 and N g1 only, and reads the second term as N g1 reversed; for D it
+does so when the input's coefficient list equals its reverse, tested at
+each call, and otherwise divides twice.  Each division is exact because the
 difference vanishes where its binomial does (on the fixed locus of the
 involution, or where the q-shift meets it); a nonzero remainder would mean
 the operator was fed an input outside its domain and surfaces as

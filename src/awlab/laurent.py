@@ -22,7 +22,9 @@ The two substitutions act monomial-wise:
 
 `reflection_difference` and `q_difference`, the kernels of the operator
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
-at a point and divide dense integer lists by binomials A z^2 + B.
+at a point and divide dense integer lists by binomials A z^2 + B.  The two
+halves of `q_difference` mirror each other for D' on every input and for
+D on symmetric input, tested at each call, so it divides only once there.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .scalars import Scalar, format_scalar
+from .scalars import Powers, Scalar, format_scalar
 
 SUB_INV = "1/z"
 SUB_Q_OVER_Z = "q/z"
@@ -137,6 +139,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
+        if coeff == 1:
+            return cls._raw(degree, [1], 1)
         return cls({degree: coeff})
 
     def coeff(self, degree: int) -> Fraction:
@@ -299,18 +303,27 @@ def combination(terms) -> LaurentPoly:
     unreduced: one pass sums integer numerators over the lcm of the terms'
     denominators, and no gcd touches a numerator.  A sum that cancels is
     the canonical zero."""
-    parts = [(c.numerator, c.denominator * f._den, f)
-             for c, f in terms if c and f._num]
+    parts = []
+    lo = hi = None
+    for c, f in terms:
+        num = f._num
+        if c and num:
+            f_lo = f._lo
+            f_hi = f_lo + len(num)
+            if lo is None or f_lo < lo:
+                lo = f_lo
+            if hi is None or f_hi > hi:
+                hi = f_hi
+            parts.append((c.numerator, c.denominator * f._den, f_lo, num))
     if not parts:
         return LaurentPoly.zero()
-    den = lcm(*[d for _, d, _ in parts])
-    lo = min(f._lo for _, _, f in parts)
-    out = [0] * (max(f._lo + len(f._num) for _, _, f in parts) - lo)
-    for n, d, f in parts:
+    den = lcm(*[d for _, d, _, _ in parts])
+    out = [0] * (hi - lo)
+    for n, d, f_lo, num in parts:
         m = n * (den // d)
-        i = f._lo - lo
-        j = i + len(f._num)
-        out[i:j] = [a + m * v for a, v in zip(out[i:j], f._num)]
+        i = f_lo - lo
+        j = i + len(num)
+        out[i:j] = [a + m * v for a, v in zip(out[i:j], num)]
     return LaurentPoly._trimmed(lo, out, den, False)
 
 
@@ -377,16 +390,16 @@ def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         {k: Fraction(v, num._den) for k, v in enumerate(rem, num._lo)}))
 
 
-class Plan:
-    """One operator's constants at one point, as integers: q = qn/qd, the
-    tables pn[i] = qn^i and pd[i] = qd^i, grown as far as a call needs, and
-    t and qd times its numerator's coefficients (from z^0 up) over den."""
+class Plan(Powers):
+    """One operator's constants at one point, as integers: the power table
+    of q = qn/qd, and t and qd times its numerator's coefficients (from z^0
+    up) over den."""
 
-    __slots__ = ("qn", "qd", "pn", "pd", "t", "num", "den")
+    __slots__ = ("t", "num", "den")
 
     def __init__(self, q: Scalar, num, t: Scalar = _ZERO):
-        q, t, num = Fraction(q), Fraction(t), [Fraction(c) for c in num]
-        self.qn, self.qd, self.pn, self.pd = q.numerator, q.denominator, [1], [1]
+        super().__init__(q)
+        t, num = Fraction(t), [Fraction(c) for c in num]
         self.den = lcm(t.denominator, *(c.denominator for c in num))
         self.t = t.numerator * (self.den // t.denominator)
         self.num = [c.numerator * (self.den // c.denominator) * self.qd for c in num]
@@ -394,10 +407,7 @@ class Plan:
     def scaled_shift(self, fl: list[int], K: int) -> tuple[list[int], int]:
         """s f(qz) and s = (qn qd)^K, for f listed over degrees -K..K; the
         factor of z^k is q^k s = qn^(K+k) qd^(K-k)."""
-        pn, pd = self.pn, self.pd
-        while len(pn) <= 2 * K:
-            pn.append(pn[-1] * self.qn)
-            pd.append(pd[-1] * self.qd)
+        pn, pd = self.upto(2 * K)
         return [v * a * b for v, a, b in zip(fl, pn, pd[2 * K::-1])], pn[K] * pd[K]
 
 
@@ -462,24 +472,31 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     g = (f(qz) - f(1/z)) / (1 - q z^2) and h = (f(q/z) - f(z)) / (z^2 - q)
     if one_sided, else f(z) for f(1/z) and f(z/q) for f(q/z).  Each q-pole
     cancels in its own term; the terms agree at z = +-1 (f symmetric if not
-    one_sided)."""
+    one_sided).
+
+    One-sided, h = z^-2 g(1/z) for every f, so z^m N(1/z) h is X = N g
+    listed in reverse and the numerator is X - reversed(X): one quotient
+    and one product.  Two-sided, the same holds when f is symmetric, which
+    is decided at each call from f's padded list, never from a flag; an
+    asymmetric f (only possible past apply_D's guard) takes both quotients,
+    whose remainder checks refuse it."""
     if not f._num:
         return f
     fl, K = _padded(f)
     up, s = plan.scaled_shift(fl, K)
-    sf = [s * v for v in fl]
-    if one_sided:
-        g = [u - w for u, w in zip(up, reversed(sf))]
-        h = [u - w for u, w in zip(reversed(up), sf)]
-    else:  # s f(z/q) is s f(qz) of f(1/z), reversed
-        down, _ = plan.scaled_shift(fl[::-1], K)
-        g = [u - w for u, w in zip(up, sf)]
-        h = [u - w for u, w in zip(reversed(down), sf)]
     # 1 - q z^2 = (qd - qn z^2) / qd, z^2 - q = (qd z^2 - qn) / qd, and
     # plan.num carries the qd
-    g = _binomial_quotient(g, -K, -plan.qn, plan.qd)
-    h = _binomial_quotient(h, -K, plan.qd, -plan.qn)
-    out = [a - b for a, b in zip(_times(plan.num, g), _times(plan.num[::-1], h))]
+    if one_sided or fl == fl[::-1]:
+        g = [u - s * w for u, w in zip(up, reversed(fl))]
+        x = _times(plan.num, _binomial_quotient(g, -K, -plan.qn, plan.qd))
+        out = [a - b for a, b in zip(x, reversed(x))]
+    else:  # s f(z/q) is s f(qz) of f(1/z), reversed
+        down, _ = plan.scaled_shift(fl[::-1], K)
+        g = [u - s * w for u, w in zip(up, fl)]
+        h = [u - s * w for u, w in zip(reversed(down), fl)]
+        g = _binomial_quotient(g, -K, -plan.qn, plan.qd)
+        h = _binomial_quotient(h, -K, plan.qd, -plan.qn)
+        out = [a - b for a, b in zip(_times(plan.num, g), _times(plan.num[::-1], h))]
     # exact_quotient takes the last division, so the benchmark's tracer,
     # which spans it, still measures the operator layer's divisions
     quot = exact_quotient(LaurentPoly._trimmed(-K, out, 1),

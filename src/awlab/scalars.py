@@ -12,10 +12,17 @@ subclass, so a caller maps bad input to one exception and repeats no rule.
 It also owns `memo`, the one accessor of a point's store, so that every
 layer (the operator plans, the polynomials, the checks' shared
 ingredients) reaches the store without importing a layer above its own.
+
+The closed forms work on integers: each factor 1 - x q^j is an integer
+numerator over an integer denominator, with qn^j and qd^j (q = qn/qd)
+read from one table of powers that the point keeps in its store, and
+one Fraction is formed at the end.  `check_genericity` tests G3 and G4
+the same way, as xn qn^j == xd qd^j, on a table of its own.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -142,15 +149,60 @@ def memo(name: str, build, n: int | None, p: ParamSet):
     return value
 
 
-def _mu_value(n: int, q: Scalar, abcd: Scalar) -> Scalar:
+class Powers:
+    """q = qn/qd as integer powers: the tables pn[i] = qn^i and pd[i] = qd^i,
+    grown as far as a caller needs.  A point keeps one in its store (see
+    `_powers`), so the closed forms at every index share it; an operator's
+    `laurent.Plan` is one too."""
+
+    __slots__ = ("qn", "qd", "pn", "pd")
+
+    def __init__(self, q: Scalar | int):
+        self.qn, self.qd, self.pn, self.pd = q.numerator, q.denominator, [1], [1]
+
+    def upto(self, m: int) -> tuple[list[int], list[int]]:
+        """The tables pn and pd, grown to hold index m."""
+        pn, pd = self.pn, self.pd
+        while len(pn) <= m:
+            pn.append(pn[-1] * self.qn)
+            pd.append(pd[-1] * self.qd)
+        return pn, pd
+
+    def at(self, j: int) -> tuple[int, int]:
+        """q^j as an integer pair (num, den), for any integer j."""
+        m = abs(j)
+        pn, pd = self.upto(m)
+        return (pn[m], pd[m]) if j >= 0 else (pd[m], pn[m])
+
+
+def _one_minus(x: Scalar | int, qj: tuple[int, int]) -> tuple[int, int]:
+    """1 - x q^j as an integer pair, q^j given as the pair qj."""
+    den = x.denominator * qj[1]
+    return den - x.numerator * qj[0], den
+
+
+def _quotient(ups, downs) -> tuple[int, int]:
+    """The product of the pairs in ups over that of the pairs in downs."""
+    num = den = 1
+    for n, d in ups:
+        num, den = num * n, den * d
+    for n, d in downs:
+        num, den = num * d, den * n
+    return num, den
+
+
+def _mu_pair(n: int, pw: Powers, abcd: Scalar) -> tuple[int, int]:
     if n < 0:
-        return q**n
-    return q ** (n - 1) * abcd
+        return pw.at(n)
+    un, ud = pw.at(n - 1)
+    return un * abcd.numerator, ud * abcd.denominator
 
 
-def _lambda_value(n: int, q: Scalar, abcd: Scalar) -> Scalar:
+def _lambda_pair(n: int, pw: Powers, abcd: Scalar) -> tuple[int, int]:
     m = abs(n)
-    return (q**-m - 1) * (1 - abcd * q ** (m - 1))
+    un, ud = pw.at(-m)
+    fn, fd = _one_minus(abcd, pw.at(m - 1))
+    return (un - ud) * fn, ud * fd
 
 
 def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
@@ -175,7 +227,10 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
     q = _as_scalar("q", q)
     named = {"a": _as_scalar("a", a), "b": _as_scalar("b", b),
              "c": _as_scalar("c", c), "d": _as_scalar("d", d)}
-    n_max = int(n_max)
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise InputError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
     if q in (0, 1, -1):
@@ -185,40 +240,56 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
             raise GenericityError("G2", f"{name} must be nonzero")
     a, b, c, d = named["a"], named["b"], named["c"], named["d"]
     abcd = a * b * c * d
+    # x q^j = 1 exactly when x's numerator times q^j's equals the product
+    # of their denominators
+    pw = Powers(q)
+    xn, xd = abcd.numerator, abcd.denominator
     for j in range(-2, 2 * n_max + 3):
-        if abcd * q**j == 1:
+        un, ud = pw.at(j)
+        if xn * un == xd * ud:
             raise GenericityError("G3", f"abcd*q^{j} = 1")
     pairs = {"ab": a * b, "ac": a * c, "ad": a * d,
              "bc": b * c, "bd": b * d, "cd": c * d}
     for name, v in pairs.items():
+        xn, xd = v.numerator, v.denominator
         for j in range(n_max + 1):
-            if v * q**j == 1:
+            un, ud = pw.at(j)
+            if xn * un == xd * ud:
                 raise GenericityError("G4", f"{name}*q^{j} = 1")
     seen_mu: dict[Scalar, int] = {}
     for m in range(-(n_max + 1), n_max + 2):
-        v = _mu_value(m, q, abcd)
+        v = Fraction(*_mu_pair(m, pw, abcd))
         if v in seen_mu:
             raise GenericityError("G5", f"mu_{seen_mu[v]} = mu_{m} = {format_scalar(v)}")
         seen_mu[v] = m
     seen_lam: dict[Scalar, int] = {}
     for m in range(n_max + 2):
-        v = _lambda_value(m, q, abcd)
+        v = Fraction(*_lambda_pair(m, pw, abcd))
         if v in seen_lam:
             raise GenericityError("G6", f"lambda_{seen_lam[v]} = lambda_{m} = {format_scalar(v)}")
         seen_lam[v] = m
     return ParamSet(q, a, b, c, d, n_max)
 
 
+def _point_powers(_, p: ParamSet) -> Powers:
+    return Powers(p.q)
+
+
+def _powers(p: ParamSet) -> Powers:
+    """The point's power table of q, built at the first closed form there."""
+    return memo("q_powers", _point_powers, None, p)
+
+
 def lambda_n(n: int, p: ParamSet) -> Scalar:
     """Eigenvalue of the q-difference operator on the degree-|n| symmetric
     polynomial: (q^-|n| - 1)(1 - abcd q^(|n|-1))."""
-    return _lambda_value(n, p.q, p.abcd)
+    return Fraction(*_lambda_pair(n, _powers(p), p.abcd))
 
 
 def mu_n(n: int, p: ParamSet) -> Scalar:
     """Eigenvalue of Y on the n-th nonsymmetric polynomial: q^n for n < 0 and
     q^(n-1) abcd for n >= 0."""
-    return _mu_value(n, p.q, p.abcd)
+    return Fraction(*_mu_pair(n, _powers(p), p.abcd))
 
 
 def alpha_n(n: int, p: ParamSet) -> Scalar:
@@ -229,15 +300,23 @@ def alpha_n(n: int, p: ParamSet) -> Scalar:
     if n < 0:
         raise ValueError("alpha_n needs n >= 0")
     p.require_horizon(n)
-    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
-    abcd = p.abcd
-    mid_num = a * (1 - b * c * q ** (n - 1)) * (1 - b * d * q ** (n - 1)) \
-        * (1 - c * d * q ** (n - 1)) * (1 - q**n)
-    mid_den = (1 - abcd * q ** (2 * n - 2)) * (1 - abcd * q ** (2 * n - 1))
-    top_num = (1 - a * b * q**n) * (1 - a * c * q**n) * (1 - a * d * q**n) \
-        * (1 - abcd * q ** (n - 1))
-    top_den = a * (1 - abcd * q ** (2 * n - 1)) * (1 - abcd * q ** (2 * n))
-    return a + 1 / a - mid_num / mid_den - top_num / top_den
+    a, b, c, d, abcd = p.a, p.b, p.c, p.d, p.abcd
+    pw = _powers(p)
+    # each factor is an integer pair, and one Fraction is formed at the end
+    an, ad = a.numerator, a.denominator
+    q_prev, q_n = pw.at(n - 1), pw.at(n)
+    mid_n, mid_d = _quotient(
+        ((an, ad), _one_minus(b * c, q_prev), _one_minus(b * d, q_prev),
+         _one_minus(c * d, q_prev), _one_minus(1, q_n)),
+        (_one_minus(abcd, pw.at(2 * n - 2)), _one_minus(abcd, pw.at(2 * n - 1))))
+    top_n, top_d = _quotient(
+        (_one_minus(a * b, q_n), _one_minus(a * c, q_n), _one_minus(a * d, q_n),
+         _one_minus(abcd, q_prev)),
+        ((an, ad), _one_minus(abcd, pw.at(2 * n - 1)), _one_minus(abcd, pw.at(2 * n))))
+    # a + 1/a - mid - top
+    aa = an * ad
+    return Fraction((an * an + ad * ad) * mid_d * top_d
+                    - aa * (mid_n * top_d + top_n * mid_d), aa * mid_d * top_d)
 
 
 def c_n(n: int, p: ParamSet) -> Scalar:
@@ -251,14 +330,16 @@ def c_n(n: int, p: ParamSet) -> Scalar:
     if n < 1:
         raise ValueError("c_n needs n >= 1")
     p.require_horizon(n)
-    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
-    abcd = p.abcd
-    num = (1 - q**n) * (1 - abcd * q ** (n - 2))
-    for xy in (a * b, a * c, a * d, b * c, b * d, c * d):
-        num *= 1 - xy * q ** (n - 1)
-    den = (1 - abcd * q ** (2 * n - 3)) * (1 - abcd * q ** (2 * n - 2)) ** 2 \
-        * (1 - abcd * q ** (2 * n - 1))
-    return num / den
+    a, b, c, d, abcd = p.a, p.b, p.c, p.d, p.abcd
+    pw = _powers(p)
+    q_prev = pw.at(n - 1)
+    mid = _one_minus(abcd, pw.at(2 * n - 2))
+    pairs = (a * b, a * c, a * d, b * c, b * d, c * d)
+    return Fraction(*_quotient(
+        (_one_minus(1, pw.at(n)), _one_minus(abcd, pw.at(n - 2)),
+         *(_one_minus(xy, q_prev) for xy in pairs)),
+        (_one_minus(abcd, pw.at(2 * n - 3)), mid, mid,
+         _one_minus(abcd, pw.at(2 * n - 1)))))
 
 
 def e1(p: ParamSet) -> Scalar:
@@ -281,10 +362,16 @@ def beta_n(n: int, p: ParamSet) -> Scalar:
     Defined for all |n| <= n_max; G5 keeps the denominator nonzero.
     """
     p.require_horizon(n)
-    lam = lambda_n(n, p)
-    m_prev = mu_n(n - 1, p)
-    m_neg = mu_n(-n, p)
-    return ((lam + 1 - m_prev) * e1(p) - (1 - m_prev) * e3(p)) / (m_prev - m_neg)
+    pw, abcd = _powers(p), p.abcd
+    ln, ld = _lambda_pair(n, pw, abcd)
+    pn, pd = _mu_pair(n - 1, pw, abcd)
+    nn, nd = _mu_pair(-n, pw, abcd)
+    s1, s3 = e1(p), e3(p)
+    # over ld pd e1's and e3's denominators, then over (pn nd - nn pd) / (pd nd)
+    top = (ln * pd + ld * (pd - pn)) * s1.numerator * s3.denominator \
+        - (pd - pn) * ld * s1.denominator * s3.numerator
+    return Fraction(top * nd,
+                    ld * s1.denominator * s3.denominator * (pn * nd - nn * pd))
 
 
 def kappa_n(n: int, p: ParamSet) -> Scalar:
@@ -293,9 +380,13 @@ def kappa_n(n: int, p: ParamSet) -> Scalar:
     kappa_n = (mu_{n-1} (c + d) + t0 (a + b)) / (mu_{n-1} - mu_{-n}).
     """
     p.require_horizon(n)
-    m_prev = mu_n(n - 1, p)
-    m_neg = mu_n(-n, p)
-    return (m_prev * (p.c + p.d) + p.t0 * (p.a + p.b)) / (m_prev - m_neg)
+    pw, abcd = _powers(p), p.abcd
+    pn, pd = _mu_pair(n - 1, pw, abcd)
+    nn, nd = _mu_pair(-n, pw, abcd)
+    s, u = p.c + p.d, p.t0 * (p.a + p.b)
+    # over pd, s's and u's denominators, then over (pn nd - nn pd) / (pd nd)
+    top = pn * s.numerator * u.denominator + pd * u.numerator * s.denominator
+    return Fraction(top * nd, s.denominator * u.denominator * (pn * nd - nn * pd))
 
 
 _DRAW_HEIGHT = 64  # bound on each numerator and denominator drawn

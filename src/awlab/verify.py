@@ -30,10 +30,10 @@ reads the result off the images.  Then a linearity guard draws `trials`
 random f, whose non-unit denominators the basis never has, and tests
 op(f) against the same combination of the basis images, for each
 operator the check applies to f itself (T0, T1, D and both forms of
-D'; t_i T_i^{-1}, which the check applies to the images T_i z^k, is not
-guarded).  Every relation is zero-tested as one
-`laurent.combination`, which needs no gcd pass, and the first nonzero
-one is the witness lhs - rhs.
+D'); hecke-relations also tests t_i T_i^{-1} (T_i f) = t_i f, since the
+basis runs t_i T_i^{-1} only on the images T_i z^k.  Every relation is
+zero-tested as one `laurent.combination`, which needs no gcd pass, and
+the first nonzero one is the witness lhs - rhs.
 
 Random inputs are drawn from a generator seeded per identity id, so a
 suite run is a pure function of (params, n_max, trials, seed,
@@ -44,8 +44,8 @@ the calls from outside.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 from .hecke import (
     apply_D,
@@ -94,32 +94,43 @@ from .scalars import HorizonError, InputError, ParamSet, e1, e3, lambda_n
 _HEIGHT = 9  # random coefficients are r/s with |r| and s at most _HEIGHT
 
 
-def _draws(rng: random.Random, degrees: range) -> dict[int, Fraction]:
+def _draws(rng: random.Random, degrees: range) -> tuple[int, list[int], int]:
     """Nonzero coefficients at some of `degrees`, at least one: each degree
-    draws with chance 1/2, and keeps r/s when r is nonzero."""
+    draws with chance 1/2, and keeps r/s when r is nonzero.  They come
+    back as the integer numerators from the lowest degree drawn up, over
+    the lcm of the lowest-terms denominators, which is canonical: every
+    prime of the lcm misses some numerator."""
     if not degrees:
         raise ValueError("degree_window must be nonnegative")
-    while True:
-        coeffs = {}
+    drawn = []
+    while not drawn:
         for k in degrees:
             if rng.random() < 0.5:
                 num = rng.randint(-_HEIGHT, _HEIGHT)
                 if num:
-                    coeffs[k] = Fraction(num, rng.randint(1, _HEIGHT))
-        if coeffs:
-            return coeffs
+                    s = rng.randint(1, _HEIGHT)
+                    g = gcd(num, s)
+                    drawn.append((k, num // g, s // g))
+    den = lcm(*[s for _, _, s in drawn])
+    lo = drawn[0][0]
+    nums = [0] * (drawn[-1][0] - lo + 1)
+    for k, r, s in drawn:
+        nums[k - lo] = r * (den // s)
+    return lo, nums, den
 
 
 def random_laurent(rng: random.Random, degree_window: int = 6) -> LaurentPoly:
     """Random nonzero Laurent polynomial with support inside [-w, w]."""
-    return LaurentPoly(_draws(rng, range(-degree_window, degree_window + 1)))
+    return LaurentPoly._trimmed(*_draws(rng, range(-degree_window,
+                                                    degree_window + 1)))
 
 
 def random_symmetric_laurent(rng: random.Random,
                              degree_window: int = 6) -> LaurentPoly:
     """Random nonzero Laurent polynomial invariant under z -> 1/z."""
-    half = _draws(rng, range(degree_window + 1))
-    return LaurentPoly({**half, **{-k: v for k, v in half.items()}})
+    lo, half, den = _draws(rng, range(degree_window + 1))
+    right = [0] * lo + half  # degrees 0 up
+    return LaurentPoly._trimmed(1 - len(right), right[:0:-1] + right, den)
 
 
 def _require_trials(trials: int) -> None:
@@ -136,7 +147,8 @@ def _require_window(degree_window: int) -> None:
 
 def _symmetric(j: int) -> LaurentPoly:
     """The symmetric basis of the window: 1 for j = 0, else z^j + z^-j."""
-    return LaurentPoly({j: 1, -j: 1}) if j else LaurentPoly.one()
+    return LaurentPoly._raw(-j, [1] + [0] * (2 * j - 1) + [1], 1) if j \
+        else LaurentPoly.one()
 
 
 def _images(op, basis):
@@ -192,11 +204,10 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     t_i T_i^{-1} z^k as T_i z^k + (1 - t_i) z^k; invertibility runs
     t_i T_i^{-1} itself on T_i z^k.  Then `trials` seeded random f guard
     linearity: T_i f must equal the same combination of the monomial
-    images.  Invertibility is proven for every f in the window only as
-    far as t_i T_i^{-1} is linear, which the guard does not test.  Each
-    relation zero-tests the combination lhs - rhs, and the first that is
-    nonzero is the witness; a failed certificate gives the element
-    z^j - z^-j.
+    images, and t_i T_i^{-1} (T_i f) must equal t_i f, so an inverse that
+    is right on the images T_i z^k only is caught too.  Each relation
+    zero-tests the combination lhs - rhs, and the first that is nonzero
+    is the witness; a failed certificate gives the element z^j - z^-j.
     """
     return _window_report("hecke-relations", _hecke_residuals, p, trials,
                           seed, degree_window)
@@ -227,33 +238,44 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
                               (t1, mono(-j)))).max_deg != j:
             yield LaurentPoly({j: 1, -j: -1})
 
+    # the scalars and the monomials z^-w-1 .. z^w+1 of the loop, made once
     a_b, c_d = p.a + p.b, p.c + p.d
+    one_t1, one_t0, neg_t1, neg_t0 = 1 - t1, 1 - t0, -t1, -t0
+    t1_t1_1, t1_a_b = t1 * (t1 - 1), t1 * a_b
+    neg_q, neg_c_d, neg_a_b = -q, -c_d, -a_b
+    monos = {k: mono(k) for k in range(-w - 1, w + 2)}
     for k in range(-w, w + 1):
-        b, t1b, t0b = mono(k), t1z(k), t0z(k)
-        for tb, image, t, apply_inv in ((t1b, t1z, t1, apply_t1_T1_inv),
-                                        (t0b, t0z, t0, apply_t0_T0_inv)):
+        b, t1b, t0b = monos[k], t1z(k), t0z(k)
+        for tb, image, one_t, neg_t, apply_inv in (
+                (t1b, t1z, one_t1, neg_t1, apply_t1_T1_inv),
+                (t0b, t0z, one_t0, neg_t0, apply_t0_T0_inv)):
             # (T - t)(T + 1) b = T(T b) + (1 - t) T b - t b = 0
-            yield linear_extension(image, tb, plus=((1 - t, tb), (-t, b)))
-            yield combination(((1, apply_inv(tb, p)), (-t, b)))  # t T^{-1} T b = t b
+            yield linear_extension(image, tb, plus=((one_t, tb), (neg_t, b)))
+            yield combination(((1, apply_inv(tb, p)), (neg_t, b)))  # t T^{-1} T b = t b
         # commutation: z t0 T0^{-1} = q T0 z^{-1} + (c + d)
-        yield combination(((1, _Z * t0b), (1 - t0, mono(k + 1)),
-                           (-q, t0z(k - 1)), (-c_d, b)))
+        yield combination(((1, _Z * t0b), (one_t0, monos[k + 1]),
+                           (neg_q, t0z(k - 1)), (neg_c_d, b)))
         # commutation: (T1 + 1) z^{-1} = t1 z^{-1} + z T1 + (a + b)
-        yield combination(((1, t1z(k - 1)), (1 - t1, mono(k - 1)),
-                           (-1, _Z * t1b), (-a_b, b)))
+        yield combination(((1, t1z(k - 1)), (one_t1, monos[k - 1]),
+                           (-1, _Z * t1b), (neg_a_b, b)))
         # commutation: t1 (T1 + 1) z = t1 z + z^{-1} t1 (T1 - t1 + 1) - t1 (a + b)
-        yield combination(((t1, t1z(k + 1)), (-t1, _ZI * t1b),
-                           (t1 * (t1 - 1), mono(k - 1)), (t1 * a_b, b)))
+        yield combination(((t1, t1z(k + 1)), (neg_t1, _ZI * t1b),
+                           (t1_t1_1, monos[k - 1]), (t1_a_b, b)))
         # (T1 + 1) b is symmetric.  The quadratic relation puts it in the
         # kernel of T1 - t1, which the criterion and the certificate show
         # is the symmetric part of the window, but only if T1 b lies in the
         # window, which nothing above checks; this line needs no kernel call
-        yield combination(((1, t1b), (1, b), (-1, s1(t1b)), (-1, mono(-k))))
+        yield combination(((1, t1b), (1, b), (-1, s1(t1b)), (-1, monos[-k])))
 
-    for _ in range(trials):  # the linearity guard
+    for _ in range(trials):  # the linearity guard, then the inverses' guard
         f = random_laurent(rng, w)
-        yield _guard(T1(f), t1z, f)
-        yield _guard(T0(f), t0z, f)
+        t1f = T1(f)
+        yield _guard(t1f, t1z, f)
+        t0f = T0(f)
+        yield _guard(t0f, t0z, f)
+        # t T^{-1} T f = t f, with T f already matched to the images
+        yield combination(((1, apply_t1_T1_inv(t1f, p)), (neg_t1, f)))
+        yield combination(((1, apply_t0_T0_inv(t0f, p)), (neg_t0, f)))
 
 
 def check_factorization(p: ParamSet, trials: int = 25, *, seed: int = 42,

@@ -4,6 +4,7 @@ import copy
 import pickle
 from fractions import Fraction as F
 
+import fraction_scalars
 import pytest
 
 from awlab import scalars
@@ -25,6 +26,9 @@ from awlab.scalars import (
     parse_scalar,
     random_param_sets,
 )
+
+
+NEGATIVE_Q = check_genericity(F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13), 6)
 
 
 def param_set_from_json(doc: dict) -> ParamSet:
@@ -161,6 +165,69 @@ def test_genericity_rejects_floats():
 def test_genericity_rejects_negative_horizon():
     with pytest.raises(InputError, match="n_max must be nonnegative"):
         check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), -1)
+
+
+@pytest.mark.parametrize("n_max", [2.9, 3.0, "3"])
+def test_genericity_rejects_a_non_integer_horizon(n_max):
+    # truncating 2.9 to 2, or reading "3" as 3, would certify a horizon
+    # the caller did not ask for
+    with pytest.raises(InputError, match="n_max must be an integer"):
+        check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), n_max)
+
+
+def _resonant_points():
+    """Points with abcd q^j = 1 or xy q^j = 1 at and around the edges of
+    the G3 and G4 ranges, for q of both signs and either side of 1."""
+    for q in (F(1, 2), F(-2, 3), F(3, 2), F(-5, 3)):
+        for n_max in (0, 1, 3):
+            for j in range(-4, 2 * n_max + 5):
+                a, b, c = F(2, 7), F(-3, 5), F(7, 11)
+                yield q, a, b, c, q**-j / (a * b * c), n_max  # abcd q^j = 1
+                yield q, a, q**-j / a, c, F(5, 13), n_max  # ab q^j = 1
+                yield q, a, b, q**-j / b, F(5, 13), n_max  # bc q^j = 1
+                yield q, a, b, F(5, 13), q**-j / F(5, 13), n_max  # cd q^j = 1
+
+
+def test_g3_and_g4_report_what_the_fraction_test_reports():
+    for point in _resonant_points():
+        want = fraction_scalars.first_g3_g4_violation(*point)
+        try:
+            check_genericity(*point)
+            got = None
+        except GenericityError as err:
+            got = str(err) if err.condition in ("G3", "G4") else None
+        assert got == want, point
+
+
+def _oracle_points(seeded_points):
+    yield from seeded_points
+    yield check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), 8)
+    yield NEGATIVE_Q
+    yield check_genericity(F(17, 19), F(17, 29), F(-29, 31), F(-17, 29),
+                           F(-29, 31), 24)
+
+
+@pytest.mark.parametrize("name, indices", [
+    ("alpha_n", lambda N: range(N + 1)),
+    ("c_n", lambda N: range(1, N + 1)),
+    ("beta_n", lambda N: range(-N, N + 1)),
+    ("kappa_n", lambda N: range(-N, N + 1)),
+    ("lambda_n", lambda N: range(-N - 1, N + 2)),
+    ("mu_n", lambda N: range(-N - 1, N + 2)),
+])
+def test_closed_forms_match_the_fraction_oracle(name, indices, seeded_points):
+    # up to the horizon edge, at seeded points, p8, a negative q and a
+    # point with 5-bit primes at horizon 24
+    for p in _oracle_points(seeded_points):
+        for n in indices(p.n_max):
+            assert getattr(scalars, name)(n, p) == \
+                getattr(fraction_scalars, name)(n, p), (name, n, p)
+
+
+@pytest.mark.parametrize("family", [alpha_n, c_n, beta_n, kappa_n])
+def test_closed_forms_stop_at_the_horizon(family):
+    with pytest.raises(HorizonError):
+        family(NEGATIVE_Q.n_max + 1, NEGATIVE_Q)
 
 
 def test_lambda_values(p8):

@@ -23,7 +23,8 @@ Two kinds of mutation are pinned:
   and the certificate imply while T1 keeps the window.
 
 Two more kinds are checked by what they must do rather than pinned: an
-operator that is exact on the basis but not linear, which only the guard
+operator that is exact on the basis but not linear, or an inverse t_i
+T_i^{-1} that is exact on the images T_i z^k only, which only the guard
 can catch, and a T1 that fixes z - 1/z, which only the certificate can.
 """
 
@@ -58,7 +59,7 @@ CALLS_PER_TRIAL = {
         ["T1"] * 13
         + ["T0", "t1_T1_inv"] + ["T0"] * 12 + ["t0_T0_inv", "T0", "T1"]
         + ["t1_T1_inv", "t0_T0_inv"] * 12 + ["T1"]  # z^-5 .. z^6
-        + ["T1", "T0"]),
+        + ["T1", "T0", "t1_T1_inv", "t0_T0_inv"]),
     "factorization": ["D_prime"] * 26 + ["D"] * 7 + ["D_prime", "D_prime", "D"],
     "bridge-symmetric": ["D_prime", "D", "D"] + ["D_prime", "D"] * 7,
 }
@@ -169,6 +170,27 @@ def test_guard_catches_an_operator_exact_on_the_basis(name, check_ids, p8,
         report = CHECKS[check_id](p8, trials=2)
         assert not report.passed
         assert report.residual_witness == _Z
+
+
+@pytest.mark.parametrize("inverse, forward", [
+    ("apply_t1_T1_inv", "apply_T1"),
+    ("apply_t0_T0_inv", "apply_T0"),
+])
+def test_guard_catches_an_inverse_exact_on_the_images(inverse, forward, p8,
+                                                      monkeypatch):
+    # the basis proof runs t T^{-1} only on the images T z^k, so an inverse
+    # that is exact there and adds z elsewhere is caught only by the guard's
+    # t T^{-1} T f = t f on a random f
+    op, images = getattr(verify, inverse), {
+        getattr(verify, forward)(LaurentPoly.monomial(k), p8) for k in range(-6, 7)}
+
+    def exact_on_images(f, p):
+        return op(f, p) if f in images else op(f, p) + _Z
+
+    monkeypatch.setattr(verify, inverse, exact_on_images)
+    report = check_hecke_relations(p8, trials=2)
+    assert not report.passed
+    assert report.residual_witness == _Z
 
 
 def test_certificate_catches_a_T1_that_fixes_z_minus_inverse(p8, monkeypatch):

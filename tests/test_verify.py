@@ -145,6 +145,45 @@ def test_random_laurent_generators():
         assert g.is_symmetric() and not g.is_zero()
 
 
+def _dict_draws(rng, degrees):
+    # the draws as first written: a Fraction per coefficient, in a dict
+    while True:
+        coeffs = {}
+        for k in degrees:
+            if rng.random() < 0.5:
+                num = rng.randint(-9, 9)
+                if num:
+                    coeffs[k] = Fraction(num, rng.randint(1, 9))
+        if coeffs:
+            return coeffs
+
+
+def _dict_laurent(rng, w):
+    return LaurentPoly(_dict_draws(rng, range(-w, w + 1)))
+
+
+def _dict_symmetric_laurent(rng, w):
+    half = _dict_draws(rng, range(w + 1))
+    return LaurentPoly({**half, **{-k: v for k, v in half.items()}})
+
+
+@pytest.mark.parametrize("draw, oracle", [
+    (random_laurent, _dict_laurent),
+    (random_symmetric_laurent, _dict_symmetric_laurent),
+])
+def test_draws_match_the_dict_built_oracle(draw, oracle):
+    # the same polynomial in the same canonical triple, with the generator
+    # left in the same state, so the guards' inputs are unchanged
+    for seed in range(200):
+        for w in (1, 3, 6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got, want = draw(rng, w), oracle(ref, w)
+                assert (got._lo, got._num, got._den) == \
+                    (want._lo, want._num, want._den), (seed, w)
+            assert rng.getstate() == ref.getstate()
+
+
 def test_suite_plan_full_horizon():
     plan = dict(suite_plan(8))
     assert plan["q-difference-eigen"] == tuple(range(9))
