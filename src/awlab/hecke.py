@@ -17,7 +17,9 @@ operators use that: T0 and T1 run `laurent.reflection_difference`, D and
 the direct form of D' run `laurent.q_difference`, fused kernels that
 divide only by binomials.  Their constants come from a `laurent.Plan` per
 operator and point, built at the operator's first call there and kept in
-the point's store (`scalars.memo`).  With N = (1-az)(1-bz)(1-cz)(1-dz),
+the point's store (`scalars.memo`); the plans of T0 and D read the powers
+of q from the point's one table (`scalars.powers`), which the closed forms
+share.  With N = (1-az)(1-bz)(1-cz)(1-dz),
 
     T1 f = t1 f + (1-az)(1-bz) (f(1/z) - f(z)) / (1 - z^2)
     T0 f = t0 f + (z-c)(z-d) (f(q/z) - f(z)) / (z^2 - q)
@@ -27,8 +29,8 @@ the point's store (`scalars.memo`).  With N = (1-az)(1-bz)(1-cz)(1-dz),
 and D is the same with f(z) for f(1/z) and f(z/q) for f(q/z), which for
 symmetric f changes nothing.  Since g2(z) = g1(1/z), the kernel forms
 g1 and N g1 only, and reads the second term as N g1 reversed; for D it
-does so when the input's coefficient list equals its reverse, tested at
-each call, and otherwise divides twice.  Each division is exact because the
+first tests, at each call, that the input's coefficient list equals its
+reverse, and refuses it otherwise.  Each division is exact because the
 difference vanishes where its binomial does (on the fixed locus of the
 involution, or where the q-shift meets it); a nonzero remainder would mean
 the operator was fed an input outside its domain and surfaces as
@@ -56,7 +58,7 @@ from .laurent import (
     q_difference,
     reflection_difference,
 )
-from .scalars import ParamSet, memo
+from .scalars import ParamSet, Powers, memo, powers
 
 
 class NotSymmetricError(ValueError):
@@ -73,11 +75,11 @@ def s1(f: LaurentPoly) -> LaurentPoly:
 
 
 def _t1_plan(_, p: ParamSet) -> Plan:
-    return Plan(1, (-1, p.a + p.b, p.t1), p.t1)
+    return Plan(Powers(1), (-1, p.a + p.b, p.t1), p.t1)
 
 
 def _t0_plan(_, p: ParamSet) -> Plan:
-    return Plan(p.q, (p.c * p.d, -p.c - p.d, 1), p.t0)
+    return Plan(powers(p), (p.c * p.d, -p.c - p.d, 1), p.t0)
 
 
 def _d_plan(_, p: ParamSet) -> Plan:
@@ -85,7 +87,7 @@ def _d_plan(_, p: ParamSet) -> Plan:
     a, b, c, d = p.a, p.b, p.c, p.d
     e2 = a * b + a * c + a * d + b * c + b * d + c * d
     e3 = a * b * c + a * b * d + a * c * d + b * c * d
-    return Plan(p.q, (1, -(a + b + c + d), e2, -e3, p.abcd))
+    return Plan(powers(p), (1, -(a + b + c + d), e2, -e3, p.abcd))
 
 
 def apply_T1(f: LaurentPoly, p: ParamSet) -> LaurentPoly:

@@ -24,7 +24,8 @@ The two substitutions act monomial-wise:
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
 at a point and divide dense integer lists by binomials A z^2 + B.  The two
 halves of `q_difference` mirror each other for D' on every input and for
-D on symmetric input, tested at each call, so it divides only once there.
+D on symmetric input, so it divides only once; D's input is tested for
+symmetry at each call, and an asymmetric one is refused.
 """
 
 from __future__ import annotations
@@ -390,15 +391,16 @@ def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         {k: Fraction(v, num._den) for k, v in enumerate(rem, num._lo)}))
 
 
-class Plan(Powers):
-    """One operator's constants at one point, as integers: the power table
-    of q = qn/qd, and t and qd times its numerator's coefficients (from z^0
+class Plan:
+    """One operator's constants at one point, as integers: q = qn/qd and
+    its power table pw (the point's own, `scalars.powers`, when q is the
+    point's q), and t and qd times its numerator's coefficients (from z^0
     up) over den."""
 
-    __slots__ = ("t", "num", "den")
+    __slots__ = ("pw", "qn", "qd", "t", "num", "den")
 
-    def __init__(self, q: Scalar, num, t: Scalar = _ZERO):
-        super().__init__(q)
+    def __init__(self, pw: Powers, num, t: Scalar = _ZERO):
+        self.pw, self.qn, self.qd = pw, pw.qn, pw.qd
         t, num = Fraction(t), [Fraction(c) for c in num]
         self.den = lcm(t.denominator, *(c.denominator for c in num))
         self.t = t.numerator * (self.den // t.denominator)
@@ -407,7 +409,7 @@ class Plan(Powers):
     def scaled_shift(self, fl: list[int], K: int) -> tuple[list[int], int]:
         """s f(qz) and s = (qn qd)^K, for f listed over degrees -K..K; the
         factor of z^k is q^k s = qn^(K+k) qd^(K-k)."""
-        pn, pd = self.upto(2 * K)
+        pn, pd = self.pw.upto(2 * K)
         return [v * a * b for v, a, b in zip(fl, pn, pd[2 * K::-1])], pn[K] * pd[K]
 
 
@@ -476,27 +478,22 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
 
     One-sided, h = z^-2 g(1/z) for every f, so z^m N(1/z) h is X = N g
     listed in reverse and the numerator is X - reversed(X): one quotient
-    and one product.  Two-sided, the same holds when f is symmetric, which
-    is decided at each call from f's padded list, never from a flag; an
-    asymmetric f (only possible past apply_D's guard) takes both quotients,
-    whose remainder checks refuse it."""
+    and one product.  Two-sided, g and h are the one-sided ones when f is
+    symmetric, which is decided at each call from f's padded list, never
+    from a flag; an asymmetric f (only possible past apply_D's guard) is
+    outside D's domain and raises NotDivisibleError with its antisymmetric
+    part f - f(1/z) as the remainder."""
     if not f._num:
         return f
     fl, K = _padded(f)
+    if not one_sided and fl != fl[::-1]:
+        raise NotDivisibleError(LaurentPoly._trimmed(
+            -K, [a - b for a, b in zip(fl, reversed(fl))], f._den))
     up, s = plan.scaled_shift(fl, K)
-    # 1 - q z^2 = (qd - qn z^2) / qd, z^2 - q = (qd z^2 - qn) / qd, and
-    # plan.num carries the qd
-    if one_sided or fl == fl[::-1]:
-        g = [u - s * w for u, w in zip(up, reversed(fl))]
-        x = _times(plan.num, _binomial_quotient(g, -K, -plan.qn, plan.qd))
-        out = [a - b for a, b in zip(x, reversed(x))]
-    else:  # s f(z/q) is s f(qz) of f(1/z), reversed
-        down, _ = plan.scaled_shift(fl[::-1], K)
-        g = [u - s * w for u, w in zip(up, fl)]
-        h = [u - s * w for u, w in zip(reversed(down), fl)]
-        g = _binomial_quotient(g, -K, -plan.qn, plan.qd)
-        h = _binomial_quotient(h, -K, plan.qd, -plan.qn)
-        out = [a - b for a, b in zip(_times(plan.num, g), _times(plan.num[::-1], h))]
+    # 1 - q z^2 = (qd - qn z^2) / qd, and plan.num carries the qd
+    g = [u - s * w for u, w in zip(up, reversed(fl))]
+    x = _times(plan.num, _binomial_quotient(g, -K, -plan.qn, plan.qd))
+    out = [a - b for a, b in zip(x, reversed(x))]
     # exact_quotient takes the last division, so the benchmark's tracer,
     # which spans it, still measures the operator layer's divisions
     quot = exact_quotient(LaurentPoly._trimmed(-K, out, 1),

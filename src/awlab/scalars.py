@@ -13,11 +13,12 @@ It also owns `memo`, the one accessor of a point's store, so that every
 layer (the operator plans, the polynomials, the checks' shared
 ingredients) reaches the store without importing a layer above its own.
 
-The closed forms work on integers: each factor 1 - x q^j is an integer
-numerator over an integer denominator, with qn^j and qd^j (q = qn/qd)
-read from one table of powers that the point keeps in its store, and
-one Fraction is formed at the end.  `check_genericity` tests G3 and G4
-the same way, as xn qn^j == xd qd^j, on a table of its own.
+A point keeps one table of the powers qn^j and qd^j of q = qn/qd in its
+store (`powers`), which the operator plans of T0 and D share.  alpha_n
+and c_n are products over that table of integer pairs, one for each
+factor 1 - x q^j, with one Fraction formed at the end; lambda_n and mu_n
+read q^j from it too, and beta_n and kappa_n are Fraction combinations
+of lambda_n and mu_n.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def memo(name: str, build, n: int | None, p: ParamSet):
 class Powers:
     """q = qn/qd as integer powers: the tables pn[i] = qn^i and pd[i] = qd^i,
     grown as far as a caller needs.  A point keeps one in its store (see
-    `_powers`), so the closed forms at every index share it; an operator's
-    `laurent.Plan` is one too."""
+    `powers`), so the closed forms at every index and the operator plans
+    of T0 and D share it."""
 
     __slots__ = ("qn", "qd", "pn", "pd")
 
@@ -228,6 +229,8 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
     named = {"a": _as_scalar("a", a), "b": _as_scalar("b", b),
              "c": _as_scalar("c", c), "d": _as_scalar("d", d)}
     try:
+        if isinstance(n_max, bool):
+            raise TypeError
         n_max = operator.index(n_max)
     except TypeError:
         raise InputError(f"n_max must be an integer, got {n_max!r}") from None
@@ -240,22 +243,16 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
             raise GenericityError("G2", f"{name} must be nonzero")
     a, b, c, d = named["a"], named["b"], named["c"], named["d"]
     abcd = a * b * c * d
-    # x q^j = 1 exactly when x's numerator times q^j's equals the product
-    # of their denominators
-    pw = Powers(q)
-    xn, xd = abcd.numerator, abcd.denominator
     for j in range(-2, 2 * n_max + 3):
-        un, ud = pw.at(j)
-        if xn * un == xd * ud:
+        if abcd * q**j == 1:
             raise GenericityError("G3", f"abcd*q^{j} = 1")
     pairs = {"ab": a * b, "ac": a * c, "ad": a * d,
              "bc": b * c, "bd": b * d, "cd": c * d}
     for name, v in pairs.items():
-        xn, xd = v.numerator, v.denominator
         for j in range(n_max + 1):
-            un, ud = pw.at(j)
-            if xn * un == xd * ud:
+            if v * q**j == 1:
                 raise GenericityError("G4", f"{name}*q^{j} = 1")
+    pw = Powers(q)
     seen_mu: dict[Scalar, int] = {}
     for m in range(-(n_max + 1), n_max + 2):
         v = Fraction(*_mu_pair(m, pw, abcd))
@@ -275,21 +272,22 @@ def _point_powers(_, p: ParamSet) -> Powers:
     return Powers(p.q)
 
 
-def _powers(p: ParamSet) -> Powers:
-    """The point's power table of q, built at the first closed form there."""
+def powers(p: ParamSet) -> Powers:
+    """The point's power table of q, built at its first use there (a
+    closed form or an operator plan)."""
     return memo("q_powers", _point_powers, None, p)
 
 
 def lambda_n(n: int, p: ParamSet) -> Scalar:
     """Eigenvalue of the q-difference operator on the degree-|n| symmetric
     polynomial: (q^-|n| - 1)(1 - abcd q^(|n|-1))."""
-    return Fraction(*_lambda_pair(n, _powers(p), p.abcd))
+    return Fraction(*_lambda_pair(n, powers(p), p.abcd))
 
 
 def mu_n(n: int, p: ParamSet) -> Scalar:
     """Eigenvalue of Y on the n-th nonsymmetric polynomial: q^n for n < 0 and
     q^(n-1) abcd for n >= 0."""
-    return Fraction(*_mu_pair(n, _powers(p), p.abcd))
+    return Fraction(*_mu_pair(n, powers(p), p.abcd))
 
 
 def alpha_n(n: int, p: ParamSet) -> Scalar:
@@ -301,7 +299,7 @@ def alpha_n(n: int, p: ParamSet) -> Scalar:
         raise ValueError("alpha_n needs n >= 0")
     p.require_horizon(n)
     a, b, c, d, abcd = p.a, p.b, p.c, p.d, p.abcd
-    pw = _powers(p)
+    pw = powers(p)
     # each factor is an integer pair, and one Fraction is formed at the end
     an, ad = a.numerator, a.denominator
     q_prev, q_n = pw.at(n - 1), pw.at(n)
@@ -331,7 +329,7 @@ def c_n(n: int, p: ParamSet) -> Scalar:
         raise ValueError("c_n needs n >= 1")
     p.require_horizon(n)
     a, b, c, d, abcd = p.a, p.b, p.c, p.d, p.abcd
-    pw = _powers(p)
+    pw = powers(p)
     q_prev = pw.at(n - 1)
     mid = _one_minus(abcd, pw.at(2 * n - 2))
     pairs = (a * b, a * c, a * d, b * c, b * d, c * d)
@@ -362,16 +360,10 @@ def beta_n(n: int, p: ParamSet) -> Scalar:
     Defined for all |n| <= n_max; G5 keeps the denominator nonzero.
     """
     p.require_horizon(n)
-    pw, abcd = _powers(p), p.abcd
-    ln, ld = _lambda_pair(n, pw, abcd)
-    pn, pd = _mu_pair(n - 1, pw, abcd)
-    nn, nd = _mu_pair(-n, pw, abcd)
-    s1, s3 = e1(p), e3(p)
-    # over ld pd e1's and e3's denominators, then over (pn nd - nn pd) / (pd nd)
-    top = (ln * pd + ld * (pd - pn)) * s1.numerator * s3.denominator \
-        - (pd - pn) * ld * s1.denominator * s3.numerator
-    return Fraction(top * nd,
-                    ld * s1.denominator * s3.denominator * (pn * nd - nn * pd))
+    lam = lambda_n(n, p)
+    m_prev = mu_n(n - 1, p)
+    m_neg = mu_n(-n, p)
+    return ((lam + 1 - m_prev) * e1(p) - (1 - m_prev) * e3(p)) / (m_prev - m_neg)
 
 
 def kappa_n(n: int, p: ParamSet) -> Scalar:
@@ -380,13 +372,9 @@ def kappa_n(n: int, p: ParamSet) -> Scalar:
     kappa_n = (mu_{n-1} (c + d) + t0 (a + b)) / (mu_{n-1} - mu_{-n}).
     """
     p.require_horizon(n)
-    pw, abcd = _powers(p), p.abcd
-    pn, pd = _mu_pair(n - 1, pw, abcd)
-    nn, nd = _mu_pair(-n, pw, abcd)
-    s, u = p.c + p.d, p.t0 * (p.a + p.b)
-    # over pd, s's and u's denominators, then over (pn nd - nn pd) / (pd nd)
-    top = pn * s.numerator * u.denominator + pd * u.numerator * s.denominator
-    return Fraction(top * nd, s.denominator * u.denominator * (pn * nd - nn * pd))
+    m_prev = mu_n(n - 1, p)
+    m_neg = mu_n(-n, p)
+    return (m_prev * (p.c + p.d) + p.t0 * (p.a + p.b)) / (m_prev - m_neg)
 
 
 _DRAW_HEIGHT = 64  # bound on each numerator and denominator drawn

@@ -1,9 +1,9 @@
-"""Reference closed forms and genericity conditions, in Fraction arithmetic.
+"""Reference closed forms, in Fraction arithmetic.
 
-The oracle for awlab.scalars, which forms its closed forms and tests G3
-and G4 on integer numerators and denominators from a per-point table of
-the powers of q.  These are the formulas written out over
-`fractions.Fraction`, one operation at a time, with q^j taken by `**`:
+The oracle for awlab.scalars, which forms its closed forms on integer
+numerators and denominators from a per-point table of the powers of q.
+These are the formulas written out over `fractions.Fraction`, one
+operation at a time, with q^j taken by `**`:
 an integer slip in the package (a wrong power, a swapped numerator and
 denominator, a sign lost with a negative q) gives a different value here.
 """
@@ -60,17 +60,3 @@ def kappa_n(n: int, p: ParamSet) -> Fraction:
     m_prev, m_neg = mu_n(n - 1, p), mu_n(-n, p)
     return (m_prev * (p.c + p.d) + p.t0 * (p.a + p.b)) / (m_prev - m_neg)
 
-
-def first_g3_g4_violation(q, a, b, c, d, n_max: int) -> str | None:
-    """The message of the first G3 or G4 condition the point breaks."""
-    abcd = a * b * c * d
-    for j in range(-2, 2 * n_max + 3):
-        if abcd * q**j == 1:
-            return f"G3: abcd*q^{j} = 1"
-    pairs = {"ab": a * b, "ac": a * c, "ad": a * d,
-             "bc": b * c, "bd": b * d, "cd": c * d}
-    for name, v in pairs.items():
-        for j in range(n_max + 1):
-            if v * q**j == 1:
-                return f"G4: {name}*q^{j} = 1"
-    return None

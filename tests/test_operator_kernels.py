@@ -82,8 +82,8 @@ def test_zero_and_constants(p8):
     LaurentPoly({3: F(2, 7), 0: 1, -3: F(-5, 4)}),
 ])
 def test_d_kernel_rejects_asymmetric_input_without_guard(p8, monkeypatch, f):
-    # with the symmetry guard bypassed, the kernel's own remainder checks
-    # must refuse an input whose D-image is not a Laurent polynomial
+    # with apply_D's symmetry guard bypassed, the kernel's own test at
+    # each call must still refuse an input outside D's domain
     monkeypatch.setattr(LaurentPoly, "is_symmetric", lambda self: True)
     for p in (p8, NEGATIVE_Q):
         with pytest.raises(NotDivisibleError):
