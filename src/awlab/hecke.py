@@ -58,7 +58,7 @@ from .laurent import (
     q_difference,
     reflection_difference,
 )
-from .scalars import ParamSet, Powers, memo, powers
+from .scalars import ParamSet, Powers, e1, e3, memo, powers
 
 
 class NotSymmetricError(ValueError):
@@ -86,8 +86,7 @@ def _d_plan(_, p: ParamSet) -> Plan:
     # N(z) = (1-az)(1-bz)(1-cz)(1-dz) = 1 - e1 z + e2 z^2 - e3 z^3 + e4 z^4
     a, b, c, d = p.a, p.b, p.c, p.d
     e2 = a * b + a * c + a * d + b * c + b * d + c * d
-    e3 = a * b * c + a * b * d + a * c * d + b * c * d
-    return Plan(powers(p), (1, -(a + b + c + d), e2, -e3, p.abcd))
+    return Plan(powers(p), (1, -e1(p), e2, -e3(p), p.abcd))
 
 
 def apply_T1(f: LaurentPoly, p: ParamSet) -> LaurentPoly:

@@ -54,11 +54,20 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id params n "
     A stored witness is never the zero polynomial, so residual_witness is
     None exactly when the report passed; on failure it is a nonzero
     polynomial (or constant) showing the discrepancy.  Reports compare by
-    value and are not hashable.
+    value, only with reports, and are not hashable.
     """
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # NotImplemented would let a plain tuple's own == compare the fields
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
 
     def as_json_dict(self, seed: int) -> dict:
         witness = self.residual_witness

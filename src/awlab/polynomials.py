@@ -11,7 +11,8 @@ The nonsymmetric family E_n is defined spectrally: E_n is the eigenvector
 of Y = T1 T0 with eigenvalue mu_n, normalized so the z^n coefficient is 1.
 It is built by spectral projection of P_m, m = |n|: P_m lies in the span
 of E_m and E_-m, whose Y-eigenvalues mu_m and mu_-m differ at a certified
-point (G5), so one application of Y separates them,
+point (mu_m = mu_-m iff abcd q^(2m-1) = 1, ruled out by G3), so one
+application of Y separates them,
 
     E_m  = (Y P_m - mu_-m P_m) / (mu_m - mu_-m),
     E_-m = (P_m - E_m) / c_m,  c_m = (1 - q^m)(1 - cd q^(m-1))
@@ -121,10 +122,10 @@ def askey_wilson_P(n: int, p: ParamSet) -> LaurentPoly:
     G3 keeps nonzero up to the horizon.  Each step adds one degree with
     coefficient 1, so P_n is monic; it is the Askey-Wilson polynomial
     because at a certified point the lambda_n eigenspace of D is a line
-    (G6) and the suite checks D P_n = lambda_n P_n for every n.  The point
-    keeps P_0, P_1, ... as one list that each call extends as far as it
-    needs, and alpha_n, c_n and (z + 1/z) P_n go through `memo`, where
-    the checks read them too.
+    (G6, a consequence of G1 and G3) and the suite checks
+    D P_n = lambda_n P_n for every n.  The point keeps P_0, P_1, ... as
+    one list that each call extends as far as it needs, and alpha_n, c_n
+    and (z + 1/z) P_n go through `memo`, where the checks read them too.
     """
     if n < 0:
         raise ValueError("askey_wilson_P needs n >= 0")

@@ -3,7 +3,7 @@
 Every scalar in this package is an exact `fractions.Fraction`, so equality
 means equality and a zero residual is exactly the zero polynomial.  This
 module owns parsing and formatting of rationals, the genericity conditions
-G1..G6 that keep every downstream denominator nonzero, and the closed-form
+G1..G4 that keep every downstream denominator nonzero, and the closed-form
 scalar families attached to a parameter point: operator eigenvalues and the
 coefficients of the raising and lowering relations.  The rules on what a
 caller asks for (a horizon of at least 0, a count of at least 1, a generic
@@ -15,8 +15,8 @@ ingredients) reaches the store without importing a layer above its own.
 
 A point keeps one table of the powers qn^j and qd^j of q = qn/qd in its
 store (`powers`), which the operator plans of T0 and D share.  alpha_n
-and c_n are products over that table of integer pairs, one for each
-factor 1 - x q^j, with one Fraction formed at the end; lambda_n and mu_n
+and c_n are built from the recurrence's A_n and C_n, products over that
+table of integer pairs, one for each factor 1 - x q^j; lambda_n and mu_n
 read q^j from it too, and beta_n and kappa_n are Fraction combinations
 of lambda_n and mu_n.
 """
@@ -38,7 +38,7 @@ class InputError(ValueError):
 
 
 class GenericityError(InputError):
-    """A parameter point violates one of the genericity conditions G1..G6."""
+    """A parameter point violates one of the genericity conditions G1..G4."""
 
     def __init__(self, condition: str, detail: str):
         super().__init__(f"{condition}: {detail}")
@@ -192,20 +192,6 @@ def _quotient(ups, downs) -> tuple[int, int]:
     return num, den
 
 
-def _mu_pair(n: int, pw: Powers, abcd: Scalar) -> tuple[int, int]:
-    if n < 0:
-        return pw.at(n)
-    un, ud = pw.at(n - 1)
-    return un * abcd.numerator, ud * abcd.denominator
-
-
-def _lambda_pair(n: int, pw: Powers, abcd: Scalar) -> tuple[int, int]:
-    m = abs(n)
-    un, ud = pw.at(-m)
-    fn, fd = _one_minus(abcd, pw.at(m - 1))
-    return (un - ud) * fn, ud * fd
-
-
 def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
     """Certify a parameter point, reporting the first violated condition.
 
@@ -216,14 +202,18 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
         (1 - abcd q^-2)(1 - abcd q^-1), and at abcd = q the eigenvalue
         mu_0 = abcd/q is 1, so the n = 0 projection and Hecke raising
         multiples vanish.  Such points are rejected, not special-cased.
-        The range holds every denominator of the recurrence scalars that
-        build P_n: alpha_n divides by 1 - abcd q^j for j = 2n-2 .. 2n
-        (0 <= n <= n_max), and c_n by 1 - abcd q^j for j = 2n-3 .. 2n-1
-        (1 <= n <= n_max).
+        The range holds every denominator of alpha_n, c_n, beta_n and
+        kappa_n (the docstrings of alpha_n, c_n and beta_n name each j).
     G4  (xy) * q^j != 1 for every pair xy from {ab, ac, ad, bc, bd, cd} and
         0 <= j <= n_max.
-    G5  the mu_n are pairwise distinct for -n_max-1 <= n <= n_max+1.
-    G6  the lambda_n are pairwise distinct for 0 <= n <= n_max+1.
+
+    Two consequences, which the eigen-solves need, are not searched for:
+    G5  the mu_n, -n_max-1 <= n <= n_max+1, are pairwise distinct: by G1
+        and G2 within each sign, and mu_m = mu_k with m < 0 <= k means
+        abcd q^(k-1-m) = 1 with k-1-m in [0, 2n_max+1], ruled out by G3.
+    G6  the lambda_n, 0 <= n <= n_max+1, are pairwise distinct: for m != k,
+        lambda_m - lambda_k = (q^-m - q^-k)(1 - abcd q^(m+k-1)), nonzero by
+        G1 and by G3, since m+k-1 lies in [0, 2n_max].
     """
     q = _as_scalar("q", q)
     named = {"a": _as_scalar("a", a), "b": _as_scalar("b", b),
@@ -252,19 +242,6 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
         for j in range(n_max + 1):
             if v * q**j == 1:
                 raise GenericityError("G4", f"{name}*q^{j} = 1")
-    pw = Powers(q)
-    seen_mu: dict[Scalar, int] = {}
-    for m in range(-(n_max + 1), n_max + 2):
-        v = Fraction(*_mu_pair(m, pw, abcd))
-        if v in seen_mu:
-            raise GenericityError("G5", f"mu_{seen_mu[v]} = mu_{m} = {format_scalar(v)}")
-        seen_mu[v] = m
-    seen_lam: dict[Scalar, int] = {}
-    for m in range(n_max + 2):
-        v = Fraction(*_lambda_pair(m, pw, abcd))
-        if v in seen_lam:
-            raise GenericityError("G6", f"lambda_{seen_lam[v]} = lambda_{m} = {format_scalar(v)}")
-        seen_lam[v] = m
     return ParamSet(q, a, b, c, d, n_max)
 
 
@@ -281,63 +258,73 @@ def powers(p: ParamSet) -> Powers:
 def lambda_n(n: int, p: ParamSet) -> Scalar:
     """Eigenvalue of the q-difference operator on the degree-|n| symmetric
     polynomial: (q^-|n| - 1)(1 - abcd q^(|n|-1))."""
-    return Fraction(*_lambda_pair(n, powers(p), p.abcd))
+    pw, m = powers(p), abs(n)
+    un, ud = pw.at(-m)
+    fn, fd = _one_minus(p.abcd, pw.at(m - 1))
+    return Fraction((un - ud) * fn, ud * fd)
 
 
 def mu_n(n: int, p: ParamSet) -> Scalar:
     """Eigenvalue of Y on the n-th nonsymmetric polynomial: q^n for n < 0 and
     q^(n-1) abcd for n >= 0."""
-    return Fraction(*_mu_pair(n, powers(p), p.abcd))
+    if n < 0:
+        return Fraction(*powers(p).at(n))
+    un, ud = powers(p).at(n - 1)
+    return Fraction(un * p.abcd.numerator, ud * p.abcd.denominator)
+
+
+def _a_pair(n: int, p: ParamSet) -> tuple[int, int]:
+    """A_n = (1 - ab q^n)(1 - ac q^n)(1 - ad q^n)(1 - abcd q^(n-1))
+    / (a (1 - abcd q^(2n-1)) (1 - abcd q^(2n))), as an integer pair."""
+    a, abcd, pw = p.a, p.abcd, powers(p)
+    q_n = pw.at(n)
+    return _quotient(
+        (_one_minus(a * p.b, q_n), _one_minus(a * p.c, q_n),
+         _one_minus(a * p.d, q_n), _one_minus(abcd, pw.at(n - 1))),
+        ((a.numerator, a.denominator), _one_minus(abcd, pw.at(2 * n - 1)),
+         _one_minus(abcd, pw.at(2 * n))))
+
+
+def _c_pair(n: int, p: ParamSet) -> tuple[int, int]:
+    """C_n = a (1 - q^n)(1 - bc q^(n-1))(1 - bd q^(n-1))(1 - cd q^(n-1))
+    / ((1 - abcd q^(2n-2)) (1 - abcd q^(2n-1))), as an integer pair."""
+    a, b, c, d, pw = p.a, p.b, p.c, p.d, powers(p)
+    q_prev = pw.at(n - 1)
+    return _quotient(
+        ((a.numerator, a.denominator), _one_minus(1, pw.at(n)),
+         _one_minus(b * c, q_prev), _one_minus(b * d, q_prev),
+         _one_minus(c * d, q_prev)),
+        (_one_minus(p.abcd, pw.at(2 * n - 2)),
+         _one_minus(p.abcd, pw.at(2 * n - 1))))
 
 
 def alpha_n(n: int, p: ParamSet) -> Scalar:
-    """Diagonal coefficient of the three-term recurrence for (z + 1/z) P_n.
+    """Diagonal coefficient of the three-term recurrence for (z + 1/z) P_n,
+    alpha_n = a + 1/a - A_n - C_n.
 
-    Symmetric in (a, b, c, d) even though the closed form privileges a.
+    Its denominators, a and 1 - abcd q^j for j = 2n-2 .. 2n, are nonzero by
+    G2 and G3 (0 <= n <= n_max).  Symmetric in (a, b, c, d) even though
+    the closed form privileges a.
     """
     if n < 0:
         raise ValueError("alpha_n needs n >= 0")
     p.require_horizon(n)
-    a, b, c, d, abcd = p.a, p.b, p.c, p.d, p.abcd
-    pw = powers(p)
-    # each factor is an integer pair, and one Fraction is formed at the end
-    an, ad = a.numerator, a.denominator
-    q_prev, q_n = pw.at(n - 1), pw.at(n)
-    mid_n, mid_d = _quotient(
-        ((an, ad), _one_minus(b * c, q_prev), _one_minus(b * d, q_prev),
-         _one_minus(c * d, q_prev), _one_minus(1, q_n)),
-        (_one_minus(abcd, pw.at(2 * n - 2)), _one_minus(abcd, pw.at(2 * n - 1))))
-    top_n, top_d = _quotient(
-        (_one_minus(a * b, q_n), _one_minus(a * c, q_n), _one_minus(a * d, q_n),
-         _one_minus(abcd, q_prev)),
-        ((an, ad), _one_minus(abcd, pw.at(2 * n - 1)), _one_minus(abcd, pw.at(2 * n))))
-    # a + 1/a - mid - top
-    aa = an * ad
-    return Fraction((an * an + ad * ad) * mid_d * top_d
-                    - aa * (mid_n * top_d + top_n * mid_d), aa * mid_d * top_d)
+    (a_num, a_den), (c_num, c_den) = _a_pair(n, p), _c_pair(n, p)
+    x, y = p.a.numerator, p.a.denominator  # a + 1/a = (x^2 + y^2) / (x y)
+    return Fraction((x * x + y * y) * a_den * c_den
+                    - x * y * (a_num * c_den + c_num * a_den),
+                    x * y * a_den * c_den)
 
 
 def c_n(n: int, p: ParamSet) -> Scalar:
-    """Lower coefficient of the three-term recurrence for (z + 1/z) P_n:
-
-    c_n = (1 - q^n)(1 - abcd q^(n-2)) prod_xy (1 - xy q^(n-1))
-          / ((1 - abcd q^(2n-3)) (1 - abcd q^(2n-2))^2 (1 - abcd q^(2n-1)))
-
-    with xy over the six pair products ab, ac, ad, bc, bd, cd.
-    """
+    """Lower coefficient of the three-term recurrence for (z + 1/z) P_n,
+    c_n = A_{n-1} C_n; its denominators 1 - abcd q^j, j = 2n-3 .. 2n-1, are
+    nonzero by G3 (1 <= n <= n_max)."""
     if n < 1:
         raise ValueError("c_n needs n >= 1")
     p.require_horizon(n)
-    a, b, c, d, abcd = p.a, p.b, p.c, p.d, p.abcd
-    pw = powers(p)
-    q_prev = pw.at(n - 1)
-    mid = _one_minus(abcd, pw.at(2 * n - 2))
-    pairs = (a * b, a * c, a * d, b * c, b * d, c * d)
-    return Fraction(*_quotient(
-        (_one_minus(1, pw.at(n)), _one_minus(abcd, pw.at(n - 2)),
-         *(_one_minus(xy, q_prev) for xy in pairs)),
-        (_one_minus(abcd, pw.at(2 * n - 3)), mid, mid,
-         _one_minus(abcd, pw.at(2 * n - 1)))))
+    (a_num, a_den), (c_num, c_den) = _a_pair(n - 1, p), _c_pair(n, p)
+    return Fraction(a_num * c_num, a_den * c_den)
 
 
 def e1(p: ParamSet) -> Scalar:
@@ -357,7 +344,8 @@ def beta_n(n: int, p: ParamSet) -> Scalar:
     beta_n = [(lambda_n + 1 - mu_{n-1}) e1 - (1 - mu_{n-1}) e3]
              / (mu_{n-1} - mu_{-n}),  with lambda_n = lambda_|n|.
 
-    Defined for all |n| <= n_max; G5 keeps the denominator nonzero.
+    Defined for all |n| <= n_max: the denominator vanishes iff abcd q^(2n-2)
+    = 1 (n >= 1) or abcd q^(-2n) = 1 (n <= 0), which G3 rules out.
     """
     p.require_horizon(n)
     lam = lambda_n(n, p)
@@ -392,7 +380,7 @@ def random_param_set(rng: random.Random, n_max: int) -> ParamSet:
     """Draw a certified point with small-height rational parameters.
 
     q is drawn with 0 < |q| < 1; a, b, c, d are nonzero with numerator and
-    denominator magnitudes at most _DRAW_HEIGHT.  Draws violating G1..G6
+    denominator magnitudes at most _DRAW_HEIGHT.  Draws violating G1..G4
     are rejected and retried; after _DRAW_TRIES of them it is an
     InputError, since the horizon admits too few small points.
     """

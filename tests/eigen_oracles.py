@@ -7,8 +7,9 @@ matrix on a degree window: the matrix of D on the symmetric basis
 m_0 = 1, m_j = z^j + z^-j, built here, and the matrix of Y in the
 position ordering 1, z^-1, z, z^-2, z^2, ..., which the package builds
 (`y_matrix`) and checks for triangular structure.  Both back-substitutions
-check that the eigenvalue sits on the diagonal once (G5, G6); a repeated
-one raises EigenSolveError.  Nothing is kept on the point.
+check that the eigenvalue sits on the diagonal once (G5/G6, consequences
+of G1-G3); a repeated one raises EigenSolveError.  Nothing is kept on
+the point.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def nonsymmetric_E_oracle(n: int, p: ParamSet) -> LaurentPoly:
 
     Back-substitution in the triangular matrix of Y on the window
     z^-|n| .. z^|n|, with an explicit check that mu_n differs from every
-    other diagonal entry in the window (G5 promises it); a repeated
-    diagonal value raises EigenSolveError.  Exists to cross-check
-    nonsymmetric_E through an unrelated computation.
+    other diagonal entry in the window (G5, a consequence of G1-G3,
+    promises it); a repeated diagonal value raises EigenSolveError.  Exists
+    to cross-check nonsymmetric_E through an unrelated computation.
     """
     p.require_horizon(n)
     v = _eigenvector(y_matrix(abs(n), p), position(n), mu_n(n, p), f"mu_{n}")

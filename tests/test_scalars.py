@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction as F
 
 import fraction_scalars
@@ -173,6 +174,45 @@ def test_genericity_rejects_a_non_integer_horizon(n_max):
     # a horizon the caller did not ask for
     with pytest.raises(InputError, match="n_max must be an integer"):
         check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), n_max)
+
+
+def _boundary_points():
+    """Seeded points on and near abcd q^j = 1 and ab q^j = 1, for j from -4
+    to 2 n_max + 5, with q negative and |q| > 1 among them."""
+    rng = random.Random(24)
+    for q in (F(1, 2), F(-2, 3), F(3), F(-5, 2), F(17, 19)):
+        for n_max in range(4):
+            for j in range(-4, 2 * n_max + 6):
+                a, b, c = (F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(1, 9)) for _ in range(3))
+                # on the boundary, on its mirror in sign, and next to it
+                for x in (q**-j, -(q**-j), F(10, 11) * q**-j):
+                    yield q, a, b, c, x / (a * b * c), n_max  # abcd = x
+                    yield q, a, x / a, b, c, n_max  # ab = x
+
+
+def test_g1_to_g4_keep_the_eigenvalues_apart():
+    # G5 and G6 follow from G1..G4: each point either fails one of them or
+    # has pairwise distinct mu_m (|m| <= n_max + 1) and lambda_m
+    # (0 <= m <= n_max + 1), read from the Fraction oracle
+    def collide(p):
+        mus = [fraction_scalars.mu_n(m, p)
+               for m in range(-p.n_max - 1, p.n_max + 2)]
+        lams = [fraction_scalars.lambda_n(m, p) for m in range(p.n_max + 2)]
+        return len(set(mus)) < len(mus) or len(set(lams)) < len(lams)
+
+    certified = collisions = 0
+    for args in _boundary_points():
+        try:
+            p = check_genericity(*args)
+        except GenericityError as err:
+            assert err.condition in ("G1", "G2", "G3", "G4"), args
+            collisions += collide(ParamSet(*args))
+            continue
+        certified += 1
+        assert not collide(p), args
+    # both outcomes occur, and the oracle sees collisions the search dropped
+    assert certified > 100 and collisions > 100, (certified, collisions)
 
 
 def _oracle_points(seeded_points):

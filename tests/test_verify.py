@@ -263,6 +263,8 @@ def test_identity_report_value_semantics(p8):
         f"passed=False, residual_witness={witness!r})")
     assert report == IdentityReport("alpha-beta", p8, 3, False, witness)
     assert report != IdentityReport("alpha-beta", p8, 4, False, witness)
+    assert report != tuple(report)
+    assert not report == tuple(report)
     with pytest.raises(TypeError):
         hash(report)
     assert report.as_json_dict(7)["residual"] == {"var": "z",
