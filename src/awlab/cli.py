@@ -134,7 +134,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         p = _certify(parse_param_string(args.params), args.nmax)
     reports = run_suite(
         p,
-        n_max=args.nmax,
         trials=args.trials,
         seed=args.seed,
         degree_window=args.degree_window,

@@ -9,7 +9,10 @@ A claim that f is a nonzero multiple of g is decided by one rule.  c is
 f's coefficient over g's, both read at g's top degree (0 when g is zero).
 When c != 0 the residual is f - c g, so the claim passes iff f = c g.
 When c == 0 no nonzero multiple can work, and the witness is f if it is
-nonzero, else g if it is nonzero, else the constant 1.
+nonzero, else g if it is nonzero, else the constant 1.  A claim that a
+left side is a given nonzero multiple of g, as in the four raising and
+lowering ladders, fails with witness 1 when that multiple is 0, and its
+residual is otherwise the left side minus the multiple times g.
 
 Each residual is one `laurent.combination` of the terms its docstring
 spells out, unreduced: testing it for zero needs no gcd pass, and on
@@ -167,6 +170,15 @@ def _finish_proportional(identity_id: str, p: ParamSet, n: int | None,
     return _finish(identity_id, p, n, witness)
 
 
+def _finish_multiple(identity_id: str, p: ParamSet, n: int | None, lhs: list,
+                     multiple: Fraction, g: LaurentPoly) -> IdentityReport:
+    """Pass iff the sum of the (scalar, polynomial) terms lhs is multiple * g
+    and multiple != 0, by the module's rule."""
+    if multiple == 0:
+        return _finish(identity_id, p, n, LaurentPoly.one())
+    return _finish(identity_id, p, n, combination([*lhs, (-multiple, g)]))
+
+
 # ---------------------------------------------------------------------------
 # per-index checks: each takes (n, p, v), v the run's ScalarView, through
 # which the scalars it reads arrive; a view with a fault bumps them
@@ -206,29 +218,21 @@ def check_raising_via_d(n: int, p: ParamSet, v: ScalarView,
     lp = v.lam(n - 1) if lam_prev is None else lam_prev
     ln = v.lam(n)
     lx = v.lam(n + 1) if lam_next is None else lam_next
-    multiple = lx - lp
-    if multiple == 0:
-        return _finish("raising-via-d", p, n, LaurentPoly.one())
     pn = askey_wilson_P(n, p)
     mp = v.m_p(n)
-    residual = combination(((1, apply_D(mp, p)), (-lp, mp),
-                            (-v.alpha(n) * (ln - lp), pn),
-                            (-multiple, askey_wilson_P(n + 1, p))))
-    return _finish("raising-via-d", p, n, residual)
+    lhs = [(1, apply_D(mp, p)), (-lp, mp), (-v.alpha(n) * (ln - lp), pn)]
+    return _finish_multiple("raising-via-d", p, n, lhs, lx - lp,
+                            askey_wilson_P(n + 1, p))
 
 
 def check_lowering_via_d(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     """(D - lambda_{n+1})(z + 1/z - alpha_n) P_n
     = c_n (lambda_{n-1} - lambda_{n+1}) P_{n-1}, n >= 2, nonzero multiple."""
-    c = v.ratio(n)
-    multiple = c * (v.lam(n - 1) - v.lam(n + 1))
-    if multiple == 0:
-        return _finish("lowering-via-d", p, n, LaurentPoly.one())
-    pn = askey_wilson_P(n, p)
-    g = combination(((1, v.m_p(n)), (-v.alpha(n), pn)))
-    residual = combination(((1, apply_D(g, p)), (-v.lam(n + 1), g),
-                            (-multiple, askey_wilson_P(n - 1, p))))
-    return _finish("lowering-via-d", p, n, residual)
+    multiple = v.ratio(n) * (v.lam(n - 1) - v.lam(n + 1))
+    g = combination(((1, v.m_p(n)), (-v.alpha(n), askey_wilson_P(n, p))))
+    return _finish_multiple("lowering-via-d", p, n,
+                            [(1, apply_D(g, p)), (-v.lam(n + 1), g)],
+                            multiple, askey_wilson_P(n - 1, p))
 
 
 # The Hecke ladders: the raising and lowering relations built from D' and
@@ -254,12 +258,9 @@ def check_raising_via_hecke(n: int, p: ParamSet,
     if n < 0:
         raise ValueError("raising needs n >= 0")
     q = p.q
-    multiple = q**n * p.abcd - q ** (1 - n)
-    if multiple == 0:
-        return _finish("raising-via-hecke", p, n, LaurentPoly.one())
-    residual = combination(_raising_lhs(n, p, v)
-                           + [(-multiple, askey_wilson_P(n + 1, p))])
-    return _finish("raising-via-hecke", p, n, residual)
+    return _finish_multiple("raising-via-hecke", p, n, _raising_lhs(n, p, v),
+                            q**n * p.abcd - q ** (1 - n),
+                            askey_wilson_P(n + 1, p))
 
 
 def check_lowering_via_hecke(n: int, p: ParamSet,
@@ -270,13 +271,9 @@ def check_lowering_via_hecke(n: int, p: ParamSet,
         raise ValueError("lowering needs n >= 2; n = 1 is "
                          "check_lowering_via_hecke_n1")
     q = p.q
-    c = v.ratio(n)
-    multiple = (q ** (1 - n) - q**n * p.abcd) * c
-    if multiple == 0:
-        return _finish("lowering-via-hecke", p, n, LaurentPoly.one())
-    residual = combination(_lowering_lhs(n, p, v)
-                           + [(-multiple, askey_wilson_P(n - 1, p))])
-    return _finish("lowering-via-hecke", p, n, residual)
+    multiple = (q ** (1 - n) - q**n * p.abcd) * v.ratio(n)
+    return _finish_multiple("lowering-via-hecke", p, n, _lowering_lhs(n, p, v),
+                            multiple, askey_wilson_P(n - 1, p))
 
 
 def check_lowering_via_hecke_n1(n: int, p: ParamSet,

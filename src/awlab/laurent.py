@@ -10,11 +10,10 @@ numerators), and zero has denominator 1.  The kernels
 return their exact numerators over the denominator they formed, unreduced
 (it may even be negative), so a value that is only zero-tested, like an
 identity's residual, pays for no gcd pass.  `canonical` reduces a value in
-place, once; `==`, `hash` and `scale` call it first.  `+`, `-`, `*`,
-`exact_quotient`, the q/z substitution and the constructor reduce each
-result.  `coeff`, `items`, the constructor and the JSON and text forms
-speak Fraction, so no reader outside this module sees which form a value
-is in.
+place, once; `==`, `hash` and `scale` call it first.  `+`, `-`, `*`, the
+q/z substitution and the constructor reduce each result.  `coeff`,
+`items`, the constructor and the JSON and text forms speak Fraction, so
+no reader outside this module sees which form a value is in.
 
 The two substitutions act monomial-wise:
 
@@ -22,10 +21,11 @@ The two substitutions act monomial-wise:
 
 `reflection_difference` and `q_difference`, the kernels of the operator
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
-at a point and divide dense integer lists by binomials A z^2 + B.  The two
+at a point and divide dense integer lists by binomials A z^2 + B, the
+only divisions the package makes, all through `exact_quotient`.  The two
 halves of `q_difference` mirror each other for D' on every input and for
-D on symmetric input, so it divides only once; D's input is tested for
-symmetry at each call, and an asymmetric one is refused.
+D on symmetric input, so it divides by 1 - q z^2 only once; D's input is
+tested for symmetry at each call, and an asymmetric one is refused.
 """
 
 from __future__ import annotations
@@ -347,50 +347,6 @@ def linear_extension(image, f: LaurentPoly, lowest: int | None = None,
     return LaurentPoly._raw(total._lo, total._num, total._den * den, False)
 
 
-def exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """The h with h * den == num; NotDivisibleError when none exists.
-
-    Fraction-free long division.  Write num = N/n and den = (c/m) D with
-    N, D integer and D primitive (c is the content of den's numerators).
-    By Gauss's lemma, if D divides N over Q then the quotient N/D has
-    integer coefficients; so every step of the division of N by D is an
-    exact integer divmod, and h = (m/(n c)) N/D is formed once at the end.
-    A step with a nonzero integer remainder proves that no quotient exists;
-    the division then goes on over Q, only so that the error carries the
-    remainder that rational long division leaves.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    content = _gcd_with(0, den._num)
-    span = len(den._num) - 1
-    d_lead = den._num[span] // content
-    d_tail = [(j, v // content) for j, v in enumerate(den._num[:span]) if v]
-    rem = list(num._num)
-    # an exact quotient spans degrees num.min_deg - den.min_deg up to
-    # num.max_deg - den.max_deg; the step for entry i of it clears rem[i + span]
-    out = [0] * max(0, len(rem) - span)
-    for i in range(len(out) - 1, -1, -1):
-        r = rem[i + span]
-        if not r:
-            continue
-        c, inexact = divmod(r, d_lead)
-        if inexact:
-            # no quotient exists, so the remainder cannot vanish; go on over Q
-            c = Fraction(r, d_lead)
-        out[i], rem[i + span] = c, 0
-        for j, dv in d_tail:
-            rem[i + j] -= c * dv
-    if not any(rem):
-        # num's lowest entry over den's: the quotient's end entries are nonzero
-        m = den._den
-        return LaurentPoly._raw(num._lo - den._lo, [v * m for v in out],
-                                num._den * content, False).canonical()
-    raise NotDivisibleError(LaurentPoly(
-        {k: Fraction(v, num._den) for k, v in enumerate(rem, num._lo)}))
-
-
 class Plan:
     """One operator's constants at one point, as integers: q = qn/qd and
     its power table pw (the point's own, `scalars.powers`, when q is the
@@ -430,11 +386,13 @@ def _times(poly: list[int], seq: list[int]) -> list[int]:
     return out
 
 
-def _binomial_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
-    """r / (A z^2 + B), r listed from degree lo up, divided from the top.
+def exact_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
+    """r / (A z^2 + B), r listed from degree lo up, divided from the top;
+    the quotient is listed from degree lo up, two entries shorter.
     A z^2 + B is primitive, so by Gauss's lemma an inexact step or a
-    remainder proves that no quotient exists; exact_quotient then raises
-    NotDivisibleError, with the remainder, on the same dividend."""
+    remainder proves that no quotient exists.  The division is then redone
+    over Q from r's lowest nonzero entry, and NotDivisibleError carries
+    the remainder it leaves there."""
     quot = [0] * len(r)  # its top two entries stay 0
     inexact = 0
     if A in (1, -1):
@@ -446,8 +404,11 @@ def _binomial_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
             if inexact:
                 break
     if inexact or r[0] != B * quot[0] or r[1] != B * quot[1]:
-        exact_quotient(LaurentPoly._trimmed(lo, r, 1), LaurentPoly._raw(0, [B, 0, A], 1))
-        raise AssertionError("exact_quotient divided what the kernel could not")
+        low = next(i for i, v in enumerate(r) if v)
+        rem = [Fraction(v) for v in r[low:]]
+        for j in range(len(rem) - 3, -1, -1):
+            rem[j] -= B * rem[j + 2] / A
+        raise NotDivisibleError(LaurentPoly(dict(enumerate(rem[:2], lo + low))))
     return quot[:-2]
 
 
@@ -463,7 +424,7 @@ def reflection_difference(f: LaurentPoly, plan: Plan) -> LaurentPoly:
         up, s = plan.scaled_shift(fl, K)
         diff = [u - s * v for u, v in zip(reversed(up), fl)]
     # z^2 - q = (qd z^2 - qn) / qd, and plan.num carries the qd
-    quot = _binomial_quotient(diff, -K, plan.qd, -plan.qn)
+    quot = exact_quotient(diff, -K, plan.qd, -plan.qn)
     ts = plan.t * s
     out = [ts * v + w for v, w in zip(fl, _times(plan.num, quot))]
     return LaurentPoly._trimmed(-K, out, plan.den * s * f._den, False)
@@ -492,12 +453,6 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     up, s = plan.scaled_shift(fl, K)
     # 1 - q z^2 = (qd - qn z^2) / qd, and plan.num carries the qd
     g = [u - s * w for u, w in zip(up, reversed(fl))]
-    x = _times(plan.num, _binomial_quotient(g, -K, -plan.qn, plan.qd))
-    out = [a - b for a, b in zip(x, reversed(x))]
-    # exact_quotient takes the last division, so the benchmark's tracer,
-    # which spans it, still measures the operator layer's divisions
-    quot = exact_quotient(LaurentPoly._trimmed(-K, out, 1),
-                          LaurentPoly._raw(0, [1, 0, -1], 1))
-    if not quot._num:
-        return quot
-    return LaurentPoly._raw(quot._lo, quot._num, f._den * s * plan.den, False)
+    x = _times(plan.num, exact_quotient(g, -K, -plan.qn, plan.qd))
+    out = exact_quotient([a - b for a, b in zip(x, reversed(x))], -K, -1, 1)
+    return LaurentPoly._trimmed(-K, out, f._den * s * plan.den, False)

@@ -36,9 +36,9 @@ zero-tested as one `laurent.combination`, which needs no gcd pass, and
 the first nonzero one is the witness lhs - rhs.
 
 Random inputs are drawn from a generator seeded per identity id, so a
-suite run is a pure function of (params, n_max, trials, seed,
-degree_window).  Reports carry no timing: a caller that wants it times
-the calls from outside.
+suite run is a pure function of (params, trials, seed, degree_window),
+the params carrying the horizon.  Reports carry no timing: a caller that
+wants it times the calls from outside.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .laurent import (
     linear_extension,
 )
 from .polynomials import _M
-from .scalars import HorizonError, InputError, ParamSet, e1, e3, lambda_n
+from .scalars import InputError, ParamSet, e1, e3, lambda_n
 
 # ---------------------------------------------------------------------------
 # window checks: relations proven on a basis of the degree window, then a
@@ -423,33 +423,27 @@ def suite_plan(n_max: int) -> list[tuple[str, tuple[int, ...] | None]]:
             for identity_id, ns, _ in _rows(n_max)]
 
 
-def run_suite(p: ParamSet, n_max: int | None = None, trials: int = 25,
-              seed: int = 42, *, degree_window: int = 6,
+def run_suite(p: ParamSet, trials: int = 25, seed: int = 42, *,
+              degree_window: int = 6,
               fault: str | None = None) -> list[IdentityReport]:
-    """Run every identity check over its full valid n-range.
+    """Run every identity check over its full valid n-range, up to the
+    horizon p was certified for.
 
-    Deterministic given (p, n_max, trials, seed).  n_max defaults to the
-    horizon p was certified for and may not exceed it; trials must be at
-    least 1, so that the linearity guards test something, and
-    degree_window at least 1, which the certificate of hecke-relations
-    needs: z - 1/z must lie in the window.  A broken rule is an
-    InputError.  `fault` corrupts one scalar family (see FAULT_TARGETS)
-    at the checking layer so that exactly the dependent checks fail; the
-    negative controls stay relative to the clean scalars, and each passes
-    exactly when its perturbed check fails.
+    Deterministic given (p, trials, seed).  trials must be at least 1,
+    so that the linearity guards test something, and degree_window at
+    least 1, which the certificate of hecke-relations needs: z - 1/z must
+    lie in the window.  A broken rule is an InputError.  `fault` corrupts
+    one scalar family (see FAULT_TARGETS) at the checking layer so that
+    exactly the dependent checks fail; the negative controls stay relative
+    to the clean scalars, and each passes exactly when its perturbed check
+    fails.
     """
-    if n_max is None:
-        n_max = p.n_max
-    if n_max > p.n_max:
-        raise HorizonError(
-            f"suite horizon {n_max} exceeds the certified horizon {p.n_max}"
-        )
     _require_trials(trials)
     _require_window(degree_window)  # before any check runs
     v = ScalarView(p, fault)
 
     reports: list[IdentityReport] = []
-    for identity_id, ns, check in _rows(n_max):
+    for identity_id, ns, check in _rows(p.n_max):
         if ns is None:
             reports.append(check(p, trials=trials, seed=seed,
                                  degree_window=degree_window))

@@ -6,12 +6,13 @@ operator coefficient, over its denominator) and divided once at the end.
 LaurentFraction, a deliberately unreduced quotient num/den, and the
 coefficient fractions r1, r0 and A = N / ((1-z^2)(1-qz^2)) live here;
 the package checks the coefficients on plain numerator and denominator
-pairs instead.  These operators share the substitution rules and
-exact_quotient with the package, but none of the kernels' integer
-arithmetic.  The substitutions z -> q/z, z -> qz and z -> z/q that they
-apply live here, as s0, shift_q and shift_q_inv; the two q-shifts go
-through the Fraction reference (tests/fraction_laurent.py), since the
-package has no rule for them.
+pairs instead.  These operators share the substitution rules with the
+package, but neither its division nor the kernels' integer arithmetic:
+`reduce` divides by the long division of the Fraction reference
+(tests/fraction_laurent.py).  The substitutions z -> q/z, z -> qz and
+z -> z/q that they apply live here, as s0, shift_q and shift_q_inv; the
+two q-shifts also go through the Fraction reference, since the package
+has no rule for them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import fraction_laurent as ref
 from awlab.hecke import NotSymmetricError, s1
-from awlab.laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly, exact_quotient
+from awlab.laurent import SUB_INV, SUB_Q_OVER_Z, LaurentPoly, NotDivisibleError
 from awlab.scalars import ParamSet, Scalar
 
 
@@ -65,8 +66,12 @@ class LaurentFraction:
         )
 
     def reduce(self) -> LaurentPoly:
-        """Exact division of num by den."""
-        return exact_quotient(self.num, self.den)
+        """Exact division of num by den, by the Fraction reference."""
+        try:
+            return LaurentPoly(ref.exact_quotient(dict(self.num.items()),
+                                                  dict(self.den.items())))
+        except ref.RefNotDivisible as err:
+            raise NotDivisibleError(LaurentPoly(err.remainder)) from None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):

@@ -14,7 +14,6 @@ from awlab.laurent import (
     SUB_Q_OVER_Z,
     LaurentPoly,
     NotDivisibleError,
-    _binomial_quotient,
     combination,
     exact_quotient,
 )
@@ -143,40 +142,47 @@ def test_is_symmetric():
 
 
 def test_exact_quotient_plain_cases():
-    z = LaurentPoly.monomial(1)
-    one = LaurentPoly.one()
-    assert exact_quotient(z * z - one, z - one) == z + one
-    # Laurent division reaches into negative degrees
-    f = LaurentPoly({1: 1, -1: -1})          # z - 1/z
-    g = LaurentPoly({0: 1, 2: -1})           # 1 - z^2
-    assert exact_quotient(f, g) == LaurentPoly.monomial(-1, -1)
-    assert exact_quotient(LaurentPoly.zero(), g).is_zero()
+    # dividends listed from degree lo up: (z^2 - 1) / (z^2 - 1) = 1
+    assert exact_quotient([-1, 0, 1], 0, 1, -1) == [1]
+    # Laurent division reaches into negative degrees: (z - 1/z) / (1 - z^2)
+    assert exact_quotient([-1, 0, 1], -1, -1, 1) == [-1]
+    assert exact_quotient([0, 0, 0, 0], -2, 2, 3) == [0, 0]
+    # (z - 4)(2 z^2 + 3), through the divmod steps of A = 2
+    assert exact_quotient([-12, 3, -8, 2], 0, 2, 3) == [-4, 1]
 
 
-def test_exact_quotient_remainder_reported():
-    z = LaurentPoly.monomial(1)
-    with pytest.raises(NotDivisibleError) as err:
-        exact_quotient(z * z + 1, z + 1)
-    assert not err.value.remainder.is_zero()
-    with pytest.raises(ZeroDivisionError):
-        exact_quotient(z, LaurentPoly.zero())
+BINOMIALS = [(1, -1), (-1, 1), (2, -3), (-3, 5), (5, 2)]
 
 
-@given(laurents, nonzero_laurents)
-def test_exact_quotient_inverts_multiplication(f, g):
-    assert exact_quotient(f * g, g) == f
+@given(nonzero_laurents, st.sampled_from(BINOMIALS))
+def test_exact_quotient_inverts_multiplication(f, binomial):
+    # a primitive factor keeps f's denominator, so the product's integer
+    # numerators divide back to f's
+    A, B = binomial
+    num = f * LaurentPoly({2: A, 0: B})
+    assert exact_quotient(num._num, num._lo, A, B) == f._num
 
 
-@given(nonzero_laurents, nonzero_laurents)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=9),
+       st.integers(-4, 4), st.sampled_from(BINOMIALS))
 @settings(max_examples=60)
-def test_exact_quotient_never_silently_wrong(f, g):
-    # whenever division succeeds the product reproduces the numerator
+def test_exact_quotient_never_silently_wrong(r, lo, binomial):
+    # a quotient multiplies back to the dividend; a remainder is nonzero,
+    # sits at the dividend's two lowest degrees, and what it leaves divides
+    A, B = binomial
+    binom = LaurentPoly({2: A, 0: B})
+    num = LaurentPoly(dict(enumerate(r, lo)))
     try:
-        h = exact_quotient(f, g)
+        quot = exact_quotient(r, lo, A, B)
     except NotDivisibleError as err:
-        assert f - err.remainder != f  # remainder is nonzero
+        rem = err.remainder
+        low = num.min_deg
+        assert rem and low <= rem.min_deg <= rem.max_deg <= low + 1
+        rest = (num - rem).scale(rem._den)  # integer numerators
+        if rest:
+            exact_quotient(rest._num, rest._lo, A, B)
     else:
-        assert h * g == f
+        assert LaurentPoly(dict(enumerate(quot, lo))) * binom == num
 
 
 def test_laurent_fraction_equality_by_cross_multiplication():
@@ -312,22 +318,6 @@ def test_substitutions_match_fraction_reference(f, q):
         _agrees(pf.substitute(rule, q), ref.substitute(rf, rule, q))
 
 
-@given(fraction_dicts, nonzero_fraction_dicts)
-@settings(max_examples=150)
-def test_exact_quotient_matches_fraction_reference(f, g):
-    pf, pg = LaurentPoly(f), LaurentPoly(g)
-    rf, rg = ref.clean(f), ref.clean(g)
-    for num, rnum in ((pf, rf), (pf * pg, ref.mul(rf, rg))):
-        try:
-            expected = ref.exact_quotient(rnum, rg)
-        except ref.RefNotDivisible as err:
-            with pytest.raises(NotDivisibleError) as got:
-                exact_quotient(num, pg)
-            _agrees(got.value.remainder, err.remainder)
-        else:
-            _agrees(exact_quotient(num, pg), expected)
-
-
 @given(fraction_dicts, q_values)
 def test_zero_results_are_canonical(f, q):
     pf = LaurentPoly(f)
@@ -364,55 +354,51 @@ def test_negative_q_keeps_denominator_positive():
     _agrees(g, ref.substitute(ref.clean(dict(f.items())), SUB_Q_OVER_Z, q))
 
 
-def test_exact_quotient_divisor_with_content_and_rational_coefficients():
-    # numerators 18z^2 + 4z - 10 over 15: content 2, not primitive
-    den = LaurentPoly({2: F(6, 5), 1: F(4, 15), 0: F(-2, 3)})
-    h = LaurentPoly({-2: F(5, 7), 0: F(-3, 4), 3: F(11, 6)})
-    num = h * den
-    got = exact_quotient(num, den)
-    assert got == h
-    _agrees(got, ref.exact_quotient(dict(num.items()), dict(den.items())))
-    assert exact_quotient(num, h) == den
-
-
 @pytest.mark.parametrize("num, den, remainder", [
-    # the first division step is inexact over the integers (1/2, 1/2, 2/3)
-    ({3: 1, 0: 1}, {1: 2, 0: 1}, {0: F(7, 8)}),
+    # the first division step is inexact over the integers (1/2)
+    ({3: 1, 0: 1}, {2: 2, 0: 1}, {0: 1, 1: F(-1, 2)}),
     ({4: 1, 0: 3}, {2: 2, 0: 1}, {0: F(13, 4)}),
-    ({3: F(1, 3), 0: F(2, 5), -1: 1}, {1: F(4, 3), 0: F(2, 9)},
-     {-1: F(18149, 19440)}),
-    # the degree bound stops it before any step
-    ({2: 1}, {1: 2, 0: 1}, {2: 1}),
+    # A = -1: every step is exact and the remainder is left at the bottom,
+    # above the dividend's leading zeros
+    ({-3: 0, -2: 0, -1: 1, 1: -1, 2: 5}, {2: -1, 0: 1}, {0: 5}),
+    # past its leading zeros the dividend is too short for any step
+    ({-1: 0, 0: 0, 1: 3}, {2: 1, 0: -1}, {1: 3}),
 ])
 def test_not_divisible_remainder_is_pinned(num, den, remainder):
+    # num lists the dividend's entries from its lowest degree, zeros too
+    lo = min(num)
+    r = [num.get(k, 0) for k in range(lo, max(num) + 1)]
     with pytest.raises(NotDivisibleError) as err:
-        exact_quotient(LaurentPoly(num), LaurentPoly(den))
+        exact_quotient(r, lo, den[2], den[0])
     assert err.value.remainder.items() == sorted(remainder.items())
 
 
 @given(quot=st.lists(st.integers(-40, 40), min_size=1, max_size=7),
        lo=st.integers(-4, 4),
-       binomial=st.sampled_from([(1, -1), (-1, 1), (2, -3), (-3, 5), (5, 2)]),
-       slip=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(-3, 3))))
-def test_binomial_quotient_agrees_with_exact_quotient(quot, lo, binomial, slip):
-    # r = quot * (A z^2 + B), knocked off by one coefficient: a slip at the
-    # top makes a division step inexact, one at the bottom leaves only a
-    # remainder; both must raise the error exact_quotient raises
+       lead=st.integers(0, 3),
+       binomial=st.sampled_from(BINOMIALS),
+       slip=st.one_of(st.none(), st.tuples(st.integers(0, 11), st.integers(-3, 3))))
+def test_exact_quotient_matches_fraction_reference(quot, lo, lead, binomial, slip):
+    # r = quot * (A z^2 + B) after `lead` zero entries, knocked off by one
+    # coefficient: a slip at the top makes a division step inexact, one at
+    # the bottom leaves only a remainder, one in the leading zeros moves the
+    # lowest degree; the quotient or the remainder is the reference's
     A, B = binomial
-    r = [B * c for c in quot] + [0, 0]
-    for j, c in enumerate(quot):
+    r = [0] * lead + [B * c for c in quot] + [0, 0]
+    for j, c in enumerate(quot, lead):
         r[j + 2] += A * c
     if slip is not None:
         r[slip[0] % len(r)] += slip[1]
-    num = LaurentPoly(dict(enumerate(r, lo)))
+    num = {k: F(v) for k, v in enumerate(r, lo) if v}
     try:
-        want = exact_quotient(num, LaurentPoly({2: A, 0: B}))
-    except NotDivisibleError as err:
+        want = ref.exact_quotient(num, {2: F(A), 0: F(B)})
+    except ref.RefNotDivisible as err:
         with pytest.raises(NotDivisibleError) as got:
-            _binomial_quotient(r, lo, A, B)
-        assert got.value.remainder == err.remainder
+            exact_quotient(r, lo, A, B)
+        _agrees(got.value.remainder, err.remainder)
     else:
-        assert LaurentPoly(dict(enumerate(_binomial_quotient(r, lo, A, B), lo))) == want
+        got = exact_quotient(r, lo, A, B)
+        _agrees(LaurentPoly(dict(enumerate(got, lo))), want)
 
 
 # --- canonical form on demand ------------------------------------------------
@@ -541,11 +527,6 @@ def test_every_value_has_nonzero_end_entries(p8, f, g, e):
                combination(((1, g + f), (-1, f), (F(1, 2), f - f))),
                combination(((1, f), (-1, f))),
                combination(((3, f), (F(-3, 2), f + f)))]
-    values.append(exact_quotient(f * g, g))
-    try:
-        values.append(exact_quotient(f, g))
-    except NotDivisibleError as err:
-        values.append(err.remainder)
     # zero times a shift z^e, on either side, is the zero form
     z_e = LaurentPoly.monomial(e)
     values += [LaurentPoly.zero() * z_e, z_e * (f - f), f * z_e]

@@ -33,7 +33,7 @@ recorder.instrument()
 after = bound()
 p = awlab.check_genericity(*map(awlab.scalars.parse_scalar,
                                 ("1/2", "1/3", "1/5", "1/7", "1/11")), 3)
-reports = awlab.run_suite(p, n_max=3, trials=2, seed=7)
+reports = awlab.run_suite(p, trials=2, seed=7)
 _, calls = recorder.self_times()
 print(json.dumps({
     "unwrapped": sorted(k for k in before if after[k] is before[k]),

@@ -367,7 +367,7 @@ def test_stored_constructions_stay_canonical(point):
     # every later step builds on must not: an unreduced P_n doubles the
     # coefficient bits at n40
     p = check_genericity(*point, 12)
-    run_suite(p, n_max=12, trials=2)
+    run_suite(p, trials=2)
     stored = list(p.memo["P"]) + [v for key, v in p.memo.items()
                                   if isinstance(key, tuple) and key[0] == "E"]
     assert len(stored) == 13 + 24  # P_0..P_12, E_n for 0 < |n| <= 12

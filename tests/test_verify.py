@@ -27,8 +27,8 @@ from awlab.identities import (
 )
 from awlab.laurent import LaurentPoly
 from awlab.scalars import (
-    HorizonError,
     InputError,
+    check_genericity,
     lambda_n,
     random_param_sets,
 )
@@ -41,6 +41,12 @@ from awlab.verify import (
     run_suite,
     suite_plan,
 )
+
+
+def _at_horizon(p, n_max):
+    """p's values certified at the horizon n_max."""
+    return check_genericity(p.q, p.a, p.b, p.c, p.d, n_max)
+
 
 EXPECTED_FAULT_SETS = {
     "lambda": {"q-difference-eigen", "raising-via-d", "lowering-via-d"},
@@ -119,7 +125,7 @@ def test_trials_below_one_are_rejected(p8, trials):
             with pytest.raises(InputError, match="trials must be at least 1"):
                 check(p8, trials=trials, degree_window=window)
         with pytest.raises(InputError, match="trials must be at least 1"):
-            run_suite(p8, n_max=2, trials=trials, degree_window=window)
+            run_suite(_at_horizon(p8, 2), trials=trials, degree_window=window)
 
 
 @pytest.mark.parametrize("window", [0, -2])
@@ -127,7 +133,7 @@ def test_degree_window_below_one_is_rejected(p8, window):
     with pytest.raises(InputError, match="degree_window must be at least 1"):
         check_hecke_relations(p8, trials=1, degree_window=window)
     with pytest.raises(InputError, match="degree_window must be at least 1"):
-        run_suite(p8, n_max=2, trials=1, degree_window=window)
+        run_suite(_at_horizon(p8, 2), trials=1, degree_window=window)
 
 
 def test_negative_horizon_is_input_error():
@@ -227,19 +233,15 @@ def test_run_suite_clean(p8):
 
 
 def test_run_suite_deterministic(p8):
-    a = [r.as_json_dict(9) for r in run_suite(p8, n_max=4, trials=6, seed=9)]
-    b = [r.as_json_dict(9) for r in run_suite(p8, n_max=4, trials=6, seed=9)]
+    p4 = _at_horizon(p8, 4)
+    a = [r.as_json_dict(9) for r in run_suite(p4, trials=6, seed=9)]
+    b = [r.as_json_dict(9) for r in run_suite(p4, trials=6, seed=9)]
     assert a == b
-
-
-def test_run_suite_horizon_guard(p8):
-    with pytest.raises(HorizonError):
-        run_suite(p8, n_max=9)
 
 
 def test_run_suite_rejects_unknown_fault(p8):
     with pytest.raises(ValueError):
-        run_suite(p8, n_max=2, trials=2, fault="gamma")
+        run_suite(_at_horizon(p8, 2), trials=2, fault="gamma")
 
 
 @pytest.mark.parametrize("fault", FAULT_TARGETS)
@@ -357,13 +359,14 @@ def _alone(identity_id, n, p, fault):
 def test_run_table_changes_no_report(p8, fault):
     # the run's shared ingredients give every report the value it has when
     # its check runs alone
-    reports = run_suite(p8, n_max=6, trials=2, fault=fault)
+    p6 = _at_horizon(p8, 6)
+    reports = run_suite(p6, trials=2, fault=fault)
     assert len(reports) == sum(1 if ns is None else len(ns)
                                for _, ns in suite_plan(6))
     failed = {r.identity_id for r in reports if not r.passed}
     assert failed == (EXPECTED_FAULT_SETS[fault] if fault else set())
     for r in reports:
-        assert _outcome(r) == _alone(r.identity_id, r.n, p8, fault)
+        assert _outcome(r) == _alone(r.identity_id, r.n, p6, fault)
 
 
 def test_nothing_survives_a_run():
