@@ -378,11 +378,12 @@ def test_not_divisible_remainder_is_pinned(num, den, remainder):
        lead=st.integers(0, 3),
        binomial=st.sampled_from(BINOMIALS),
        slip=st.one_of(st.none(), st.tuples(st.integers(0, 11), st.integers(-3, 3))))
-def test_exact_quotient_matches_fraction_reference(quot, lo, lead, binomial, slip):
+def test_binomial_quotient_agrees_with_exact_quotient(quot, lo, lead, binomial, slip):
     # r = quot * (A z^2 + B) after `lead` zero entries, knocked off by one
     # coefficient: a slip at the top makes a division step inexact, one at
     # the bottom leaves only a remainder, one in the leading zeros moves the
-    # lowest degree; the quotient or the remainder is the reference's
+    # lowest degree; the quotient or the remainder is that of the Fraction
+    # reference's general long division
     A, B = binomial
     r = [0] * lead + [B * c for c in quot] + [0, 0]
     for j, c in enumerate(quot, lead):
@@ -399,6 +400,28 @@ def test_exact_quotient_matches_fraction_reference(quot, lo, lead, binomial, sli
     else:
         got = exact_quotient(r, lo, A, B)
         _agrees(LaurentPoly(dict(enumerate(got, lo))), want)
+
+
+@given(nonzero_fraction_dicts, st.sampled_from(BINOMIALS))
+@settings(max_examples=150)
+def test_exact_quotient_matches_fraction_reference(f, binomial):
+    # a rational f = N / den divides through its integer numerators N, so
+    # the quotient and the remainder are N's over den
+    A, B = binomial
+    rg = {2: F(A), 0: F(B)}
+    pf = LaurentPoly(f)
+    rf = ref.clean(f)
+    for num, rnum in ((pf, rf), (pf * LaurentPoly(rg), ref.mul(rf, rg))):
+        try:
+            expected = ref.exact_quotient(rnum, rg)
+        except ref.RefNotDivisible as err:
+            with pytest.raises(NotDivisibleError) as got:
+                exact_quotient(num._num, num._lo, A, B)
+            _agrees(got.value.remainder.scale(F(1, num._den)), err.remainder)
+        else:
+            quot = exact_quotient(num._num, num._lo, A, B)
+            got = LaurentPoly(dict(enumerate(quot, num._lo))).scale(F(1, num._den))
+            _agrees(got, expected)
 
 
 # --- canonical form on demand ------------------------------------------------
