@@ -21,6 +21,12 @@ exactness survives the round trip.  Exit codes:
      one "internal error: ..." line on stderr, so a crash never looks like
      a failed identity or bad input
 
+Each command returns its exit code and its output lines, and `main`
+prints them, so the verdict is known before any line is printed.  A
+reader that closes stdout early (`awlab verify ... | head`) cuts the
+output short but changes neither: the command still exits with its
+verdict, and nothing is written to stderr.
+
 The environment variable AWLAB_SEED, when set, overrides --seed for the
 commands that take one.
 """
@@ -80,7 +86,7 @@ def _certify(values: dict, n_max: int) -> ParamSet:
     )
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[int, list[str]]:
     values = parse_param_string(args.params)
     n = args.n
     if args.kind == "P" and n < 0:
@@ -90,8 +96,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         poly = askey_wilson_P(n, p)
     else:
         poly = nonsymmetric_E(n, p)
-    print(json.dumps(polynomial_document(args.kind, n, p, poly)))
-    return 0
+    return 0, [json.dumps(polynomial_document(args.kind, n, p, poly))]
 
 
 _TABLE_RANGES = {
@@ -103,7 +108,7 @@ _TABLE_RANGES = {
 }
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[int, list[str]]:
     values = parse_param_string(args.params)
     p = _certify(values, args.nmax)
     fn, signed = _TABLE_RANGES[args.quantity]
@@ -115,17 +120,14 @@ def cmd_table(args: argparse.Namespace) -> int:
             "params": p.as_json_dict(),
             "rows": [{"n": n, "value": val} for n, val in rows],
         }
-        print(json.dumps(doc))
-    else:
-        n_width = max(len(str(n)) for n, _ in rows)
-        n_width = max(n_width, len("n"))
-        print(f"{'n':>{n_width}}  {args.quantity}")
-        for n, val in rows:
-            print(f"{n:>{n_width}}  {val}")
-    return 0
+        return 0, [json.dumps(doc)]
+    n_width = max(len(str(n)) for n, _ in rows)
+    n_width = max(n_width, len("n"))
+    return 0, [f"{'n':>{n_width}}  {args.quantity}",
+               *(f"{n:>{n_width}}  {val}" for n, val in rows)]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     if (args.params is None) == (not args.random):
         raise InputError("choose exactly one of --params or --random")
     if args.random:
@@ -140,31 +142,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fault=args.inject_fault,
     )
     n_passed = sum(r.passed for r in reports)
-    n_failed = len(reports) - n_passed
+    code = 0 if n_passed == len(reports) else 1
     if args.json:
-        for r in reports:
-            print(json.dumps(r.as_json_dict(args.seed)))
-    else:
-        for r in reports:
-            where = "" if r.n is None else f" n={r.n}"
-            if r.passed:
-                print(f"PASS  {r.identity_id}{where}")
-            else:
-                print(f"FAIL  {r.identity_id}{where}  residual {r.residual_witness}")
-        for identity_id, ns in suite_plan(args.nmax):
-            if ns is not None and len(ns) == 0:
-                print(f"SKIP  {identity_id}  (empty index range at nmax={args.nmax})")
-        point = ",".join(f"{k}={v}" for k, v in p.as_json_dict().items()
-                         if k != "nmax")
-        print(f"{n_passed}/{len(reports)} identities passed at {point} "
-              f"(nmax={args.nmax}, trials={args.trials}, seed={args.seed})")
-    return 0 if n_failed == 0 else 1
+        return code, [json.dumps(r.as_json_dict(args.seed)) for r in reports]
+    lines = []
+    for r in reports:
+        where = "" if r.n is None else f" n={r.n}"
+        if r.passed:
+            lines.append(f"PASS  {r.identity_id}{where}")
+        else:
+            lines.append(f"FAIL  {r.identity_id}{where}  residual {r.residual_witness}")
+    for identity_id, ns in suite_plan(args.nmax):
+        if ns is not None and len(ns) == 0:
+            lines.append(f"SKIP  {identity_id}  (empty index range at nmax={args.nmax})")
+    point = ",".join(f"{k}={v}" for k, v in p.as_json_dict().items()
+                     if k != "nmax")
+    lines.append(f"{n_passed}/{len(reports)} identities passed at {point} "
+                 f"(nmax={args.nmax}, trials={args.trials}, seed={args.seed})")
+    return code, lines
 
 
-def cmd_random_params(args: argparse.Namespace) -> int:
-    for p in random_param_sets(args.seed, args.trials, args.nmax):
-        print(json.dumps(p.as_json_dict()))
-    return 0
+def cmd_random_params(args: argparse.Namespace) -> tuple[int, list[str]]:
+    return 0, [json.dumps(p.as_json_dict())
+               for p in random_param_sets(args.seed, args.trials, args.nmax)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +234,16 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe: the verdict stands, and stdout
+            # points at the null device so the flush at exit writes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except GenericityError as exc:
         print(f"GenericityError({exc.condition}): {exc.detail}", file=sys.stderr)
         return 2

@@ -15,11 +15,15 @@ constructs.
 Each coefficient r is a small numerator over a binomial, and the
 operators use that: T0 and T1 run `laurent.reflection_difference`, D and
 the direct form of D' run `laurent.q_difference`, fused kernels that
-divide only by binomials.  Their constants come from a `laurent.Plan` per
-operator and point, built at the operator's first call there and kept in
-the point's store (`scalars.memo`); the plans of T0 and D read the powers
-of q from the point's one table (`scalars.powers`), which the closed forms
-share.  With N = (1-az)(1-bz)(1-cz)(1-dz),
+divide only by binomials.  By the quadratic relation, t_i T_i^{-1} is
+T_i - t_i + 1, and the factored D' is (T1 + 1)(T0 - t0); each such T_i
+plus a scalar, the symmetrizer T1 + 1 included, is one pass of T_i's
+kernel with another diagonal coefficient.  Their constants come from a
+`laurent.Plan` per operator and point, built at the operator's first
+call there and kept in the point's store (`scalars.memo`); the plans of
+T0 and D read the powers of q from the point's one table
+(`scalars.powers`), which the closed forms share.  With
+N = (1-az)(1-bz)(1-cz)(1-dz),
 
     T1 f = t1 f + (1-az)(1-bz) (f(1/z) - f(z)) / (1 - z^2)
     T0 f = t0 f + (z-c)(z-d) (f(q/z) - f(z)) / (z^2 - q)
@@ -37,11 +41,10 @@ the operator was fed an input outside its domain and surfaces as
 NotDivisibleError rather than a silently wrong answer.
 
 Every image here is exact but unreduced: the kernels return their
-numerators over the denominator they formed, and t0 T0^{-1}, t1 T1^{-1}
-and the factored D' are `laurent.combination`s of kernel images, so an
-image that is only zero-tested or summed again pays for no gcd pass.
-Equality, hashing and `scale` reduce a value first; the constructions
-in the polynomial layer reduce what they keep.
+numerators over the denominator they formed, so an image that is only
+zero-tested or summed again pays for no gcd pass.  Equality, hashing and
+`scale` reduce a value first; the constructions in the polynomial layer
+reduce what they keep.
 
 The coefficients themselves, r1, r0 and A = N / ((1-z^2)(1-qz^2)), appear
 only in the verifier, which checks r + s(r) = t + 1 and the limits of A
@@ -54,7 +57,6 @@ from .laurent import (
     SUB_INV,
     LaurentPoly,
     Plan,
-    combination,
     q_difference,
     reflection_difference,
 )
@@ -94,7 +96,8 @@ def apply_T1(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
 
     r1 = (1 - az)(1 - bz) / (1 - z^2) = -(1 - (a+b) z + ab z^2) / (z^2 - 1).
     """
-    return reflection_difference(f, memo("T1", _t1_plan, None, p))
+    plan = memo("T1", _t1_plan, None, p)
+    return reflection_difference(f, plan, plan.t)
 
 
 def apply_T0(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
@@ -102,17 +105,29 @@ def apply_T0(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
 
     r0 = (z - c)(z - d) / (z^2 - q) = (cd - (c+d) z + z^2) / (z^2 - q).
     """
-    return reflection_difference(f, memo("T0", _t0_plan, None, p))
+    plan = memo("T0", _t0_plan, None, p)
+    return reflection_difference(f, plan, plan.t)
 
 
 def apply_t1_T1_inv(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """t1 T1^{-1} f = (T1 - t1 + 1) f, read off from the quadratic relation."""
-    return combination(((1, apply_T1(f, p)), (1 - p.t1, f)))
+    """t1 T1^{-1} f = (T1 - t1 + 1) f, read off from the quadratic relation:
+    T1's kernel with diagonal 1."""
+    plan = memo("T1", _t1_plan, None, p)
+    return reflection_difference(f, plan, plan.den)
 
 
 def apply_t0_T0_inv(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """t0 T0^{-1} f = (T0 - t0 + 1) f, read off from the quadratic relation."""
-    return combination(((1, apply_T0(f, p)), (1 - p.t0, f)))
+    """t0 T0^{-1} f = (T0 - t0 + 1) f, read off from the quadratic relation:
+    T0's kernel with diagonal 1."""
+    plan = memo("T0", _t0_plan, None, p)
+    return reflection_difference(f, plan, plan.den)
+
+
+def symmetrize(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
+    """(T1 + 1) f, which is always symmetric: T1's kernel with diagonal
+    t1 + 1."""
+    plan = memo("T1", _t1_plan, None, p)
+    return reflection_difference(f, plan, plan.t + plan.den)
 
 
 def apply_Y(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
@@ -139,14 +154,15 @@ def apply_D_prime(
 ) -> LaurentPoly:
     """One-sided relative of D, defined on all Laurent polynomials.
 
-    form "factored" computes (T1 + 1)(T0 - t0) f.  form "direct" computes
+    form "factored" computes (T1 + 1)(T0 - t0) f, two kernel passes with
+    diagonals 0 and t1 + 1.  form "direct" computes
     A(z)(f(qz) - f(1/z)) + A(1/z)(f(q/z) - f(z)), which agrees with the
     factored form identically; keeping both routes lets the verifier compare
     them rather than trusting either one.
     """
     if form == "factored":
-        g = combination(((1, apply_T0(f, p)), (-p.t0, f)))
-        return combination(((1, apply_T1(g, p)), (1, g)))
+        g = reflection_difference(f, memo("T0", _t0_plan, None, p), 0)
+        return symmetrize(g, p)
     if form == "direct":
         return q_difference(f, memo("D", _d_plan, None, p), one_sided=True)
     raise ValueError(f"unknown form {form!r}; expected 'factored' or 'direct'")

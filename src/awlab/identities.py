@@ -39,9 +39,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .hecke import apply_D, apply_D_prime, apply_t0_T0_inv, apply_Y
+from .hecke import apply_D, apply_D_prime, apply_t0_T0_inv, apply_Y, symmetrize
 from .laurent import LaurentPoly, combination
-from .polynomials import _m_p, askey_wilson_P, nonsymmetric_E, symmetrize
+from .polynomials import _m_p, askey_wilson_P, nonsymmetric_E
 from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, memo, mu_n
 
 FAULT_TARGETS = ("lambda", "alpha", "beta", "kappa")

@@ -22,9 +22,12 @@ The two substitutions act monomial-wise:
 `reflection_difference` and `q_difference`, the kernels of the operator
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
 at a point and divide dense integer lists by binomials A z^2 + B, the
-only divisions the package makes, all through `exact_quotient`.  The two
-halves of `q_difference` mirror each other for D' on every input and for
-D on symmetric input, so it divides by 1 - q z^2 only once; D's input is
+only divisions the package makes, all through `exact_quotient`.
+`reflection_difference` also takes the diagonal coefficient, an integer
+over the plan's denominator, so T_i plus any scalar (t_i T_i^{-1},
+T0 - t0, T1 + 1) is one pass of the same kernel.  The two halves of
+`q_difference` mirror each other for D' on every input and for D on
+symmetric input, so it divides by 1 - q z^2 only once; D's input is
 tested for symmetry at each call, and an asymmetric one is refused.
 """
 
@@ -412,9 +415,12 @@ def exact_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
     return quot[:-2]
 
 
-def reflection_difference(f: LaurentPoly, plan: Plan) -> LaurentPoly:
-    """t f + num(z) (f(q/z) - f(z)) / (z^2 - q) by the plan; f(q/z) - f(z)
-    vanishes where z^2 = q, so the division is exact."""
+def reflection_difference(f: LaurentPoly, plan: Plan, diag: int) -> LaurentPoly:
+    """(diag / plan.den) f + num(z) (f(q/z) - f(z)) / (z^2 - q) by the plan;
+    f(q/z) - f(z) vanishes where z^2 = q, so the division is exact.  With
+    diag = plan.t this is the plan's operator T, and T + c for any scalar c
+    is the same pass with diag = plan.t + c plan.den; diag = 0 skips the
+    diagonal term."""
     if not f._num:
         return f
     fl, K = _padded(f)
@@ -425,8 +431,10 @@ def reflection_difference(f: LaurentPoly, plan: Plan) -> LaurentPoly:
         diff = [u - s * v for u, v in zip(reversed(up), fl)]
     # z^2 - q = (qd z^2 - qn) / qd, and plan.num carries the qd
     quot = exact_quotient(diff, -K, plan.qd, -plan.qn)
-    ts = plan.t * s
-    out = [ts * v + w for v, w in zip(fl, _times(plan.num, quot))]
+    out = _times(plan.num, quot)
+    if diag:
+        ds = diag * s
+        out = [ds * v + w for v, w in zip(fl, out)]
     return LaurentPoly._trimmed(-K, out, plan.den * s * f._den, False)
 
 

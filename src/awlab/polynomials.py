@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hecke import apply_T1, apply_Y
+from .hecke import apply_Y
 from .laurent import LaurentPoly, combination
 from .scalars import ParamSet, Scalar, alpha_n, c_n, memo, mu_n
 
@@ -180,11 +180,6 @@ def _spectral_E(n: int, p: ParamSet) -> LaurentPoly:
     pm = askey_wilson_P(m, p)
     inv = 1 / (top - other)
     return combination(((inv, apply_Y(pm, p)), (-other * inv, pm))).canonical()
-
-
-def symmetrize(f: LaurentPoly, p: ParamSet) -> LaurentPoly:
-    """(T1 + 1) f, which is always symmetric; unreduced (`combination`)."""
-    return combination(((1, apply_T1(f, p)), (1, f)))
 
 
 def recurrence_ratio(n: int, p: ParamSet) -> Scalar:

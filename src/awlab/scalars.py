@@ -79,20 +79,21 @@ class ParamSet:
     Construct through `check_genericity`; the constructor itself only derives
     the deformation scalars t0 = -cd/q and t1 = -ab and the product abcd.
     Instances are immutable and hashable on (q, a, b, c, d, n_max); the hash
-    is computed once, here.  `memo` is the point's store of what has been
+    and the JSON form's strings are computed once, here.  `memo` is the point's store of what has been
     built at it, read through `memo` below: it belongs to this object, not
     to every equal point, takes no part in equality, hashing or pickling,
     and is freed with the point.
     """
 
     __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1", "abcd", "_hash",
-                 "memo")
+                 "_json", "memo")
 
     def __init__(self, q: Scalar, a: Scalar, b: Scalar, c: Scalar, d: Scalar,
                  n_max: int):
         key = (q, a, b, c, d, n_max)
+        form = dict(zip("qabcd", map(format_scalar, key)), nmax=n_max)
         for name, value in zip(self.__slots__, (*key, -c * d / q, -a * b,
-                                                a * b * c * d, hash(key), {})):
+                                                a * b * c * d, hash(key), form, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -126,14 +127,8 @@ class ParamSet:
             )
 
     def as_json_dict(self) -> dict:
-        return {
-            "q": format_scalar(self.q),
-            "a": format_scalar(self.a),
-            "b": format_scalar(self.b),
-            "c": format_scalar(self.c),
-            "d": format_scalar(self.d),
-            "nmax": self.n_max,
-        }
+        """q, a, b, c, d as "p/q" strings and nmax, in a fresh dict."""
+        return dict(self._json)
 
 
 def memo(name: str, build, n: int | None, p: ParamSet):

@@ -369,6 +369,24 @@ def test_module_entry_point():
     assert doc["coeffs"] == {"-1": "1", "0": "-430/577", "1": "1"}
 
 
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    # the reader takes one line and closes the pipe; the output, about
+    # 300 kB of failing reports, outgrows the pipe and the writer's buffer,
+    # so the writer meets the closed end whatever its buffering
+    err_path = tmp_path / "stderr"
+    with err_path.open("wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "awlab", "verify", "--random", "--seed", "2",
+             "--nmax", "16", "--json", "--inject-fault", "lambda"],
+            stdout=subprocess.PIPE, stderr=err,
+        )
+        assert json.loads(proc.stdout.readline())["identity"]
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert err_path.read_bytes() == b""
+    assert code == 1  # the lambda fault's verdict, not an internal error
+
+
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     # both weigh on start-up time and memory, and awlab needs neither
     proc = subprocess.run(

@@ -17,8 +17,17 @@ from hypothesis import strategies as st
 
 import fraction_hecke as ref
 from awlab import hecke
-from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1
-from awlab.laurent import LaurentPoly, NotDivisibleError
+from awlab.hecke import (
+    apply_D,
+    apply_D_prime,
+    apply_T0,
+    apply_T1,
+    apply_t0_T0_inv,
+    apply_t1_T1_inv,
+    symmetrize,
+)
+from awlab.laurent import LaurentPoly, NotDivisibleError, reflection_difference
+from awlab.scalars import memo
 from awlab.polynomials import askey_wilson_P, nonsymmetric_E
 from awlab.scalars import check_genericity
 
@@ -57,6 +66,19 @@ def test_d_prime_both_forms_match_reference(points, f, i):
     p = points[i]
     for form in ("direct", "factored"):
         assert apply_D_prime(f, p, form=form) == ref.apply_D_prime(f, p, form=form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=laurents, i=point_index)
+def test_fused_operators_match_reference_sums(points, f, i):
+    # each T_i plus a scalar is one kernel pass with another diagonal; the
+    # reference sums T_i's image and the scalar multiple of f instead
+    p = points[i]
+    assert apply_t0_T0_inv(f, p) == ref.apply_T0(f, p) + f.scale(1 - p.t0)
+    assert apply_t1_T1_inv(f, p) == ref.apply_T1(f, p) + f.scale(1 - p.t1)
+    assert symmetrize(f, p) == ref.apply_T1(f, p) + f
+    plan = memo("T0", hecke._t0_plan, None, p)
+    assert reflection_difference(f, plan, 0) == ref.apply_T0(f, p) - f.scale(p.t0)
 
 
 @settings(max_examples=60, deadline=None)

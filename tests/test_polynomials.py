@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import product_askey_wilson as ref
-from awlab.hecke import apply_D, apply_Y
+from awlab.hecke import apply_D, apply_Y, symmetrize
 from awlab.identities import _finish_proportional
 from awlab.laurent import LaurentPoly
 from awlab.polynomials import (
@@ -25,7 +25,6 @@ from awlab.polynomials import (
     polynomial_document,
     position,
     recurrence_ratio,
-    symmetrize,
     y_matrix,
 )
 from awlab.scalars import (
