@@ -4,7 +4,8 @@ Everything here acts exactly.  The building blocks are two involutions,
 
     s1 : z -> 1/z          s0 : z -> q/z,
 
-whose composites are the q-shifts s1 s0 : z -> q z and s0 s1 : z -> z/q.
+one map z -> u/z (`LaurentPoly.reflect(u)`) at u = 1 and at u = q.
+Their composites are the q-shifts s1 s0 : z -> q z and s0 s1 : z -> z/q.
 On top of them sit two operators T0, T1 of the form t + r(z)(s - 1) with
 rational coefficients r chosen so each satisfies the quadratic relation
 (T - t)(T + 1) = 0, a second-order q-difference operator D acting on
@@ -53,13 +54,7 @@ on numerator and denominator Laurent polynomials kept apart.
 
 from __future__ import annotations
 
-from .laurent import (
-    SUB_INV,
-    LaurentPoly,
-    Plan,
-    q_difference,
-    reflection_difference,
-)
+from .laurent import LaurentPoly, Plan, q_difference, reflection_difference
 from .scalars import ParamSet, Powers, e1, e3, memo, powers
 
 
@@ -68,8 +63,8 @@ class NotSymmetricError(ValueError):
 
 
 def s1(f: LaurentPoly) -> LaurentPoly:
-    """Substitute z -> 1/z."""
-    return f.substitute(SUB_INV)
+    """f(1/z)."""
+    return f.reflect(1)
 
 
 # The plans of T1, T0 and D (which direct D' shares), read through memo;

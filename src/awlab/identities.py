@@ -145,9 +145,9 @@ def _limit_ratios(_, p: ParamSet) -> tuple[Fraction, Fraction]:
     """The limits of A(z) and A(1/z) at z -> infinity, A(z) = N / den with
     N = (1-az)(1-bz)(1-cz)(1-dz) and den = (1 - z^2)(1 - q z^2): the ratios
     of the top and of the bottom coefficients of N and den."""
-    z = _Z
-    num = (1 - p.a * z) * (1 - p.b * z) * (1 - p.c * z) * (1 - p.d * z)
-    den = (1 - z * z) * (1 - p.q * z * z)
+    num = (LaurentPoly({0: 1, 1: -p.a}) * LaurentPoly({0: 1, 1: -p.b})
+           * LaurentPoly({0: 1, 1: -p.c}) * LaurentPoly({0: 1, 1: -p.d}))
+    den = LaurentPoly({0: 1, 2: -1}) * LaurentPoly({0: 1, 2: -p.q})
     return (num.coeff(num.max_deg) / den.coeff(den.max_deg),
             num.coeff(num.min_deg) / den.coeff(den.min_deg))
 

@@ -10,14 +10,19 @@ numerators), and zero has denominator 1.  The kernels
 return their exact numerators over the denominator they formed, unreduced
 (it may even be negative), so a value that is only zero-tested, like an
 identity's residual, pays for no gcd pass.  `canonical` reduces a value in
-place, once; `==`, `hash` and `scale` call it first.  `+`, `-`, `*`, the
-q/z substitution and the constructor reduce each result.  `coeff`,
-`items`, the constructor and the JSON and text forms speak Fraction, so
-no reader outside this module sees which form a value is in.
+place, once; `==`, `hash` and `scale` call it first.  There is one
+arithmetic path: a sum or difference is a `combination`, a scalar
+multiple is `scale`, and `*` multiplies two polynomials; no operator
+lifts a scalar to a polynomial.  `*`, `scale`, `reflect` at u != 1 and
+the constructor reduce each result.  `coeff`, `items`, the constructor
+and the JSON and text forms speak Fraction, so no reader outside this
+module sees which form a value is in.
 
-The two substitutions act monomial-wise:
+The one substitution, `reflect(u)` for a nonzero scalar u, acts
+monomial-wise; u = 1 and u = q give the operator layer's involutions
+z -> 1/z and z -> q/z:
 
-    z -> 1/z :  z^k -> z^-k             z -> q/z :  z^k -> q^k z^-k
+    z -> u/z :  z^k -> u^k z^-k
 
 `reflection_difference` and `q_difference`, the kernels of the operator
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
@@ -38,9 +43,6 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .scalars import Powers, Scalar, format_scalar
-
-SUB_INV = "1/z"
-SUB_Q_OVER_Z = "q/z"
 
 _ZERO = Fraction(0)
 
@@ -172,8 +174,6 @@ class LaurentPoly:
         return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self.canonical()
@@ -185,32 +185,7 @@ class LaurentPoly:
         self.canonical()
         return hash((self._lo, self._den, tuple(self._num)))
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self._lo, [-v for v in self._num],
-                                self._den, self._canonical)
-
-    def __add__(self, other) -> "LaurentPoly":
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self._plus(other, -1)
-
-    def _plus(self, other, sign: int) -> "LaurentPoly":
-        """self + sign * other, reduced."""
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return combination(((1, self), (sign, other))).canonical()
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._num or not other._num:
@@ -222,8 +197,6 @@ class LaurentPoly:
         # the product of nonzero end entries is nonzero: no trimming
         return LaurentPoly._raw(self._lo + other._lo, _times(self._num, other._num),
                                 self._den * other._den, False).canonical()
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
         if type(c) is not Fraction:
@@ -242,30 +215,23 @@ class LaurentPoly:
         return LaurentPoly._raw(self._lo, [v // g_d * n for v in self._num],
                                 self._den // g_n * (d // g_d))
 
-    def substitute(self, rule: str, q: Scalar | None = None) -> "LaurentPoly":
-        """Apply one of the monomial-wise substitutions named above."""
-        if rule == SUB_INV:
-            if not self._num:
-                return self
-            return LaurentPoly._raw(-self.max_deg, self._num[::-1],
-                                    self._den, self._canonical)
-        if rule != SUB_Q_OVER_Z:
-            raise ValueError(f"unknown substitution rule {rule!r}")
-        if q is None:
-            raise ValueError(f"substitution {rule!r} needs the scalar q")
-        q = Fraction(q)
-        if q == 0:
-            raise ValueError("substitution needs q != 0")
+    def reflect(self, u: Scalar) -> "LaurentPoly":
+        """f(u/z) for a nonzero scalar u: z^k -> u^k z^-k."""
+        u = Fraction(u)
+        if not u:
+            raise ValueError("reflect needs u != 0")
         if not self._num:
             return self
-        # z^k picks up the factor (qn/qd)^k and moves to degree -k, over one
-        # denominator qn^lo * qd^hi for every degree in [-lo, hi]
-        qn, qd = q.numerator, q.denominator
         top = self.max_deg
+        if u == 1:
+            return LaurentPoly._raw(-top, self._num[::-1], self._den, self._canonical)
+        # z^k picks up the factor (un/ud)^k and moves to degree -k, over one
+        # denominator un^lo * ud^hi for every degree in [-lo, hi]
+        un, ud = u.numerator, u.denominator
         lo, hi = max(0, -self._lo), max(0, top)
-        num = [v * qn ** (k + lo) * qd ** (hi - k) if v else 0
+        num = [v * un ** (k + lo) * ud ** (hi - k) if v else 0
                for k, v in enumerate(self._num, self._lo)]
-        return LaurentPoly._raw(-top, num[::-1], self._den * qn**lo * qd**hi,
+        return LaurentPoly._raw(-top, num[::-1], self._den * un**lo * ud**hi,
                                 False).canonical()
 
     def is_symmetric(self) -> bool:

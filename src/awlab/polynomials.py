@@ -196,9 +196,10 @@ def recurrence_ratio(n: int, p: ParamSet) -> Scalar:
         raise ValueError("recurrence_ratio needs n >= 2")
     p.require_horizon(n + 1)
     pn = askey_wilson_P(n, p)
-    g = _M * pn - askey_wilson_P(n + 1, p) - pn.scale(alpha_n(n, p))
+    g = combination(((1, _M * pn), (-1, askey_wilson_P(n + 1, p)),
+                     (-alpha_n(n, p), pn)))
     c = g.coeff(n - 1)
-    residual = g - askey_wilson_P(n - 1, p).scale(c)
+    residual = combination(((1, g), (-c, askey_wilson_P(n - 1, p))))
     if not residual.is_zero():
         raise ExtractionError("three-term recurrence did not close", residual)
     return c

@@ -79,10 +79,10 @@ class ParamSet:
     Construct through `check_genericity`; the constructor itself only derives
     the deformation scalars t0 = -cd/q and t1 = -ab and the product abcd.
     Instances are immutable and hashable on (q, a, b, c, d, n_max); the hash
-    and the JSON form's strings are computed once, here.  `memo` is the point's store of what has been
-    built at it, read through `memo` below: it belongs to this object, not
-    to every equal point, takes no part in equality, hashing or pickling,
-    and is freed with the point.
+    and the JSON form's strings are computed once, here.  `memo` is the
+    point's store of what has been built at it, read through `memo` below:
+    it belongs to this object, not to every equal point, takes no part in
+    equality, hashing or pickling, and is freed with the point.
     """
 
     __slots__ = ("q", "a", "b", "c", "d", "n_max", "t0", "t1", "abcd", "_hash",

@@ -76,13 +76,7 @@ from .identities import (
     check_recurrence,
     check_symmetrization,
 )
-from .laurent import (
-    SUB_INV,
-    SUB_Q_OVER_Z,
-    LaurentPoly,
-    combination,
-    linear_extension,
-)
+from .laurent import LaurentPoly, combination, linear_extension
 from .polynomials import _M
 from .scalars import InputError, ParamSet, e1, e3, lambda_n
 
@@ -166,7 +160,7 @@ def _guard(value: LaurentPoly, image, f: LaurentPoly,
            lowest: int | None = None) -> LaurentPoly:
     """value - sum_k f_k image(k), where value = op(f) and image(k) is op on
     the k-th basis element: zero when op is linear on f."""
-    return linear_extension(image, -f, lowest, plus=((1, value),))
+    return linear_extension(image, f.scale(-1), lowest, plus=((1, value),))
 
 
 def _window_report(identity_id: str, residuals, p: ParamSet, trials: int,
@@ -218,13 +212,15 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
     _require_window(w)
     q, t0, t1 = p.q, p.t0, p.t1
     # coefficient identities r + s(r) = t + 1 with r = num / den, cleared
-    # of denominators: num s(den) + s(num) den = (1 + t) den s(den)
-    z = _Z
-    for num, den, rule, t in (
-        ((1 - p.a * z) * (1 - p.b * z), 1 - z * z, SUB_INV, t1),
-        ((z - p.c) * (z - p.d), z * z - q, SUB_Q_OVER_Z, t0),
+    # of denominators: num s(den) + s(num) den = (1 + t) den s(den), where
+    # s is f -> f(u/z), u = 1 for r1 and u = q for r0
+    for num, den, u, t in (
+        (LaurentPoly({0: 1, 1: -p.a}) * LaurentPoly({0: 1, 1: -p.b}),
+         LaurentPoly({0: 1, 2: -1}), 1, t1),
+        (LaurentPoly({0: -p.c, 1: 1}) * LaurentPoly({0: -p.d, 1: 1}),
+         LaurentPoly({0: -q, 2: 1}), q, t0),
     ):
-        s_num, s_den = num.substitute(rule, q), den.substitute(rule, q)
+        s_num, s_den = num.reflect(u), den.reflect(u)
         yield combination(((1, num * s_den), (1, s_num * den),
                            (-1 - t, den * s_den)))
 

@@ -3,17 +3,19 @@
 The oracle for awlab.laurent: every operation works coefficient by
 coefficient over Fraction, with no shared denominator, so it shares no
 code or representation with the integer-numerator LaurentPoly.  Results
-never hold zero coefficients.  The q-shifts z -> qz and z -> z/q, which
-the package does not need, live only here, as the rules SUB_QZ and
-SUB_Z_OVER_Q of `substitute`.
+never hold zero coefficients.  `substitute` names its four monomial-wise
+substitutions by its own rule strings: SUB_INV (z -> 1/z) and
+SUB_Q_OVER_Z (z -> q/z), which the package's `reflect(u)` makes at u = 1
+and u = q, and the q-shifts SUB_QZ (z -> qz) and SUB_Z_OVER_Q (z -> z/q),
+which the package does not need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from awlab.laurent import SUB_INV, SUB_Q_OVER_Z
-
+SUB_INV = "1/z"
+SUB_Q_OVER_Z = "q/z"
 SUB_QZ = "q*z"
 SUB_Z_OVER_Q = "z/q"
 

@@ -35,12 +35,14 @@ def test_compile_bytecode_covers_every_source_module(tmp_path):
         assert Path(importlib.util.cache_from_source(str(path))).is_file(), path
 
 
-def _pairs(parent, change):
+def _pairs(parent, change, failed=(0, 0), attempted=(1, 1)):
+    """Pairs with the given run_s values; each run of the parent, then of
+    the change, fails failed[i] of attempted[i] checks."""
     return [{"seed": seed,
-             "parent": {"metrics": {"run_s": {"value": p}}, "failed": 0,
-                        "attempted": 1, "correct": True},
-             "change": {"metrics": {"run_s": {"value": c}}, "failed": 0,
-                        "attempted": 1, "correct": True}}
+             "parent": {"metrics": {"run_s": {"value": p}}, "failed": failed[0],
+                        "attempted": attempted[0], "correct": True},
+             "change": {"metrics": {"run_s": {"value": c}}, "failed": failed[1],
+                        "attempted": attempted[1], "correct": True}}
             for seed, (p, c) in enumerate(zip(parent, change), 1)]
 
 
@@ -69,6 +71,27 @@ def test_verdicts_from_synthetic_pairs(change, bound, expected):
     doc = bench_pairs.compare(_pairs(PARENT, change),
                               {"run_s": ("lower", bound)})
     assert doc["metrics"]["run_s"]["verdict"] == expected
+
+
+@pytest.mark.parametrize("failed, attempted, expected", [
+    # the change fails 500 of 10000 checks and the parent none
+    ((0, 50), (1000, 1000), "no worse"),
+    # the same share on both sides, over different check counts
+    ((1, 2), (100, 200), "gain"),
+    ((5, 5), (1000, 1000), "gain"),
+    # a share just above the parent's
+    ((1, 2), (100, 199), "no worse"),
+    # fewer failures than the parent
+    ((3, 0), (1000, 1000), "gain"),
+])
+def test_a_gain_needs_no_higher_failure_share(failed, attempted, expected):
+    # every pair won by 0.2, so only the failure shares decide
+    doc = _bench_pairs().compare(
+        _pairs(PARENT, [r - 0.2 for r in PARENT], failed, attempted),
+        {"run_s": ("lower", 0.25)})
+    assert doc["metrics"]["run_s"]["verdict"] == expected
+    assert doc["failed_checks"] == {"parent": 10 * failed[0],
+                                    "change": 10 * failed[1]}
 
 
 def test_unresolved_needs_a_wide_parent_and_overlapping_runs():

@@ -11,7 +11,7 @@ import awlab.cli
 import awlab.identities
 import awlab.scalars
 from awlab.cli import InputError, main, parse_param_string
-from awlab.laurent import LaurentPoly
+from awlab.laurent import LaurentPoly, combination
 from awlab.polynomials import EigenSolveError
 from awlab.scalars import beta_n, lambda_n, mu_n
 
@@ -203,7 +203,8 @@ def test_not_symmetric_error_is_internal(capsys, monkeypatch):
 
     def asymmetric_p2(n, p):
         pn = real(n, p)
-        return pn + LaurentPoly.monomial(1) if n == 2 else pn
+        return combination(((1, pn), (1, LaurentPoly.monomial(1)))) \
+            if n == 2 else pn
 
     monkeypatch.setattr(awlab.identities, "askey_wilson_P", asymmetric_p2)
     rc = main(["verify", "--nmax", "3", "--params", P8_STR])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_laurent as ref
 from fraction_hecke import (
     LaurentFraction,
     aw_fraction,
@@ -27,7 +28,7 @@ from awlab.hecke import (
     apply_Y,
     s1,
 )
-from awlab.laurent import SUB_INV, LaurentPoly
+from awlab.laurent import LaurentPoly, combination
 from awlab.scalars import check_genericity, lambda_n
 
 P8 = check_genericity(F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), 8)
@@ -75,10 +76,10 @@ def test_r_fraction_cocycle():
     # r1 + s1(r1) = 1 + t1 and r0 + s0(r0) = 1 + t0
     one = LaurentPoly.one()
     r1 = r1_fraction(P8)
-    lhs = r1 + r1.substitute(SUB_INV)
+    lhs = r1 + r1.substitute(ref.SUB_INV)
     assert lhs == LaurentFraction(one.scale(1 + P8.t1), one)
     r0 = r0_fraction(P8)
-    lhs0 = r0 + r0.substitute("q/z", P8.q)
+    lhs0 = r0 + r0.substitute(ref.SUB_Q_OVER_Z, P8.q)
     assert lhs0 == LaurentFraction(one.scale(1 + P8.t0), one)
 
 
@@ -108,9 +109,9 @@ def test_t_operators_fix_constants():
 @given(laurents)
 def test_quadratic_relations(f):
     # (T_i - t_i)(T_i + 1) f = 0
-    g1 = apply_T1(f, P8) + f
+    g1 = combination(((1, apply_T1(f, P8)), (1, f)))
     assert apply_T1(g1, P8) == g1.scale(P8.t1)
-    g0 = apply_T0(f, P8) + f
+    g0 = combination(((1, apply_T0(f, P8)), (1, f)))
     assert apply_T0(g0, P8) == g0.scale(P8.t0)
 
 
@@ -208,4 +209,4 @@ def test_aw_fraction_limits():
     # the two rational coefficients of D tend to abcd/q and 1 at infinity
     A = aw_fraction(P8)
     assert limit_at_infinity(A) == P8.abcd / P8.q
-    assert limit_at_infinity(A.substitute(SUB_INV)) == 1
+    assert limit_at_infinity(A.substitute(ref.SUB_INV)) == 1

@@ -1,4 +1,4 @@
-"""Laurent polynomial arithmetic, substitution, division, serialization."""
+"""Laurent polynomial arithmetic, reflection, division, serialization."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 import fraction_hecke
 from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1, s1
-from awlab.laurent import (
-    SUB_INV,
-    SUB_Q_OVER_Z,
-    LaurentPoly,
-    NotDivisibleError,
-    combination,
-    exact_quotient,
-)
+from awlab.laurent import LaurentPoly, NotDivisibleError, combination, exact_quotient
 from awlab.scalars import check_genericity, parse_scalar
 
 import fraction_laurent as ref
@@ -33,6 +26,11 @@ laurents = st.dictionaries(
 nonzero_laurents = laurents.filter(lambda f: not f.is_zero())
 
 
+def _sum(*fs):
+    """The sum of fs, through combination, unreduced."""
+    return combination([(1, f) for f in fs])
+
+
 def test_constructor_drops_zero_coefficients():
     f = LaurentPoly({2: F(0), 1: 3, -1: F(1, 2), 0: 0})
     assert [k for k, _ in f.items()] == [-1, 1]
@@ -43,8 +41,8 @@ def test_constructor_drops_zero_coefficients():
 
 def test_named_constructors():
     assert LaurentPoly.zero().is_zero()
-    assert LaurentPoly.one() == 1
-    assert LaurentPoly.constant(F(3, 4)) == F(3, 4)
+    assert LaurentPoly.one() == LaurentPoly({0: 1})
+    assert LaurentPoly.constant(F(3, 4)) == LaurentPoly({0: F(3, 4)})
     m = LaurentPoly.monomial(-3, 5)
     assert m.items() == [(-3, F(5))]
     assert LaurentPoly.monomial(2) == LaurentPoly({2: 1})
@@ -58,13 +56,6 @@ def test_degree_bounds():
     assert LaurentPoly.zero().max_deg is None
 
 
-def test_equality_lifts_scalars():
-    assert LaurentPoly.constant(2) == 2
-    assert LaurentPoly.constant(F(1, 3)) == F(1, 3)
-    assert LaurentPoly({1: 1}) != 1
-    assert LaurentPoly.zero() == 0
-
-
 def test_hash_consistent_with_equality():
     f = LaurentPoly({1: F(2, 4), -1: 3})
     g = LaurentPoly({-1: F(6, 2), 1: F(1, 2)})
@@ -73,64 +64,62 @@ def test_hash_consistent_with_equality():
     assert len({f, g}) == 1
 
 
-def test_scalar_arithmetic_mixing():
+def test_polynomials_do_not_mix_with_scalars():
+    # sums go through combination, scalar multiples through scale, and *
+    # multiplies two polynomials only; a scalar is not a polynomial
     f = LaurentPoly({1: 1})
-    assert (f + 1).coeff(0) == 1
-    assert (1 + f) == f + 1
-    assert (f - F(1, 2)) + F(1, 2) == f
-    assert (2 - f) == -(f - 2)
-    assert (3 * f) == f * 3 == f.scale(3)
+    for op in (lambda: f + f, lambda: f + 1, lambda: 1 + f, lambda: f - f,
+               lambda: 2 - f, lambda: -f, lambda: 3 * f, lambda: f * F(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    assert LaurentPoly.constant(2) != 2
+    assert LaurentPoly.zero() != 0
 
 
 @given(laurents, laurents, laurents)
 def test_ring_laws(f, g, h):
-    assert f + g == g + f
+    assert _sum(f, g) == _sum(g, f)
     assert f * g == g * f
-    assert (f + g) + h == f + (g + h)
+    assert _sum(_sum(f, g), h) == _sum(f, _sum(g, h))
     assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
-    assert f + LaurentPoly.zero() == f
+    assert f * _sum(g, h) == _sum(f * g, f * h)
+    assert _sum(f, LaurentPoly.zero()) == f
     assert f * LaurentPoly.one() == f
-    assert f - f == LaurentPoly.zero()
+    assert combination(((1, f), (-1, f))) == LaurentPoly.zero()
 
 
 @given(laurents)
 def test_substitution_involutions(f):
-    assert f.substitute(SUB_INV).substitute(SUB_INV) == f
+    assert f.reflect(1).reflect(1) == f
     rf = dict(f.items())
     assert ref.substitute(ref.substitute(rf, ref.SUB_QZ, Q),
                           ref.SUB_Z_OVER_Q, Q) == rf
-    assert f.substitute(SUB_Q_OVER_Z, Q).substitute(SUB_Q_OVER_Z, Q) == f
+    assert f.reflect(Q).reflect(Q) == f
 
 
 @given(laurents, laurents)
 def test_substitution_is_a_ring_map(f, g):
-    for rule in (SUB_INV, SUB_Q_OVER_Z):
-        assert (f * g).substitute(rule, Q) == \
-            f.substitute(rule, Q) * g.substitute(rule, Q)
-        assert (f + g).substitute(rule, Q) == \
-            f.substitute(rule, Q) + g.substitute(rule, Q)
+    for u in (1, Q):
+        assert (f * g).reflect(u) == f.reflect(u) * g.reflect(u)
+        assert _sum(f, g).reflect(u) == _sum(f.reflect(u), g.reflect(u))
 
 
 def test_substitution_on_monomials():
     z3 = LaurentPoly.monomial(3)
     assert ref.substitute({3: F(1)}, ref.SUB_QZ, Q) == {3: F(1, 8)}
     assert ref.substitute({3: F(1)}, ref.SUB_Z_OVER_Q, Q) == {3: F(8)}
-    assert z3.substitute(SUB_INV) == LaurentPoly.monomial(-3)
-    assert z3.substitute(SUB_Q_OVER_Z, Q) == LaurentPoly.monomial(-3, F(1, 8))
+    assert z3.reflect(1) == LaurentPoly.monomial(-3)
+    assert z3.reflect(Q) == LaurentPoly.monomial(-3, F(1, 8))
 
 
-def test_substitution_requires_q_when_scaling():
+def test_reflect_requires_nonzero_u():
     f = LaurentPoly({1: 1})
-    f.substitute(SUB_INV)  # fine without q
-    with pytest.raises(ValueError):
-        f.substitute(SUB_Q_OVER_Z)
-    with pytest.raises(ValueError):
-        f.substitute(SUB_Q_OVER_Z, 0)
-    with pytest.raises(ValueError):
-        f.substitute("z^2", Q)
-    with pytest.raises(ValueError):
-        f.substitute(ref.SUB_QZ, Q)  # the q-shifts live in the reference
+    for g in (f, LaurentPoly.zero()):
+        for u in (0, F(0)):
+            with pytest.raises(ValueError):
+                g.reflect(u)
+    with pytest.raises(TypeError):
+        f.reflect()  # u has no default
 
 
 def test_is_symmetric():
@@ -178,7 +167,7 @@ def test_exact_quotient_never_silently_wrong(r, lo, binomial):
         rem = err.remainder
         low = num.min_deg
         assert rem and low <= rem.min_deg <= rem.max_deg <= low + 1
-        rest = (num - rem).scale(rem._den)  # integer numerators
+        rest = combination(((1, num), (-1, rem))).scale(rem._den)  # integer numerators
         if rest:
             exact_quotient(rest._num, rest._lo, A, B)
     else:
@@ -191,37 +180,40 @@ def test_laurent_fraction_equality_by_cross_multiplication():
     a = LaurentFraction(one, z)
     b = LaurentFraction(LaurentPoly.monomial(-1), one)
     assert a == b
-    c = LaurentFraction(z * z - 1, z - 1)
-    assert c == LaurentFraction(z + 1, one)
+    c = LaurentFraction(LaurentPoly({2: 1, 0: -1}), LaurentPoly({1: 1, 0: -1}))
+    assert c == LaurentFraction(LaurentPoly({1: 1, 0: 1}), one)
     assert c != a
 
 
 def test_laurent_fraction_arithmetic_and_reduce():
     z = LaurentPoly.monomial(1)
     one = LaurentPoly.one()
-    half = LaurentFraction(one, z + 1)
-    total = half + LaurentFraction(z, z + 1)
+    z_plus_1, z_minus_1 = LaurentPoly({1: 1, 0: 1}), LaurentPoly({1: 1, 0: -1})
+    half = LaurentFraction(one, z_plus_1)
+    total = half + LaurentFraction(z, z_plus_1)
     assert total.reduce() == one
-    prod = LaurentFraction(z - 1, z + 1) * LaurentFraction(z + 1, one)
-    assert prod.reduce() == z - 1
+    prod = LaurentFraction(z_minus_1, z_plus_1) * LaurentFraction(z_plus_1, one)
+    assert prod.reduce() == z_minus_1
     with pytest.raises(NotDivisibleError):
-        LaurentFraction(z * z + 1, z + 1).reduce()
+        LaurentFraction(LaurentPoly({2: 1, 0: 1}), z_plus_1).reduce()
 
 
 def test_laurent_fraction_substitute():
     z = LaurentPoly.monomial(1)
-    fr = LaurentFraction(z, z + 1).substitute(SUB_INV)
+    z_plus_1 = LaurentPoly({1: 1, 0: 1})
+    fr = LaurentFraction(z, z_plus_1).substitute(ref.SUB_INV)
     # z -> 1/z turns z/(z+1) into 1/(1+z) after clearing z powers
-    assert fr == LaurentFraction(LaurentPoly.one(), z + 1)
+    assert fr == LaurentFraction(LaurentPoly.one(), z_plus_1)
 
 
 def test_limit_at_infinity():
     z = LaurentPoly.monomial(1)
     one = LaurentPoly.one()
     assert limit_at_infinity(LaurentFraction(one, z)) == 0
-    assert limit_at_infinity(LaurentFraction(3 * z * z + 1, z * z - 5)) == 3
+    assert limit_at_infinity(LaurentFraction(LaurentPoly({2: 3, 0: 1}),
+                                             LaurentPoly({2: 1, 0: -5}))) == 3
     with pytest.raises(ValueError):
-        limit_at_infinity(LaurentFraction(z * z, z))
+        limit_at_infinity(LaurentFraction(LaurentPoly.monomial(2), z))
     with pytest.raises(ZeroDivisionError):
         limit_at_infinity(LaurentFraction(one, LaurentPoly.zero()))
 
@@ -296,12 +288,11 @@ def test_arithmetic_matches_fraction_reference(f, g, c):
     pf, pg = LaurentPoly(f), LaurentPoly(g)
     rf, rg = ref.clean(f), ref.clean(g)
     _agrees(pf, rf)
-    _agrees(pf + pg, ref.add(rf, rg))
-    _agrees(pf - pg, ref.sub(rf, rg))
-    _agrees(-pf, ref.neg(rf))
+    _agrees(_sum(pf, pg).canonical(), ref.add(rf, rg))
+    _agrees(combination(((1, pf), (-1, pg))).canonical(), ref.sub(rf, rg))
+    _agrees(pf.scale(-1), ref.neg(rf))
     _agrees(pf * pg, ref.mul(rf, rg))
     _agrees(pf.scale(c), ref.scale(rf, c))
-    _agrees(pf * c, ref.scale(rf, c))
     # z^e with coefficient 1 shifts degrees; other monomials multiply
     for f, r in ((pf, rf), (LaurentPoly.zero(), {})):
         for e in range(-2, 3):
@@ -314,18 +305,19 @@ def test_arithmetic_matches_fraction_reference(f, g, c):
 @given(fraction_dicts, q_values)
 def test_substitutions_match_fraction_reference(f, q):
     pf, rf = LaurentPoly(f), ref.clean(f)
-    for rule in (SUB_INV, SUB_Q_OVER_Z):
-        _agrees(pf.substitute(rule, q), ref.substitute(rf, rule, q))
+    for u, rule in ((1, ref.SUB_INV), (q, ref.SUB_Q_OVER_Z)):
+        _agrees(pf.reflect(u), ref.substitute(rf, rule, q))
 
 
 @given(fraction_dicts, q_values)
 def test_zero_results_are_canonical(f, q):
     pf = LaurentPoly(f)
-    for zero in (pf - pf, pf + (-pf), pf.scale(0), pf * LaurentPoly.zero(),
-                 (pf - pf).substitute(SUB_Q_OVER_Z, q)):
+    for zero in (combination(((1, pf), (-1, pf))), _sum(pf, pf.scale(-1)),
+                 pf.scale(0), pf * LaurentPoly.zero(),
+                 combination(((1, pf), (-1, pf))).reflect(q)):
         _assert_canonical(zero)
         assert zero.items() == []
-        assert zero == LaurentPoly.zero() == 0
+        assert zero == LaurentPoly.zero()
         assert hash(zero) == hash(LaurentPoly.zero())
 
 
@@ -334,11 +326,11 @@ def test_equal_values_by_different_routes_hash_equal(f, g, q):
     pf, pg = LaurentPoly(f), LaurentPoly(g)
     pairs = [
         (pf * pg, pg * pf),
-        ((pf + pg) - pg, pf),
+        (combination(((1, _sum(pf, pg)), (-1, pg))), pf),
         (pf.scale(F(6, 35)).scale(F(35, 6)), pf),
-        (pf.substitute(SUB_Q_OVER_Z, q).substitute(SUB_INV),
+        (pf.reflect(q).reflect(1),
          LaurentPoly(ref.substitute(dict(pf.items()), ref.SUB_QZ, q))),
-        (pf.substitute(SUB_Q_OVER_Z, q).substitute(SUB_Q_OVER_Z, q), pf),
+        (pf.reflect(q).reflect(q), pf),
         (LaurentPoly(dict(pf.items())), pf),
     ]
     for left, right in pairs:
@@ -349,9 +341,9 @@ def test_equal_values_by_different_routes_hash_equal(f, g, q):
 def test_negative_q_keeps_denominator_positive():
     f = LaurentPoly({-3: F(2, 5), 1: 1, 4: F(-7, 3)})
     q = F(-2, 3)
-    g = f.substitute(SUB_Q_OVER_Z, q)
+    g = f.reflect(q)
     _assert_canonical(g)
-    _agrees(g, ref.substitute(ref.clean(dict(f.items())), SUB_Q_OVER_Z, q))
+    _agrees(g, ref.substitute(ref.clean(dict(f.items())), ref.SUB_Q_OVER_Z, q))
 
 
 @pytest.mark.parametrize("num, den, remainder", [
@@ -437,10 +429,12 @@ def _unreduced(poly, k):
 
 
 def _chained(terms):
-    total = LaurentPoly.zero()
+    """The sum of c f over the (c, f) pairs in terms, by the Fraction
+    reference."""
+    total = {}
     for c, f in terms:
-        total = total + f.scale(c)
-    return total
+        total = ref.add(total, ref.scale(dict(f.items()), c))
+    return LaurentPoly(total)
 
 
 def _same_form(got, want):
@@ -469,7 +463,7 @@ def test_combination_matches_chained_sums(raw):
 def test_combination_edge_cases():
     f = LaurentPoly({-2: F(1, 3), 0: -4, 5: F(7, 2)})
     g = LaurentPoly({1: F(-5, 6), 5: 1})
-    assert combination([]) == 0 and combination([])._den == 1
+    assert combination([]) == LaurentPoly.zero() and combination([])._den == 1
     # zero scalars and zero polynomials drop out
     _same_form(combination([(0, f), (F(0), g), (2, LaurentPoly.zero())]),
                LaurentPoly.zero())
@@ -478,7 +472,8 @@ def test_combination_edge_cases():
     for k in (-1, -6, 35):
         cancel = combination([(F(2, 5), _unreduced(f, k)), (F(-2, 5), f)])
         assert (cancel._lo, cancel._num, cancel._den) == (0, [], 1)
-        _same_form(combination([(1, _unreduced(f, k)), (-1, g)]), f - g)
+        _same_form(combination([(1, _unreduced(f, k)), (-1, g)]),
+                   _chained([(1, f), (-1, g)]))
 
 
 @given(fraction_dicts, multipliers, multipliers, scalars)
@@ -492,10 +487,9 @@ def test_unreduced_and_canonical_values_compare_and_hash_equal(f, k, j, c):
     # scale reduces an unreduced input in full
     _same_form(loose.scale(c), pf.scale(c))
     # the operations that keep the denominator keep the value
-    _same_form(-_unreduced(pf, k), -pf)
     _same_form(LaurentPoly.monomial(3) * _unreduced(pf, k),
                LaurentPoly.monomial(3) * pf)
-    _same_form(_unreduced(pf, k).substitute(SUB_INV), pf.substitute(SUB_INV))
+    _same_form(_unreduced(pf, k).reflect(1), pf.reflect(1))
     assert _unreduced(pf, k).items() == pf.items()
     assert str(_unreduced(pf, k)) == str(pf)
 
@@ -515,7 +509,7 @@ def test_kernel_images_at_negative_q_have_negative_denominators():
 @settings(max_examples=60, deadline=None)
 @given(laurents)
 def test_kernel_images_at_negative_q_match_reference(f):
-    fs = f + s1(f)
+    fs = _sum(f, s1(f))
     images = [
         (apply_T0(f, NEG_Q), fraction_hecke.apply_T0(f, NEG_Q)),
         (apply_T1(f, NEG_Q), fraction_hecke.apply_T1(f, NEG_Q)),
@@ -540,18 +534,20 @@ WIDE = LaurentPoly({-8: 1, 8: F(-2, 3)})
 def test_every_value_has_nonzero_end_entries(p8, f, g, e):
     values = []
     for p in (p8, NEG_Q):  # unreduced kernel images, at q = 1/2 and q = -3/5
-        fs = f + s1(f)
+        fs = _sum(f, s1(f))
         values += [apply_T0(f, p), apply_T1(f, p), apply_D(fs, p),
                    apply_D_prime(f, p, form="direct"),
                    apply_D_prime(f, p, form="factored")]
     # sums that cancel at the top, at the bottom, at both ends and in full
-    values += [combination(((1, f + WIDE), (-1, WIDE))),
-               combination(((1, f + g), (-1, g))),
-               combination(((1, g + f), (-1, f), (F(1, 2), f - f))),
+    values += [combination(((1, _sum(f, WIDE)), (-1, WIDE))),
+               combination(((1, _sum(f, g)), (-1, g))),
+               combination(((1, _sum(g, f)), (-1, f),
+                            (F(1, 2), combination(((1, f), (-1, f)))))),
                combination(((1, f), (-1, f))),
-               combination(((3, f), (F(-3, 2), f + f)))]
+               combination(((3, f), (F(-3, 2), _sum(f, f))))]
     # zero times a shift z^e, on either side, is the zero form
     z_e = LaurentPoly.monomial(e)
-    values += [LaurentPoly.zero() * z_e, z_e * (f - f), f * z_e]
+    values += [LaurentPoly.zero() * z_e, z_e * combination(((1, f), (-1, f))),
+               f * z_e]
     for value in values:
         _assert_trimmed(value)

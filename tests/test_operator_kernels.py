@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_hecke as ref
+import fraction_laurent as fref
 from awlab import hecke
 from awlab.hecke import (
     apply_D,
@@ -74,11 +75,16 @@ def test_fused_operators_match_reference_sums(points, f, i):
     # each T_i plus a scalar is one kernel pass with another diagonal; the
     # reference sums T_i's image and the scalar multiple of f instead
     p = points[i]
-    assert apply_t0_T0_inv(f, p) == ref.apply_T0(f, p) + f.scale(1 - p.t0)
-    assert apply_t1_T1_inv(f, p) == ref.apply_T1(f, p) + f.scale(1 - p.t1)
-    assert symmetrize(f, p) == ref.apply_T1(f, p) + f
+    rf = dict(f.items())
+    T0f, T1f = dict(ref.apply_T0(f, p).items()), dict(ref.apply_T1(f, p).items())
+    assert apply_t0_T0_inv(f, p) == LaurentPoly(
+        fref.add(T0f, fref.scale(rf, 1 - p.t0)))
+    assert apply_t1_T1_inv(f, p) == LaurentPoly(
+        fref.add(T1f, fref.scale(rf, 1 - p.t1)))
+    assert symmetrize(f, p) == LaurentPoly(fref.add(T1f, rf))
     plan = memo("T0", hecke._t0_plan, None, p)
-    assert reflection_difference(f, plan, 0) == ref.apply_T0(f, p) - f.scale(p.t0)
+    assert reflection_difference(f, plan, 0) == LaurentPoly(
+        fref.sub(T0f, fref.scale(rf, p.t0)))
 
 
 @settings(max_examples=60, deadline=None)

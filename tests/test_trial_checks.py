@@ -35,7 +35,7 @@ import pytest
 
 from awlab import verify
 from awlab.identities import _Z
-from awlab.laurent import LaurentPoly
+from awlab.laurent import LaurentPoly, combination
 from awlab.verify import (
     check_bridge_identity,
     check_factorization,
@@ -75,12 +75,16 @@ def _outcome(check, p):
             "witness": None if witness is None else witness.to_json_dict()}
 
 
+def _plus_z(image):
+    return combination(((1, image), (1, _Z)))
+
+
 def _whole_operator_mutations():
     yield "none", {}
     for name in OPERATORS:
         op = getattr(verify, name)
         yield f"{name[6:]}+z", {name: lambda f, p, *a, op=op, **kw:
-                                op(f, p, *a, **kw) + _Z}
+                                _plus_z(op(f, p, *a, **kw))}
     op = verify.apply_T1
     yield "T1*2", {"apply_T1": lambda f, p: op(f, p).scale(2)}
 
@@ -94,7 +98,7 @@ def _one_call_mutation(k, log=None):
         def mutated(f, p, *args, **kwargs):
             log.append(name[6:])
             image = op(f, p, *args, **kwargs)
-            return image + _Z if len(log) == k else image
+            return _plus_z(image) if len(log) == k else image
         return mutated
 
     return {name: wrap(name, getattr(verify, name)) for name in OPERATORS}
@@ -151,7 +155,7 @@ def _exact_on_integer_inputs(op):
         image = op(f, p, *args, **kwargs)
         if all(c.denominator == 1 for _, c in f.items()):
             return image
-        return image + _Z
+        return _plus_z(image)
     return mutated
 
 
@@ -185,7 +189,7 @@ def test_guard_catches_an_inverse_exact_on_the_images(inverse, forward, p8,
         getattr(verify, forward)(LaurentPoly.monomial(k), p8) for k in range(-6, 7)}
 
     def exact_on_images(f, p):
-        return op(f, p) if f in images else op(f, p) + _Z
+        return op(f, p) if f in images else _plus_z(op(f, p))
 
     monkeypatch.setattr(verify, inverse, exact_on_images)
     report = check_hecke_relations(p8, trials=2)
@@ -196,12 +200,12 @@ def test_guard_catches_an_inverse_exact_on_the_images(inverse, forward, p8,
 def test_certificate_catches_a_T1_that_fixes_z_minus_inverse(p8, monkeypatch):
     op = verify.apply_T1
     a = LaurentPoly({1: 1, -1: -1})
-    u = op(a, p8) - a.scale(p8.t1)  # (T1 - t1)(z - 1/z), nonzero
+    u = combination(((1, op(a, p8)), (-p8.t1, a)))  # (T1 - t1)(z - 1/z), nonzero
 
     def fixes_a(f, p):
         # subtract the share of (T1 - t1) that f's z - 1/z part gets;
         # still linear, and equal to T1 on symmetric f
-        return op(f, p) - u.scale((f.coeff(1) - f.coeff(-1)) / 2)
+        return combination(((1, op(f, p)), ((f.coeff(-1) - f.coeff(1)) / 2, u)))
 
     assert fixes_a(a, p8) == a.scale(p8.t1)
     monkeypatch.setattr(verify, "apply_T1", fixes_a)

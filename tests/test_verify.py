@@ -116,6 +116,21 @@ def test_trial_based_checks_pass(p8):
     assert check_bridge_identity(p8, trials=10).passed
 
 
+@pytest.mark.parametrize("field, witness", [
+    ("t0", LaurentPoly({2: Fraction(1, 2), 0: Fraction(-1, 2), -2: Fraction(1, 8)})),
+    ("t1", LaurentPoly({2: 1, 0: -2, -2: 1})),
+])
+def test_coefficient_identities_pin_their_witness(p8, field, witness):
+    # r + s(r) = t + 1 is the first relation hecke-relations tests, so a
+    # point whose t is off by one fails there, with (num s(den) + s(num)
+    # den - (1 + t) den s(den)) as the witness
+    p = _at_horizon(p8, 8)
+    object.__setattr__(p, field, getattr(p, field) + 1)
+    report = check_hecke_relations(p, trials=1)
+    assert not report.passed
+    assert report.residual_witness == witness
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_trials_below_one_are_rejected(p8, trials):
     # with both values bad, the trials rule is the one named
@@ -283,7 +298,7 @@ _ZERO = LaurentPoly.zero()
     (_F, _F, None),
     (_ZERO, _F, _F),  # f vanished although g did not
     (_ZERO, _ZERO, LaurentPoly.one()),  # vacuous: both sides vanished
-    (_F + 1, _F, LaurentPoly.one()),  # f - 1*g
+    (LaurentPoly({2: 1, 0: -2}), _F, LaurentPoly.one()),  # f - 1*g, f = _F + 1
     (LaurentPoly({1: 1}), LaurentPoly({2: 1}), LaurentPoly({1: 1})),  # c = 0
     (LaurentPoly.one(), _ZERO, LaurentPoly.one()),  # g vanished, f did not
     (LaurentPoly({-2: 3, 1: -1}), _ZERO, LaurentPoly({-2: 3, 1: -1})),

@@ -8,18 +8,22 @@ checkouts, so neither side's children compile modules that the other
 side's import from bytecode.  For each seed, `perfbench/run.py
 --workload W --seed N --seconds S` runs once in each checkout, from that
 checkout's own files: the parent first on odd seeds and the change first
-on even ones, so a drift in host speed falls on both sides alike.  Every run's result line is kept, and
-BENCH_<label>.json in the current directory gets, per metric, each side's
-runs in seed order with their median and quartiles, the change's median
-over the parent's, the parent's quartile distance, and the pairs the
-change won (ties count for neither side).  Which way is better comes from
-BENCHMARK.json in the change's checkout; per-layer metrics (--trace) take
-theirs from perfbench's own table.  Each end-to-end metric also gets a
-verdict against its relative `bound` in BENCHMARK.json:
+on even ones, so a drift in host speed falls on both sides alike.  Every
+run's result line is kept, and BENCH_<label>.json in the current
+directory gets, per metric, each side's runs in seed order with their
+median and quartiles, the change's median over the parent's, the
+parent's quartile distance, and the pairs the change won (ties count for
+neither side).  Which way is better comes from BENCHMARK.json in the
+change's checkout; per-layer metrics (--trace) take theirs from
+perfbench's own table.  Each end-to-end metric also gets a verdict
+against its relative `bound` in BENCHMARK.json:
 
-    gain        the change wins at least 9/10 of the pairs, and the medians
+    gain        the change wins at least 9/10 of the pairs, the medians
                 differ, in its favour, by more than the parent's quartile
-                distance
+                distance, and the change's share of failed checks (failed
+                over attempted, summed over the pairs) is no higher than
+                the parent's; a faster tree that fails more checks is no
+                gain, and its metric reads "no worse" instead
     worse       the change's median is worse than the parent's by more
                 than bound times the parent's median
     unresolved  the parent's quartile distance is more than bound times
@@ -117,6 +121,12 @@ def verdict(parent: list[float], change: list[float], better: str,
 
 def compare(results: list[dict], better: dict[str, tuple[str, float | None]]) -> dict:
     """The workload entry of the BENCH file from its (parent, change) pairs."""
+    failed, attempted = ({side: sum(pair[side][key] for pair in results)
+                          for side in ("parent", "change")}
+                         for key in ("failed", "attempted"))
+    # failed / attempted of the change <= that of the parent, cross-multiplied
+    fails_no_more = (failed["change"] * attempted["parent"]
+                     <= failed["parent"] * attempted["change"])
     names = [name for name in results[0]["parent"]["metrics"] if name in better]
     metrics = {}
     for name in names:
@@ -133,14 +143,12 @@ def compare(results: list[dict], better: dict[str, tuple[str, float | None]]) ->
             "wins": f"{wins(sides['parent'], sides['change'], direction)}/{len(results)}",
         }
         if bound is not None:
-            metrics[name]["verdict"] = verdict(sides["parent"], sides["change"],
-                                               direction, bound)
+            v = verdict(sides["parent"], sides["change"], direction, bound)
+            metrics[name]["verdict"] = "no worse" if v == "gain" and not fails_no_more else v
     return {
         "seeds": [pair["seed"] for pair in results],
-        "failed_checks": {side: sum(pair[side]["failed"] for pair in results)
-                          for side in ("parent", "change")},
-        "attempted_checks": {side: sum(pair[side]["attempted"] for pair in results)
-                             for side in ("parent", "change")},
+        "failed_checks": failed,
+        "attempted_checks": attempted,
         "correct": all(pair[side]["correct"] for pair in results
                        for side in ("parent", "change")),
         "metrics": metrics,
