@@ -27,13 +27,22 @@ z -> 1/z and z -> q/z:
 `reflection_difference` and `q_difference`, the kernels of the operator
 layer's T0, T1, D and D', take a `Plan` of an operator's integer constants
 at a point and divide dense integer lists by binomials A z^2 + B, the
-only divisions the package makes, all through `exact_quotient`.
+only divisions the package makes, all through `exact_quotient`.  A plan
+keeps, per padded half-width K, the weights that take f to s f(qz).
 `reflection_difference` also takes the diagonal coefficient, an integer
-over the plan's denominator, so T_i plus any scalar (t_i T_i^{-1},
-T0 - t0, T1 + 1) is one pass of the same kernel.  The two halves of
+over the plan's denominator, and adds that term in the pass that forms
+the numerator's product, so T_i plus any scalar (t_i T_i^{-1}, T0 - t0,
+T1 + 1) is one pass of the same kernel.  The two halves of
 `q_difference` mirror each other for D' on every input and for D on
 symmetric input, so it divides by 1 - q z^2 only once; D's input is
 tested for symmetry at each call, and an asymmetric one is refused.
+
+`BasisImages` holds a linear operator's images of a basis for one check
+call, and reads f's sum of them off one integer table; `residual` tells
+whether a value equals that sum by comparing integer lists, and builds
+their difference, as a `combination`, only when it is nonzero.
+Coefficients and scalars are exact: a binary float is refused with
+TypeError, as `scalars.as_scalar` refuses it.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .scalars import Powers, Scalar, format_scalar
+from .scalars import Powers, Scalar, as_scalar, format_scalar
 
 _ZERO = Fraction(0)
 
@@ -80,7 +89,7 @@ class LaurentPoly:
         if coeffs:
             for k, v in coeffs.items():
                 if type(v) is not Fraction:
-                    v = Fraction(v)
+                    v = as_scalar("a coefficient", v)
                 if v:
                     fracs[int(k)] = v
         # over the lcm of lowest-terms denominators, every prime of the lcm
@@ -145,7 +154,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
-        if coeff == 1:
+        if coeff == 1 and type(coeff) is not float:
             return cls._raw(degree, [1], 1)
         return cls({degree: coeff})
 
@@ -200,7 +209,7 @@ class LaurentPoly:
 
     def scale(self, c) -> "LaurentPoly":
         if type(c) is not Fraction:
-            c = Fraction(c)
+            c = as_scalar("c", c)
         if not c:
             return LaurentPoly.zero()
         n, d = c.numerator, c.denominator
@@ -217,7 +226,7 @@ class LaurentPoly:
 
     def reflect(self, u: Scalar) -> "LaurentPoly":
         """f(u/z) for a nonzero scalar u: z^k -> u^k z^-k."""
-        u = Fraction(u)
+        u = as_scalar("u", u)
         if not u:
             raise ValueError("reflect needs u != 0")
         if not self._num:
@@ -297,32 +306,98 @@ def combination(terms) -> LaurentPoly:
     return LaurentPoly._trimmed(lo, out, den, False)
 
 
-def linear_extension(image, f: LaurentPoly, lowest: int | None = None,
-                     plus=()) -> LaurentPoly:
-    """f mapped by the linear operator whose image of the k-th basis element
-    is image(k), plus the sum of c g over the pairs (c, g) in plus.
+class BasisImages:
+    """The images op(basis(k)) of a linear operator on a basis, for one
+    check call, and the sums read off them.
 
-    The map is the sum of c image(k) over the terms c z^k of f, those with
-    k >= lowest if it is given.  Everything is one unreduced combination:
-    f's integer numerators are its coefficients, and f's denominator
-    divides the sum once at the end.
+    Calling it with k gives op(basis(k)), computed at the first call and
+    kept, so op runs once per k, in the order the k are first asked for.
+    `read_off` and `residual` take the sum of f_k op(basis(k)) over the
+    terms f_k z^k of f (those with k >= lowest, if it is given) from a
+    table: every image's numerators as an integer row over the lcm of
+    the images' denominators, from one lowest degree.  The table is built
+    at the first read-off and again after an image has been added.  It
+    lives and dies with this object, so an image of an operator that was
+    swapped since is never read.
     """
-    den = f._den
-    total = combination([*((n, image(k)) for k, n in enumerate(f._num, f._lo)
-                           if n and (lowest is None or k >= lowest)),
-                         *((c * den, g) for c, g in plus)])
-    if not total._num:
-        return total
-    return LaurentPoly._raw(total._lo, total._num, total._den * den, False)
+
+    __slots__ = ("_op", "_basis", "_held", "_table")
+
+    def __init__(self, op, basis):
+        self._op, self._basis, self._held, self._table = op, basis, {}, None
+
+    def __call__(self, k: int) -> LaurentPoly:
+        image = self._held.get(k)
+        if image is None:
+            image = self._held[k] = self._op(self._basis(k))
+        return image
+
+    def _rows(self) -> tuple:
+        """The table (images, lo, width, den, rows): rows[k] = (i, j, row),
+        image k's numerators over den at places i..j-1 of a list over
+        degrees lo .. lo + width - 1; built again when an image has been
+        added since."""
+        held, table = self._held, self._table
+        if table is None or table[0] != len(held):
+            images = [g for g in held.values() if g._num]
+            den = lcm(*[g._den for g in images])
+            lo = min([g._lo for g in images], default=0)
+            width = max([g._lo + len(g._num) for g in images], default=lo) - lo
+            rows = {}
+            for k, g in held.items():
+                i, m = g._lo - lo, den // g._den
+                rows[k] = (i, i + len(g._num), [m * v for v in g._num])
+            table = self._table = (len(held), lo, width, den, rows)
+        return table
+
+    def _sum(self, f: LaurentPoly, lowest: int | None) -> tuple[int, list[int], int]:
+        """(lo, out, den): the read-off sum as numerators out from degree
+        lo up over den, the table's denominator times f's."""
+        _, lo, width, den, rows = self._rows()
+        start = 0 if lowest is None else max(0, lowest - f._lo)
+        num = f._num[start:] if start else f._num
+        out = [0] * width
+        try:
+            for k, n in enumerate(num, f._lo + start):
+                if n:
+                    i, j, row = rows[k]
+                    out[i:j] = [a + n * v for a, v in zip(out[i:j], row)]
+        except KeyError:  # an image not made yet: make each missing one, in order
+            for k, n in enumerate(num, f._lo + start):
+                if n:
+                    self(k)
+            return self._sum(f, lowest)
+        return lo, out, den * f._den
+
+    def read_off(self, f: LaurentPoly, lowest: int | None = None) -> LaurentPoly:
+        """The sum of f_k op(basis(k)), unreduced."""
+        return LaurentPoly._trimmed(*self._sum(f, lowest), False)
+
+    def residual(self, value: LaurentPoly, f: LaurentPoly,
+                 lowest: int | None = None) -> LaurentPoly:
+        """value minus the read-off sum: zero when op is linear on f and
+        value = op(f).  The two are compared as integer lists, value's
+        numerators times the sum's denominator against the sum's times
+        value's, and the sum zero outside value's degrees; only when they
+        differ is the difference built, as one `combination`."""
+        lo, out, den = self._sum(f, lowest)
+        vnum, vden = value._num, value._den
+        i = value._lo - lo if vnum else 0
+        j = i + len(vnum)
+        if (0 <= i and j <= len(out) and not any(out[:i]) and not any(out[j:])
+                and [v * den for v in vnum] == [a * vden for a in out[i:j]]):
+            return LaurentPoly.zero()
+        return combination(((1, value), (-1, LaurentPoly._trimmed(lo, out, den, False))))
 
 
 class Plan:
     """One operator's constants at one point, as integers: q = qn/qd and
     its power table pw (the point's own, `scalars.powers`, when q is the
     point's q), and t and qd times its numerator's coefficients (from z^0
-    up) over den."""
+    up) over den.  For each padded half-width K it keeps the weights that
+    take a list over degrees -K..K to s f(qz), made at K's first use."""
 
-    __slots__ = ("pw", "qn", "qd", "t", "num", "den")
+    __slots__ = ("pw", "qn", "qd", "t", "num", "den", "_weights")
 
     def __init__(self, pw: Powers, num, t: Scalar = _ZERO):
         self.pw, self.qn, self.qd = pw, pw.qn, pw.qd
@@ -330,12 +405,16 @@ class Plan:
         self.den = lcm(t.denominator, *(c.denominator for c in num))
         self.t = t.numerator * (self.den // t.denominator)
         self.num = [c.numerator * (self.den // c.denominator) * self.qd for c in num]
+        self._weights = {}
 
-    def scaled_shift(self, fl: list[int], K: int) -> tuple[list[int], int]:
-        """s f(qz) and s = (qn qd)^K, for f listed over degrees -K..K; the
-        factor of z^k is q^k s = qn^(K+k) qd^(K-k)."""
-        pn, pd = self.pw.upto(2 * K)
-        return [v * a * b for v, a, b in zip(fl, pn, pd[2 * K::-1])], pn[K] * pd[K]
+    def weights(self, K: int) -> list[int]:
+        """qn^i qd^(2K-i) for i = 0..2K: the factor q^k s of z^k in s f(qz),
+        f listed over degrees -K..K, with s = (qn qd)^K the middle one."""
+        w = self._weights.get(K)
+        if w is None:
+            pn, pd = self.pw.upto(2 * K)
+            w = self._weights[K] = [a * b for a, b in zip(pn, pd[2 * K::-1])]
+        return w
 
 
 def _padded(f: LaurentPoly) -> tuple[list[int], int]:
@@ -382,25 +461,28 @@ def exact_quotient(r: list[int], lo: int, A: int, B: int) -> list[int]:
 
 
 def reflection_difference(f: LaurentPoly, plan: Plan, diag: int) -> LaurentPoly:
-    """(diag / plan.den) f + num(z) (f(q/z) - f(z)) / (z^2 - q) by the plan;
-    f(q/z) - f(z) vanishes where z^2 = q, so the division is exact.  With
-    diag = plan.t this is the plan's operator T, and T + c for any scalar c
-    is the same pass with diag = plan.t + c plan.den; diag = 0 skips the
-    diagonal term."""
+    """(diag / plan.den) f + num(z) (f(q/z) - f(z)) / (z^2 - q) by the plan,
+    whose num(z) has degree 2; f(q/z) - f(z) vanishes where z^2 = q, so the
+    division is exact.  With diag = plan.t this is the plan's operator T,
+    and T + c for any scalar c is the same pass with diag = plan.t +
+    c plan.den; diag = 0 leaves out the diagonal term."""
     if not f._num:
         return f
     fl, K = _padded(f)
     if plan.qn == plan.qd:  # q = 1: f(1/z) is fl reversed
         s, diff = 1, [a - b for a, b in zip(reversed(fl), fl)]
     else:  # s f(q/z) is s f(qz) reversed
-        up, s = plan.scaled_shift(fl, K)
-        diff = [u - s * v for u, v in zip(reversed(up), fl)]
+        w = plan.weights(K)
+        s = w[K]
+        diff = [u * x - s * v for u, x, v in zip(reversed(fl), reversed(w), fl)]
     # z^2 - q = (qd z^2 - qn) / qd, and plan.num carries the qd
-    quot = exact_quotient(diff, -K, plan.qd, -plan.qn)
-    out = _times(plan.num, quot)
-    if diag:
-        ds = diag * s
-        out = [ds * v + w for v, w in zip(fl, out)]
+    quot = [0, 0, *exact_quotient(diff, -K, plan.qd, -plan.qn), 0, 0]
+    # num(z) quot(z) and the diagonal term in one pass, quot shifted by
+    # 0, 1 and 2 against num's three coefficients
+    n0, n1, n2 = plan.num
+    ds = diag * s
+    out = [n0 * a + n1 * b + n2 * c + ds * v
+           for a, b, c, v in zip(quot[2:], quot[1:], quot, fl)]
     return LaurentPoly._trimmed(-K, out, plan.den * s * f._den, False)
 
 
@@ -424,9 +506,10 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     if not one_sided and fl != fl[::-1]:
         raise NotDivisibleError(LaurentPoly._trimmed(
             -K, [a - b for a, b in zip(fl, reversed(fl))], f._den))
-    up, s = plan.scaled_shift(fl, K)
+    w = plan.weights(K)
+    s = w[K]
     # 1 - q z^2 = (qd - qn z^2) / qd, and plan.num carries the qd
-    g = [u - s * w for u, w in zip(up, reversed(fl))]
+    g = [v * x - s * u for v, x, u in zip(fl, w, reversed(fl))]
     x = _times(plan.num, exact_quotient(g, -K, -plan.qn, plan.qd))
     out = exact_quotient([a - b for a, b in zip(x, reversed(x))], -K, -1, 1)
     return LaurentPoly._trimmed(-K, out, f._den * s * plan.den, False)

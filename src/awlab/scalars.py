@@ -8,7 +8,9 @@ scalar families attached to a parameter point: operator eigenvalues and the
 coefficients of the raising and lowering relations.  The rules on what a
 caller asks for (a horizon of at least 0, a count of at least 1, a generic
 point used within its horizon) raise `InputError`, defined here, or a
-subclass, so a caller maps bad input to one exception and repeats no rule.
+subclass, so a caller maps bad input to one exception and repeats no rule;
+every count goes through `require_count`, which takes an integer by
+`operator.index` and never a bool.
 It also owns `memo`, the one accessor of a point's store, so that every
 layer (the operator plans, the polynomials, the checks' shared
 ingredients) reaches the store without importing a layer above its own.
@@ -67,10 +69,29 @@ def format_scalar(x: Scalar | int) -> str:
     return str(Fraction(x))
 
 
-def _as_scalar(name: str, value) -> Scalar:
+def as_scalar(name: str, value) -> Scalar:
+    """value as a Fraction; a binary float is refused with TypeError, since
+    its exact value is seldom the number it was written as."""
     if isinstance(value, float):
         raise TypeError(f"{name} must be an exact rational, not a float")
     return Fraction(value)
+
+
+def require_count(name: str, value, least: int) -> int:
+    """value as an int, when it is an integer (by `operator.index`, never a
+    bool) of at least `least`; otherwise an InputError naming `name`.  The
+    one rule for every count a caller passes: a horizon, a number of
+    trials or points, a degree window."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InputError(f"{name} must be nonnegative" if least == 0 else
+                         f"{name} must be at least {least}, got {value}")
+    return value
 
 
 class ParamSet:
@@ -210,17 +231,10 @@ def check_genericity(q, a, b, c, d, n_max: int) -> ParamSet:
         lambda_m - lambda_k = (q^-m - q^-k)(1 - abcd q^(m+k-1)), nonzero by
         G1 and by G3, since m+k-1 lies in [0, 2n_max].
     """
-    q = _as_scalar("q", q)
-    named = {"a": _as_scalar("a", a), "b": _as_scalar("b", b),
-             "c": _as_scalar("c", c), "d": _as_scalar("d", d)}
-    try:
-        if isinstance(n_max, bool):
-            raise TypeError
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise InputError(f"n_max must be an integer, got {n_max!r}") from None
-    if n_max < 0:
-        raise InputError("n_max must be nonnegative")
+    q = as_scalar("q", q)
+    named = {"a": as_scalar("a", a), "b": as_scalar("b", b),
+             "c": as_scalar("c", c), "d": as_scalar("d", d)}
+    n_max = require_count("n_max", n_max, 0)
     if q in (0, 1, -1):
         raise GenericityError("G1", f"q must avoid 0 and 1 and -1 (q={format_scalar(q)})")
     for name, v in named.items():
@@ -401,7 +415,6 @@ def random_param_sets(seed: int, trials: int, n_max: int) -> list[ParamSet]:
     A count below 1 is an InputError, so a typo cannot pass for an empty
     result.
     """
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
+    trials = require_count("trials", trials, 1)
     rng = random.Random(seed)
     return [random_param_set(rng, n_max) for _ in range(trials)]

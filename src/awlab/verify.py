@@ -25,15 +25,18 @@ test relations that are linear in f.  Each proves its relations on a
 basis of the degree window z^-w .. z^w (the monomials z^k, or the
 symmetric 1 and z^j + z^-j), which proves them for every f there.  The
 basis images are computed once per check call, through this module's
-operator names, and a relation that applies an operator to an image
-reads the result off the images.  Then a linearity guard draws `trials`
-random f, whose non-unit denominators the basis never has, and tests
-op(f) against the same combination of the basis images, for each
+operator names, in a `laurent.BasisImages` that the call makes and
+drops, and a relation that applies an operator to an image reads the
+result off the images' integer table.  Then a linearity guard draws
+`trials` random f, whose non-unit denominators the basis never has, and
+tests op(f) against the same combination of the basis images, for each
 operator the check applies to f itself (T0, T1, D and both forms of
 D'); hecke-relations also tests t_i T_i^{-1} (T_i f) = t_i f, since the
-basis runs t_i T_i^{-1} only on the images T_i z^k.  Every relation is
-zero-tested as one `laurent.combination`, which needs no gcd pass, and
-the first nonzero one is the witness lhs - rhs.
+basis runs t_i T_i^{-1} only on the images T_i z^k.  A guard compares
+op(f) with the read-off as integer lists (`BasisImages.residual`) and
+builds their difference only when it is nonzero; every other relation
+is zero-tested as one `laurent.combination`, which needs no gcd pass.
+The first nonzero residual is the witness lhs - rhs.
 
 Random inputs are drawn from a generator seeded per identity id, so a
 suite run is a pure function of (params, trials, seed, degree_window),
@@ -76,9 +79,9 @@ from .identities import (
     check_recurrence,
     check_symmetrization,
 )
-from .laurent import LaurentPoly, combination, linear_extension
+from .laurent import BasisImages, LaurentPoly, combination
 from .polynomials import _M
-from .scalars import InputError, ParamSet, e1, e3, lambda_n
+from .scalars import ParamSet, e1, e3, lambda_n, require_count
 
 # ---------------------------------------------------------------------------
 # window checks: relations proven on a basis of the degree window, then a
@@ -127,48 +130,21 @@ def random_symmetric_laurent(rng: random.Random,
     return LaurentPoly._trimmed(1 - len(right), right[:0:-1] + right, den)
 
 
-def _require_trials(trials: int) -> None:
-    # zero trials would leave the linearity guard without an input
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
-
-
-def _require_window(degree_window: int) -> None:
-    # the certificate of hecke-relations needs z - 1/z in the window
-    if degree_window < 1:
-        raise InputError(f"degree_window must be at least 1, got {degree_window}")
-
-
 def _symmetric(j: int) -> LaurentPoly:
     """The symmetric basis of the window: 1 for j = 0, else z^j + z^-j."""
     return LaurentPoly._raw(-j, [1] + [0] * (2 * j - 1) + [1], 1) if j \
         else LaurentPoly.one()
 
 
-def _images(op, basis):
-    """k -> op(basis(k)), computed at most once per k in one check call."""
-    held = {}
-
-    def image(k):
-        if k not in held:
-            held[k] = op(basis(k))
-        return held[k]
-    return image
-
-
-def _guard(value: LaurentPoly, image, f: LaurentPoly,
-           lowest: int | None = None) -> LaurentPoly:
-    """value - sum_k f_k image(k), where value = op(f) and image(k) is op on
-    the k-th basis element: zero when op is linear on f."""
-    return linear_extension(image, f.scale(-1), lowest, plus=((1, value),))
-
-
 def _window_report(identity_id: str, residuals, p: ParamSet, trials: int,
-                   seed: int, w: int) -> IdentityReport:
+                   seed: int, w: int, least_w: int = 0) -> IdentityReport:
     """The report of one window check: residuals(p, trials, rng, w) yields
     its combinations lhs - rhs, drawing from a generator seeded by `seed`
-    and the id, and the first that is nonzero is the witness."""
-    _require_trials(trials)
+    and the id, and the first that is nonzero is the witness.  trials must
+    be at least 1, so that the guard has an input, and w at least
+    least_w; trials is tested first."""
+    trials = require_count("trials", trials, 1)
+    w = require_count("degree_window", w, least_w)
     rng = random.Random(f"{seed}:{identity_id}")
     return _finish(identity_id, p, None,
                    next(filter(None, residuals(p, trials, rng, w)), None))
@@ -203,13 +179,12 @@ def check_hecke_relations(p: ParamSet, trials: int = 25, *, seed: int = 42,
     zero-tests the combination lhs - rhs, and the first that is nonzero
     is the witness; a failed certificate gives the element z^j - z^-j.
     """
+    # the certificate needs z - 1/z in the window
     return _window_report("hecke-relations", _hecke_residuals, p, trials,
-                          seed, degree_window)
+                          seed, degree_window, 1)
 
 
 def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
-    # runs at the first residual, so after _window_report's trials check
-    _require_window(w)
     q, t0, t1 = p.q, p.t0, p.t1
     # coefficient identities r + s(r) = t + 1 with r = num / den, cleared
     # of denominators: num s(den) + s(num) den = (1 + t) den s(den), where
@@ -226,10 +201,10 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
 
     T1, T0 = partial(apply_T1, p=p), partial(apply_T0, p=p)
     mono = LaurentPoly.monomial
-    t1z, t0z = _images(T1, mono), _images(T0, mono)
+    t1z, t0z = BasisImages(T1, mono), BasisImages(T0, mono)
     for j in range(w + 1):
         fs = _symmetric(j)
-        yield linear_extension(t1z, fs, plus=((-t1, fs),))
+        yield combination(((1, t1z.read_off(fs)), (-t1, fs)))
         if j and combination(((1, t1z(j)), (-1, t1z(-j)), (-t1, mono(j)),
                               (t1, mono(-j)))).max_deg != j:
             yield LaurentPoly({j: 1, -j: -1})
@@ -246,7 +221,7 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
                 (t1b, t1z, one_t1, neg_t1, apply_t1_T1_inv),
                 (t0b, t0z, one_t0, neg_t0, apply_t0_T0_inv)):
             # (T - t)(T + 1) b = T(T b) + (1 - t) T b - t b = 0
-            yield linear_extension(image, tb, plus=((one_t, tb), (neg_t, b)))
+            yield combination(((1, image.read_off(tb)), (one_t, tb), (neg_t, b)))
             yield combination(((1, apply_inv(tb, p)), (neg_t, b)))  # t T^{-1} T b = t b
         # commutation: z t0 T0^{-1} = q T0 z^{-1} + (c + d)
         yield combination(((1, _Z * t0b), (one_t0, monos[k + 1]),
@@ -266,9 +241,9 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
     for _ in range(trials):  # the linearity guard, then the inverses' guard
         f = random_laurent(rng, w)
         t1f = T1(f)
-        yield _guard(t1f, t1z, f)
+        yield t1z.residual(t1f, f)
         t0f = T0(f)
-        yield _guard(t0f, t0z, f)
+        yield t0z.residual(t0f, f)
         # t T^{-1} T f = t f, with T f already matched to the images
         yield combination(((1, apply_t1_T1_inv(t1f, p)), (neg_t1, f)))
         yield combination(((1, apply_t0_T0_inv(t0f, p)), (neg_t0, f)))
@@ -297,21 +272,21 @@ def _factorization_residuals(p: ParamSet, trials: int, rng: random.Random,
     direct = partial(apply_D_prime, p=p, form="direct")
     D = partial(apply_D, p=p)
     mono = LaurentPoly.monomial
-    dpf, dpd = _images(factored, mono), _images(direct, mono)
-    ds = _images(D, _symmetric)
+    dpf, dpd = BasisImages(factored, mono), BasisImages(direct, mono)
+    ds = BasisImages(D, _symmetric)
     for k in range(-w, w + 1):
         yield combination(((1, dpf(k)), (-1, dpd(k))))
     for j in range(w + 1):
-        yield linear_extension(dpf, _symmetric(j), plus=((-1, ds(j)),))
+        yield combination(((1, dpf.read_off(_symmetric(j))), (-1, ds(j))))
 
     for _ in range(trials):  # the linearity guard
         f = random_laurent(rng, w)
         value = factored(f)
-        yield _guard(value, dpf, f)
+        yield dpf.residual(value, f)
         # the factored form's value has just matched the combination
         yield combination(((1, direct(f)), (-1, value)))
         fs = random_symmetric_laurent(rng, w)
-        yield _guard(D(fs), ds, fs, 0)
+        yield ds.residual(D(fs), fs, 0)
 
 
 def check_bridge_identity(p: ParamSet, trials: int = 25, *, seed: int = 42,
@@ -344,17 +319,17 @@ def _bridge_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
         return apply_D_prime(_Z * f, p)
 
     D = partial(apply_D, p=p)
-    dpz, ds = _images(DPz, _symmetric), _images(D, _symmetric)
+    dpz, ds = BasisImages(DPz, _symmetric), BasisImages(D, _symmetric)
     for j in range(w + 1):
         b = _symmetric(j)
         mb = _M * b
-        yield combination(((one_q2, dpz(j)), (q2, linear_extension(ds, mb, 0)),
+        yield combination(((one_q2, dpz(j)), (q2, ds.read_off(mb, 0)),
                            (-q, _M * ds(j)), (-k_const, b), (k_m, mb)))
 
     for _ in range(trials):  # the linearity guard
         f = random_symmetric_laurent(rng, w)
-        yield _guard(DPz(f), dpz, f, 0)
-        yield _guard(D(f), ds, f, 0)
+        yield dpz.residual(DPz(f), f, 0)
+        yield ds.residual(D(f), f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +376,7 @@ _SUITE = (
 
 
 def _rows(n_max: int):
-    if n_max < 0:
-        raise InputError("n_max must be nonnegative")
+    n_max = require_count("n_max", n_max, 0)
     for identity_id, n_values, check in _SUITE:
         ns = None if n_values is None else tuple(n_values(n_max))
         yield identity_id, ns, check
@@ -434,8 +408,9 @@ def run_suite(p: ParamSet, trials: int = 25, seed: int = 42, *,
     to the clean scalars, and each passes exactly when its perturbed check
     fails.
     """
-    _require_trials(trials)
-    _require_window(degree_window)  # before any check runs
+    # before any check runs
+    trials = require_count("trials", trials, 1)
+    degree_window = require_count("degree_window", degree_window, 1)
     v = ScalarView(p, fault)
 
     reports: list[IdentityReport] = []

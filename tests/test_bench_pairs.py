@@ -116,3 +116,23 @@ def test_per_layer_metrics_get_no_verdict():
                                  {"run_s": ("lower", None)})
     assert "verdict" not in doc["metrics"]["run_s"]
     assert doc["metrics"]["run_s"]["wins"] == "0/10"
+
+
+def test_attempted_checks_are_kept_per_run_beside_peak_rss():
+    # the change fits more children into its seconds in some runs; the
+    # ratio of the medians of attempted checks sits beside peak_rss_mb,
+    # which grows with them, and nowhere else
+    attempted = {"parent": [100, 120, 110, 90, 100],
+                 "change": [130, 120, 140, 110, 150]}
+    results = [{"seed": seed, **{side: {
+        "metrics": {"peak_rss_mb": {"value": 20.0 + attempted[side][i] / 100},
+                    "run_s": {"value": 1.0}},
+        "failed": 0, "attempted": attempted[side][i], "correct": True}
+        for side in ("parent", "change")}}
+        for i, seed in enumerate(range(1, 6))]
+    doc = _bench_pairs().compare(results, {"peak_rss_mb": ("lower", 0.05),
+                                           "run_s": ("lower", 0.25)})
+    assert doc["attempted_runs"] == attempted  # in seed order
+    assert doc["attempted_checks"] == {"parent": 520, "change": 650}
+    assert doc["metrics"]["peak_rss_mb"]["attempted_change_over_parent"] == 1.3
+    assert "attempted_change_over_parent" not in doc["metrics"]["run_s"]

@@ -2,14 +2,22 @@
 
 from fractions import Fraction as F
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_hecke
+from awlab import laurent
 from awlab.hecke import apply_D, apply_D_prime, apply_T0, apply_T1, s1
-from awlab.laurent import LaurentPoly, NotDivisibleError, combination, exact_quotient
+from awlab.laurent import (
+    BasisImages,
+    LaurentPoly,
+    NotDivisibleError,
+    combination,
+    exact_quotient,
+)
 from awlab.scalars import check_genericity, parse_scalar
 
 import fraction_laurent as ref
@@ -62,6 +70,25 @@ def test_hash_consistent_with_equality():
     assert f == g
     assert hash(f) == hash(g)
     assert len({f, g}) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LaurentPoly({0: 0.1}),
+    lambda: LaurentPoly({1: 0.0}),
+    lambda: LaurentPoly.monomial(2, 0.1),
+    lambda: LaurentPoly.monomial(2, 1.0),
+    lambda: LaurentPoly.constant(0.5),
+    lambda: LaurentPoly.one().scale(0.5),
+    lambda: LaurentPoly.zero().scale(0.5),
+    lambda: LaurentPoly.one().reflect(0.5),
+    lambda: LaurentPoly.zero().reflect(0.5),
+], ids=["constructor", "constructor-zero", "monomial", "monomial-one",
+        "constant", "scale", "scale-zero", "reflect", "reflect-zero"])
+def test_binary_floats_are_refused(make):
+    # 0.1 is 3602879701896397/36028797018963968 exactly, which no caller
+    # means; check_genericity refuses a float the same way
+    with pytest.raises(TypeError, match="must be an exact rational, not a float"):
+        make()
 
 
 def test_polynomials_do_not_mix_with_scalars():
@@ -551,3 +578,118 @@ def test_every_value_has_nonzero_end_entries(p8, f, g, e):
                f * z_e]
     for value in values:
         _assert_trimmed(value)
+
+
+# --- basis images: the table read-off against the combination path ----------
+
+NEGATIVE_Q = check_genericity(F(-2, 3), F(3, 5), F(-7, 2), F(5, 11), F(2, 13), 6)
+
+
+def _symmetric(j):
+    return LaurentPoly({j: 1, -j: 1}) if j else LaurentPoly.one()
+
+
+def _mono(k):
+    return LaurentPoly.monomial(k)
+
+
+def _images_of(name, p):
+    """(op, basis, lowest, f -> its input): T0, T1 and factored D' on the
+    monomials over all of f, T0 on them from degree 0, and D on the
+    symmetric basis 1, z^j + z^-j, whose input is f made symmetric."""
+    def ident(f):
+        return f
+
+    def sym(f):
+        return _sum(f, s1(f))
+    return {
+        "T0": (lambda f: apply_T0(f, p), _mono, None, ident),
+        "T1": (lambda f: apply_T1(f, p), _mono, None, ident),
+        "D_prime": (lambda f: apply_D_prime(f, p), _mono, None, ident),
+        "T0-from-0": (lambda f: apply_T0(f, p), _mono, 0, ident),
+        "D": (lambda f: apply_D(f, p), _symmetric, 0, sym),
+    }[name]
+
+
+def _combination_sum(op, basis, f, lowest):
+    """The sum of f_k op(basis(k)) as one combination, with no table."""
+    return combination([(c, op(basis(k))) for k, c in f.items()
+                        if lowest is None or k >= lowest])
+
+
+def _assert_residual_matches(images, op, basis, value, f, lowest):
+    built = []
+
+    def counted(terms):
+        built.append(terms)
+        return combination(terms)
+
+    with patch.object(laurent, "combination", counted):
+        got = images.residual(value, f, lowest)
+    want = combination(((1, value), (-1, _combination_sum(op, basis, f, lowest))))
+    assert got.is_zero() == want.is_zero()
+    assert got == want
+    # the difference is built only when it is nonzero
+    assert len(built) == (not want.is_zero())
+    assert images.read_off(f, lowest) == _combination_sum(op, basis, f, lowest)
+
+
+OPERATOR_NAMES = ["T0", "T1", "D_prime", "T0-from-0", "D"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=laurents, g=laurents, name=st.sampled_from(OPERATOR_NAMES),
+       negative=st.booleans(),
+       case=st.sampled_from(["exact", "plus-g", "outside", "short", "zero"]))
+def test_residual_is_the_combination_residual(p8, f, g, name, negative, case):
+    # zero exactly when value - sum_k f_k op(basis(k)) is, and otherwise
+    # that difference, for values that match, differ anywhere, differ only
+    # outside the table's degrees, stop short of the sum's top, or vanish
+    p = NEGATIVE_Q if negative else p8
+    op, basis, lowest, prepare = _images_of(name, p)
+    f = prepare(f)
+    total = _combination_sum(op, basis, f, lowest)
+    value = {
+        "exact": lambda: op(f),
+        "plus-g": lambda: _sum(op(f), g),
+        # every image of a degree-6 input lies within degrees -8..8
+        "outside": lambda: _sum(total, LaurentPoly({20: F(2, 3), -20: -1})),
+        "short": lambda: combination(((1, total), (-total.coeff(total.max_deg),
+                                                  _mono(total.max_deg))))
+        if total else total,
+        "zero": LaurentPoly.zero,
+    }[case]()
+    _assert_residual_matches(BasisImages(op, basis), op, basis, value, f, lowest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=laurents, g=laurents, name=st.sampled_from(OPERATOR_NAMES),
+       negative=st.booleans())
+def test_table_is_read_again_after_an_image_is_added(p8, f, g, name, negative):
+    p = NEGATIVE_Q if negative else p8
+    op, basis, lowest, prepare = _images_of(name, p)
+    f, g = prepare(f), prepare(g)
+    images = BasisImages(op, basis)
+    for h in (f, g, _sum(f, g)):
+        _assert_residual_matches(images, op, basis, op(h), h, lowest)
+        images(7)  # an image past every input's degrees, made between reads
+        _assert_residual_matches(images, op, basis, _sum(op(h), g), h, lowest)
+
+
+def test_images_are_made_once_each_in_the_order_first_read():
+    made = []
+
+    def op(f):
+        made.append(f.min_deg)
+        return f.scale(3)
+
+    images = BasisImages(op, _mono)
+    f = LaurentPoly({-2: 1, 0: F(1, 2), 3: -4})
+    assert images.read_off(f) == f.scale(3)
+    assert made == [-2, 0, 3]
+    assert images(0) == LaurentPoly.constant(3) and made == [-2, 0, 3]
+    assert images.residual(f.scale(3), LaurentPoly({1: 1, 3: 2}), 2) \
+        == LaurentPoly({-2: 3, 0: F(3, 2), 3: -18})
+    assert made == [-2, 0, 3]  # z^1 is below lowest, z^3 is held
+    assert images.residual(LaurentPoly({4: 3}), LaurentPoly({4: 1})).is_zero()
+    assert made == [-2, 0, 3, 4]

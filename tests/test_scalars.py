@@ -26,6 +26,7 @@ from awlab.scalars import (
     mu_n,
     parse_scalar,
     random_param_sets,
+    require_count,
 )
 
 
@@ -341,6 +342,38 @@ def test_random_param_sets_deterministic():
 def test_random_param_sets_rejects_count_below_one(trials):
     with pytest.raises(InputError, match="trials must be at least 1"):
         random_param_sets(42, trials, 5)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, "3", None])
+def test_random_param_sets_takes_an_integer_count(trials):
+    with pytest.raises(InputError, match="trials must be an integer"):
+        random_param_sets(42, trials, 5)
+
+
+class _Index:
+    def __index__(self):
+        return 4
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (True, 0, "n must be an integer, got True"),
+    (False, 0, "n must be an integer, got False"),
+    (2.0, 0, "n must be an integer, got 2.0"),
+    ("3", 1, "n must be an integer, got '3'"),
+    (F(3), 1, "n must be an integer, got Fraction(3, 1)"),
+    (-1, 0, "n must be nonnegative"),
+    (0, 1, "n must be at least 1, got 0"),
+])
+def test_require_count_is_one_rule(value, least, message):
+    with pytest.raises(InputError) as err:
+        require_count("n", value, least)
+    assert str(err.value) == message
+
+
+def test_require_count_returns_an_int():
+    for value in (3, _Index()):
+        count = require_count("n", value, 1)
+        assert type(count) is int and count in (3, 4)
 
 
 def test_genericity_and_horizon_errors_are_input_errors():

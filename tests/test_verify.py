@@ -151,6 +151,33 @@ def test_degree_window_below_one_is_rejected(p8, window):
         run_suite(_at_horizon(p8, 2), trials=1, degree_window=window)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "3"])
+def test_counts_that_are_not_integers_are_input_errors(p8, bad):
+    # True once passed for 1, and 2.5 or "3" raised a TypeError
+    p = _at_horizon(p8, 2)
+    for check in (check_hecke_relations, check_factorization,
+                  check_bridge_identity):
+        with pytest.raises(InputError, match="trials must be an integer"):
+            check(p8, trials=bad)
+        with pytest.raises(InputError, match="degree_window must be an integer"):
+            check(p8, trials=1, degree_window=bad)
+    with pytest.raises(InputError, match="trials must be an integer"):
+        run_suite(p, trials=bad)
+    with pytest.raises(InputError, match="degree_window must be an integer"):
+        run_suite(p, trials=1, degree_window=bad)
+    with pytest.raises(InputError, match="n_max must be an integer"):
+        suite_plan(bad)
+
+
+@pytest.mark.parametrize("check", [check_factorization, check_bridge_identity])
+def test_negative_degree_window_is_input_error(p8, check):
+    # these two prove their relations on the window z^0 alone, so 0 is a
+    # window; -1 is none, and once raised a plain ValueError from the draws
+    assert check(p8, trials=1, degree_window=0).passed
+    with pytest.raises(InputError, match="degree_window must be nonnegative"):
+        check(p8, trials=1, degree_window=-1)
+
+
 def test_negative_horizon_is_input_error():
     with pytest.raises(InputError, match="n_max must be nonnegative"):
         suite_plan(-1)

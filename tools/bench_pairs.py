@@ -30,7 +30,13 @@ against its relative `bound` in BENCHMARK.json:
                 its median, and not every change run beats every parent run
     no worse    otherwise
 
-Per-layer metrics have no bound and get no verdict.  The file is
+Per-layer metrics have no bound and get no verdict.  Each side's
+`attempted` checks are kept per run, in seed order, and `peak_rss_mb`
+gets beside it the change's median of them over the parent's: a child
+started by the harness inherits the harness's resident high-water mark,
+which grows with the children it has run, so a tree that fits more
+children into the same seconds reads as using more memory, and this
+ratio shows how far such a rise follows the number of checks.  The file is
 rewritten after every pair, and an existing one keeps its other workloads
 and fields, so one file can collect several workloads from separate
 invocations.
@@ -127,6 +133,8 @@ def compare(results: list[dict], better: dict[str, tuple[str, float | None]]) ->
     # failed / attempted of the change <= that of the parent, cross-multiplied
     fails_no_more = (failed["change"] * attempted["parent"]
                      <= failed["parent"] * attempted["change"])
+    attempted_runs = {side: [pair[side]["attempted"] for pair in results]
+                      for side in ("parent", "change")}
     names = [name for name in results[0]["parent"]["metrics"] if name in better]
     metrics = {}
     for name in names:
@@ -145,10 +153,15 @@ def compare(results: list[dict], better: dict[str, tuple[str, float | None]]) ->
         if bound is not None:
             v = verdict(sides["parent"], sides["change"], direction, bound)
             metrics[name]["verdict"] = "no worse" if v == "gain" and not fails_no_more else v
+        if name == "peak_rss_mb":
+            runs = [statistics.median(attempted_runs[side]) for side in ("parent", "change")]
+            metrics[name]["attempted_change_over_parent"] = (
+                round(runs[1] / runs[0], 4) if runs[0] else None)
     return {
         "seeds": [pair["seed"] for pair in results],
         "failed_checks": failed,
         "attempted_checks": attempted,
+        "attempted_runs": attempted_runs,
         "correct": all(pair[side]["correct"] for pair in results
                        for side in ("parent", "change")),
         "metrics": metrics,
