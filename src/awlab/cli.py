@@ -2,7 +2,8 @@
 
 Four subcommands:
 
-  gen            construct one polynomial (P or E) and print it as JSON
+  gen            construct one polynomial (P or E) and print it as JSON:
+                 its kind, n and point, then LaurentPoly's var and coeffs
   table          tabulate one scalar family over an index range
   verify         run the identity suite at a given or random parameter point
   random-params  draw certified random parameter points
@@ -38,11 +39,10 @@ import json
 import os
 import sys
 
-from .polynomials import askey_wilson_P, nonsymmetric_E, polynomial_document
+from .polynomials import askey_wilson_P, nonsymmetric_E
 from .scalars import (
     GenericityError,
     InputError,
-    ParamSet,
     alpha_n,
     beta_n,
     check_genericity,
@@ -80,23 +80,15 @@ def parse_param_string(text: str) -> dict:
     return values
 
 
-def _certify(values: dict, n_max: int) -> ParamSet:
-    return check_genericity(
-        values["q"], values["a"], values["b"], values["c"], values["d"], n_max
-    )
-
-
 def cmd_gen(args: argparse.Namespace) -> tuple[int, list[str]]:
     values = parse_param_string(args.params)
     n = args.n
     if args.kind == "P" and n < 0:
         raise InputError("the symmetric family P is indexed by n >= 0")
-    p = _certify(values, abs(n))
-    if args.kind == "P":
-        poly = askey_wilson_P(n, p)
-    else:
-        poly = nonsymmetric_E(n, p)
-    return 0, [json.dumps(polynomial_document(args.kind, n, p, poly))]
+    p = check_genericity(**values, n_max=abs(n))
+    poly = (askey_wilson_P if args.kind == "P" else nonsymmetric_E)(n, p)
+    return 0, [json.dumps({"kind": args.kind, "n": n,
+                           "params": p.as_json_dict(), **poly.to_json_dict()})]
 
 
 _TABLE_RANGES = {
@@ -110,7 +102,7 @@ _TABLE_RANGES = {
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, list[str]]:
     values = parse_param_string(args.params)
-    p = _certify(values, args.nmax)
+    p = check_genericity(**values, n_max=args.nmax)
     fn, signed = _TABLE_RANGES[args.quantity]
     lo = -args.nmax if signed else 0
     rows = [(n, format_scalar(fn(n, p))) for n in range(lo, args.nmax + 1)]
@@ -133,7 +125,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.random:
         p = random_param_sets(args.seed, 1, args.nmax)[0]
     else:
-        p = _certify(parse_param_string(args.params), args.nmax)
+        p = check_genericity(**parse_param_string(args.params),
+                             n_max=args.nmax)
     reports = run_suite(
         p,
         trials=args.trials,

@@ -1,17 +1,17 @@
-"""Operators on Laurent polynomials: substitutions, divided differences, T0/T1, D.
+"""Operators on Laurent polynomials: divided differences, T0/T1, D.
 
 Everything here acts exactly.  The building blocks are two involutions,
 
     s1 : z -> 1/z          s0 : z -> q/z,
 
-one map z -> u/z (`LaurentPoly.reflect(u)`) at u = 1 and at u = q.
-Their composites are the q-shifts s1 s0 : z -> q z and s0 s1 : z -> z/q.
-On top of them sit two operators T0, T1 of the form t + r(z)(s - 1) with
-rational coefficients r chosen so each satisfies the quadratic relation
-(T - t)(T + 1) = 0, a second-order q-difference operator D acting on
-symmetric polynomials, a one-sided variant of D acting on everything,
-and the composite Y = T1 T0 whose eigenfunctions the polynomial layer
-constructs.
+names of notation only: both are `LaurentPoly.reflect(u)`, the one map
+z -> u/z, at u = 1 and at u = q.  Their composites are the q-shifts
+s1 s0 : z -> q z and s0 s1 : z -> z/q.  On top of them sit two operators
+T0, T1 of the form t + r(z)(s - 1) with rational coefficients r chosen so
+each satisfies the quadratic relation (T - t)(T + 1) = 0, a second-order
+q-difference operator D acting on symmetric polynomials, a one-sided
+variant of D acting on everything, and the composite Y = T1 T0 whose
+eigenfunctions the polynomial layer constructs.
 
 Each coefficient r is a small numerator over a binomial, and the
 operators use that: T0 and T1 run `laurent.reflection_difference`, D and
@@ -60,11 +60,6 @@ from .scalars import ParamSet, Powers, e1, e3, memo, powers
 
 class NotSymmetricError(ValueError):
     """An operator defined only on symmetric polynomials got an asymmetric input."""
-
-
-def s1(f: LaurentPoly) -> LaurentPoly:
-    """f(1/z)."""
-    return f.reflect(1)
 
 
 # The plans of T1, T0 and D (which direct D' shares), read through memo;

@@ -42,7 +42,8 @@ from fractions import Fraction
 from .hecke import apply_D, apply_D_prime, apply_t0_T0_inv, apply_Y, symmetrize
 from .laurent import LaurentPoly, combination
 from .polynomials import _m_p, askey_wilson_P, nonsymmetric_E
-from .scalars import ParamSet, alpha_n, beta_n, c_n, kappa_n, lambda_n, memo, mu_n
+from .scalars import (InputError, ParamSet, alpha_n, beta_n, c_n, kappa_n,
+                      lambda_n, memo, mu_n)
 
 FAULT_TARGETS = ("lambda", "alpha", "beta", "kappa")
 
@@ -102,7 +103,7 @@ class ScalarView:
 
     def __init__(self, p: ParamSet, fault: str | None = None):
         if fault is not None and fault not in FAULT_TARGETS:
-            raise ValueError(
+            raise InputError(
                 f"unknown fault target {fault!r}; expected one of {FAULT_TARGETS}"
             )
         self.p = p
@@ -154,7 +155,7 @@ def _limit_ratios(_, p: ParamSet) -> tuple[Fraction, Fraction]:
 
 def _finish(identity_id: str, p: ParamSet, n: int | None,
             residual: LaurentPoly | None) -> IdentityReport:
-    passed = residual is None or residual.is_zero()
+    passed = not residual
     return IdentityReport(identity_id, p, n, passed, None if passed else residual)
 
 
@@ -312,7 +313,7 @@ def check_leading_coefficient(n: int, p: ParamSet,
     via_limits = top * q ** (n + 1) - bottom + (1 - q ** (1 - n))
     first = combination(_raising_lhs(n, p, v)).coeff(n + 1) - closed
     second = via_limits - closed
-    residual = LaurentPoly.constant(first if first else second)
+    residual = LaurentPoly({0: first if first else second})
     return _finish("leading-coefficient", p, n, residual)
 
 
@@ -323,7 +324,7 @@ def check_alpha_beta(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:
     q = p.q
     value = (v.alpha(n) * (q**n * p.abcd - q ** (1 - n))
              - (v.beta(n) - v.beta(-n)))
-    return _finish("alpha-beta", p, n, LaurentPoly.constant(value))
+    return _finish("alpha-beta", p, n, LaurentPoly({0: value}))
 
 
 def check_E_eigen(n: int, p: ParamSet, v: ScalarView) -> IdentityReport:

@@ -3,20 +3,24 @@
 A LaurentPoly is an immutable polynomial with rational coefficients, stored
 as a list of integer numerators, from its lowest degree up, over one
 integer denominator; the list's first and last entries are nonzero, and
-zero is the empty list from degree 0.  Its canonical form, which is
-unique, has a positive denominator coprime to the content (the gcd of the
-numerators), and zero has denominator 1.  The kernels
-`reflection_difference` and `q_difference` and the sum `combination`
-return their exact numerators over the denominator they formed, unreduced
-(it may even be negative), so a value that is only zero-tested, like an
-identity's residual, pays for no gcd pass.  `canonical` reduces a value in
-place, once; `==`, `hash` and `scale` call it first.  There is one
-arithmetic path: a sum or difference is a `combination`, a scalar
-multiple is `scale`, and `*` multiplies two polynomials; no operator
-lifts a scalar to a polynomial.  `*`, `scale`, `reflect` at u != 1 and
-the constructor reduce each result.  `coeff`, `items`, the constructor
-and the JSON and text forms speak Fraction, so no reader outside this
-module sees which form a value is in.
+zero is the empty list from degree 0.  There is one way to build each
+value: the constructor from a mapping of degrees to coefficients, and
+`zero()`, `one()` and `monomial(k)` for 0, 1 and z^k; a value is zero
+exactly when it is false.  Its canonical form, which is unique, has a
+positive denominator coprime to the content (the gcd of the numerators),
+and zero has denominator 1.  The kernels `reflection_difference` and
+`q_difference` and the sum `combination` return their exact numerators
+over the denominator they formed, unreduced (it may even be negative), so
+a value that is only zero-tested, like an identity's residual, pays for
+no gcd pass.  `canonical` reduces a value in place, once, by one
+`math.gcd` of the denominator and the numerators; `==`, `hash` and
+`scale` call it first.  There is one arithmetic path: a sum or
+difference is a `combination`, a scalar multiple is `scale`, and `*`
+multiplies two polynomials; no operator lifts a scalar to a polynomial.
+`*`, `scale`, `reflect` at u != 1 and the constructor reduce each
+result.  `coeff`, `items`, the constructor and the JSON and text forms
+speak Fraction, so no reader outside this module sees which form a
+value is in.
 
 The one substitution, `reflect(u)` for a nonzero scalar u, acts
 monomial-wise; u = 1 and u = q give the operator layer's involutions
@@ -64,15 +68,6 @@ class NotDivisibleError(ArithmeticError):
         self.remainder = remainder
 
 
-def _gcd_with(g: int, values) -> int:
-    """gcd of g and all of values, stopping as soon as it reaches 1."""
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    return g
-
-
 class LaurentPoly:
     """Immutable dense Laurent polynomial sum_i (num[i] / den) z^(lo + i).
 
@@ -84,14 +79,13 @@ class LaurentPoly:
 
     __slots__ = ("_lo", "_num", "_den", "_canonical")
 
-    def __init__(self, coeffs: Mapping[int, Scalar | int] | None = None):
+    def __init__(self, coeffs: Mapping[int, Scalar | int]):
         fracs: dict[int, Fraction] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if type(v) is not Fraction:
-                    v = as_scalar("a coefficient", v)
-                if v:
-                    fracs[int(k)] = v
+        for k, v in coeffs.items():
+            if type(v) is not Fraction:
+                v = as_scalar("a coefficient", v)
+            if v:
+                fracs[int(k)] = v
         # over the lcm of lowest-terms denominators, every prime of the lcm
         # misses some numerator, so the result is already canonical
         den = lcm(*(v.denominator for v in fracs.values()))
@@ -134,7 +128,7 @@ class LaurentPoly:
             if den < 0:
                 den = -den
                 num = [-v for v in num]
-            g = _gcd_with(den, num)
+            g = gcd(den, *num)
             if g != 1:
                 num, den = [v // g for v in num], den // g
             self._num, self._den, self._canonical = num, den, True
@@ -149,14 +143,8 @@ class LaurentPoly:
         return cls._raw(0, [1], 1)
 
     @classmethod
-    def constant(cls, c) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
-        if coeff == 1 and type(coeff) is not float:
-            return cls._raw(degree, [1], 1)
-        return cls({degree: coeff})
+    def monomial(cls, degree: int) -> "LaurentPoly":
+        return cls._raw(degree, [1], 1)
 
     def coeff(self, degree: int) -> Fraction:
         i = degree - self._lo
@@ -167,9 +155,6 @@ class LaurentPoly:
         """(degree, coefficient) pairs in increasing degree order."""
         den = self._den
         return [(k, Fraction(v, den)) for k, v in enumerate(self._num, self._lo) if v]
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     @property
     def min_deg(self) -> int | None:
@@ -219,7 +204,7 @@ class LaurentPoly:
         # both factors are in lowest terms, so the result's gcd splits into
         # gcd(c's numerator, den) and gcd(content, c's denominator)
         g_n = gcd(n, self._den)
-        g_d = _gcd_with(d, self._num)
+        g_d = gcd(d, *self._num)
         n //= g_n
         return LaurentPoly._raw(self._lo, [v // g_d * n for v in self._num],
                                 self._den // g_n * (d // g_d))

@@ -33,7 +33,8 @@ list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n,
 once per point object, and freed with it.  Each step sums its terms with
 `laurent.combination` and stores the result in canonical form, reduced
 once: every later step and check builds on it, and unreduced P_n would
-carry about twice the coefficient bits by n = 40.
+carry about twice the coefficient bits by n = 40.  This layer only
+builds; `awlab gen` writes a polynomial out as JSON.
 """
 
 from __future__ import annotations
@@ -200,17 +201,7 @@ def recurrence_ratio(n: int, p: ParamSet) -> Scalar:
                      (-alpha_n(n, p), pn)))
     c = g.coeff(n - 1)
     residual = combination(((1, g), (-c, askey_wilson_P(n - 1, p))))
-    if not residual.is_zero():
+    if residual:
         raise ExtractionError("three-term recurrence did not close", residual)
     return c
 
-
-def polynomial_document(kind: str, n: int, p: ParamSet,
-                        poly: LaurentPoly) -> dict:
-    """JSON-ready record of one constructed polynomial.
-
-    The polynomial's own keys (var, coeffs) sit at the top level, as
-    LaurentPoly.to_json_dict writes them.
-    """
-    return {"kind": kind, "n": n, "params": p.as_json_dict(),
-            **poly.to_json_dict()}

@@ -57,7 +57,6 @@ from .hecke import (
     apply_T1,
     apply_t0_T0_inv,
     apply_t1_T1_inv,
-    s1,
 )
 from .identities import (
     _Z,
@@ -97,8 +96,6 @@ def _draws(rng: random.Random, degrees: range) -> tuple[int, list[int], int]:
     back as the integer numerators from the lowest degree drawn up, over
     the lcm of the lowest-terms denominators, which is canonical: every
     prime of the lcm misses some numerator."""
-    if not degrees:
-        raise ValueError("degree_window must be nonnegative")
     drawn = []
     while not drawn:
         for k in degrees:
@@ -116,16 +113,17 @@ def _draws(rng: random.Random, degrees: range) -> tuple[int, list[int], int]:
     return lo, nums, den
 
 
-def random_laurent(rng: random.Random, degree_window: int = 6) -> LaurentPoly:
+def random_laurent(rng: random.Random, degree_window: int) -> LaurentPoly:
     """Random nonzero Laurent polynomial with support inside [-w, w]."""
-    return LaurentPoly._trimmed(*_draws(rng, range(-degree_window,
-                                                    degree_window + 1)))
+    w = require_count("degree_window", degree_window, 0)
+    return LaurentPoly._trimmed(*_draws(rng, range(-w, w + 1)))
 
 
 def random_symmetric_laurent(rng: random.Random,
-                             degree_window: int = 6) -> LaurentPoly:
-    """Random nonzero Laurent polynomial invariant under z -> 1/z."""
-    lo, half, den = _draws(rng, range(degree_window + 1))
+                             degree_window: int) -> LaurentPoly:
+    """Random nonzero symmetric Laurent polynomial inside [-w, w]."""
+    w = require_count("degree_window", degree_window, 0)
+    lo, half, den = _draws(rng, range(w + 1))
     right = [0] * lo + half  # degrees 0 up
     return LaurentPoly._trimmed(1 - len(right), right[:0:-1] + right, den)
 
@@ -236,7 +234,7 @@ def _hecke_residuals(p: ParamSet, trials: int, rng: random.Random, w: int):
         # kernel of T1 - t1, which the criterion and the certificate show
         # is the symmetric part of the window, but only if T1 b lies in the
         # window, which nothing above checks; this line needs no kernel call
-        yield combination(((1, t1b), (1, b), (-1, s1(t1b)), (-1, monos[-k])))
+        yield combination(((1, t1b), (1, b), (-1, t1b.reflect(1)), (-1, monos[-k])))
 
     for _ in range(trials):  # the linearity guard, then the inverses' guard
         f = random_laurent(rng, w)

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import product_askey_wilson as ref
+from awlab.cli import main
 from awlab.hecke import apply_D, apply_Y, symmetrize
 from awlab.identities import _finish_proportional
 from awlab.laurent import LaurentPoly, combination
@@ -22,7 +23,6 @@ from awlab.polynomials import (
     askey_wilson_P,
     exponent_at,
     nonsymmetric_E,
-    polynomial_document,
     position,
     recurrence_ratio,
     y_matrix,
@@ -269,12 +269,15 @@ def test_spectral_projection_matches_eigen_solve(q, a, b, c, d, n_max):
         assert nonsymmetric_E(n, p) == nonsymmetric_E_oracle(n, p)
 
 
-def test_polynomial_document_shape(p8):
-    doc = polynomial_document("P", 1, p8, askey_wilson_P(1, p8))
+def test_polynomial_document_shape(p8, capsys):
+    # the JSON record that `awlab gen P` prints for one polynomial
+    assert main(["gen", "P", "--n", "1",
+                 "--params", "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc == {
         "kind": "P",
         "n": 1,
-        "params": p8.as_json_dict(),
+        "params": {**p8.as_json_dict(), "nmax": 1},  # gen certifies to |n|
         "var": "z",
         "coeffs": {"-1": "1", "0": "-430/577", "1": "1"},
     }

@@ -187,10 +187,22 @@ def test_random_laurent_generators():
     rng = random.Random(0)
     for _ in range(40):
         f = random_laurent(rng, degree_window=4)
-        assert not f.is_zero()
+        assert f
         assert -4 <= f.min_deg and f.max_deg <= 4
         g = random_symmetric_laurent(rng, degree_window=4)
-        assert g.is_symmetric() and not g.is_zero()
+        assert g.is_symmetric() and g
+
+
+@pytest.mark.parametrize("draw, window, message", [
+    (random_laurent, True, "degree_window must be an integer"),
+    (random_laurent, -1, "degree_window must be nonnegative"),
+    (random_symmetric_laurent, 2.5, "degree_window must be an integer"),
+], ids=["laurent-bool", "laurent-negative", "symmetric-float"])
+def test_generators_apply_the_count_rule(draw, window, message):
+    # True once drew over degrees -1..1, -1 raised a plain ValueError and
+    # 2.5 a TypeError
+    with pytest.raises(InputError, match=message):
+        draw(random.Random(0), window)
 
 
 def _dict_draws(rng, degrees):
@@ -286,6 +298,14 @@ def test_run_suite_rejects_unknown_fault(p8):
         run_suite(_at_horizon(p8, 2), trials=2, fault="gamma")
 
 
+def test_unknown_fault_is_input_error(p8):
+    # an unknown target once raised a plain ValueError
+    for make in (lambda: ScalarView(p8, "gamma"),
+                 lambda: run_suite(_at_horizon(p8, 2), trials=2, fault="gamma")):
+        with pytest.raises(InputError, match="unknown fault target 'gamma'"):
+            make()
+
+
 @pytest.mark.parametrize("fault", FAULT_TARGETS)
 def test_fault_injection_flips_exactly_dependent_checks(fault, p8):
     reports = run_suite(p8, trials=5, fault=fault)
@@ -294,7 +314,7 @@ def test_fault_injection_flips_exactly_dependent_checks(fault, p8):
     for r in reports:
         if not r.passed:
             assert r.residual_witness is not None
-            assert not r.residual_witness.is_zero()
+            assert r.residual_witness
         if r.identity_id.startswith("control-"):
             assert r.passed
 
