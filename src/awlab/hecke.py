@@ -43,9 +43,9 @@ NotDivisibleError rather than a silently wrong answer.
 
 Every image here is exact but unreduced: the kernels return their
 numerators over the denominator they formed, so an image that is only
-zero-tested or summed again pays for no gcd pass.  Equality, hashing and
-`scale` reduce a value first; the constructions in the polynomial layer
-reduce what they keep.
+zero-tested or summed again pays for no gcd pass.  Equality and hashing
+reduce a value first; the constructions in the polynomial layer reduce
+what they keep.
 
 The coefficients themselves, r1, r0 and A = N / ((1-z^2)(1-qz^2)), appear
 only in the verifier, which checks r + s(r) = t + 1 and the limits of A

@@ -302,10 +302,12 @@ def check_leading_coefficient(n: int, p: ParamSet,
     operator coefficient A(z) = N / ((1 - z^2)(1 - q z^2)) at
     z -> infinity, N = (1-az)(1-bz)(1-cz)(1-dz): A tends to the ratio of
     the top coefficients of N and its denominator (abcd/q), A(1/z) to the
-    ratio of the bottom ones (1); G1 and G2 fix both degrees.  So the check
-    would notice a wrong closed form on either route.  The two ratios
-    depend only on the point and are read through `memo`.  The beta term
-    has degree n, so a beta fault does not reach this check.
+    ratio of the bottom ones (1); G1 and G2 fix both degrees.  The two
+    ratios depend only on the point and are read through `memo`.  Where
+    `raising-via-hecke` passes at the same n, the coefficient read here is
+    already the closed multiple, so `first` is zero and this check's own
+    evidence is `via_limits - closed`, an identity in the parameters alone.
+    The beta term has degree n, so a beta fault does not reach this check.
     """
     q = p.q
     closed = q**n * p.abcd - q ** (1 - n)

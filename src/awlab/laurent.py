@@ -3,23 +3,23 @@
 A LaurentPoly is an immutable polynomial with rational coefficients, stored
 as a list of integer numerators, from its lowest degree up, over one
 integer denominator; the list's first and last entries are nonzero, and
-zero is the empty list from degree 0.  There is one way to build each
-value: the constructor from a mapping of degrees to coefficients, and
-`zero()`, `one()` and `monomial(k)` for 0, 1 and z^k; a value is zero
-exactly when it is false.  Its canonical form, which is unique, has a
-positive denominator coprime to the content (the gcd of the numerators),
-and zero has denominator 1.  The kernels `reflection_difference` and
-`q_difference` and the sum `combination` return their exact numerators
-over the denominator they formed, unreduced (it may even be negative), so
+zero is the empty list from degree 0 over 1, whatever made it.  There is
+one way to build each value: the constructor from a mapping of degrees to
+coefficients, and `zero()`, `one()` and `monomial(k)` for 0, 1 and z^k; a
+value is zero exactly when it is false.  Its canonical form, which is
+unique, has a positive denominator coprime to the content (the gcd of the
+numerators).  The constructor builds canonical values.  Every other
+operation, `*`, `scale`, `reflect`, the sum `combination` and the kernels
+`reflection_difference` and `q_difference`, returns its exact numerators
+over the denominator it formed, unreduced (it may even be negative), so
 a value that is only zero-tested, like an identity's residual, pays for
-no gcd pass.  `canonical` reduces a value in place, once, by one
-`math.gcd` of the denominator and the numerators; `==`, `hash` and
-`scale` call it first.  There is one arithmetic path: a sum or
-difference is a `combination`, a scalar multiple is `scale`, and `*`
-multiplies two polynomials; no operator lifts a scalar to a polynomial.
-`*`, `scale`, `reflect` at u != 1 and the constructor reduce each
-result.  `coeff`, `items`, the constructor and the JSON and text forms
-speak Fraction, so no reader outside this module sees which form a
+no gcd pass.  `canonical` is the one reduction: it brings a value to
+canonical form in place by one `math.gcd` of the denominator and the
+numerators, and `==` and `hash` call it first.  There is one arithmetic
+path: a sum or difference is a `combination`, a scalar multiple is
+`scale`, and `*` multiplies two polynomials; no operator lifts a scalar
+to a polynomial.  `coeff`, `items`, the constructor and the JSON and text
+forms speak Fraction, so no reader outside this module sees which form a
 value is in.
 
 The one substitution, `reflect(u)` for a nonzero scalar u, acts
@@ -73,11 +73,10 @@ class LaurentPoly:
 
     `_num` lists integer numerators from degree `_lo` up, its first and
     last entries nonzero, and `_den` is the common denominator; zero is
-    `_lo, _num, _den = 0, [], 1`.  `_canonical` is False while the triple
-    may not be in canonical form.
+    `_lo, _num, _den = 0, [], 1`.
     """
 
-    __slots__ = ("_lo", "_num", "_den", "_canonical")
+    __slots__ = ("_lo", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar | int]):
         fracs: dict[int, Fraction] = {}
@@ -93,21 +92,18 @@ class LaurentPoly:
         num = [0] * (max(fracs, default=-1) - lo + 1)
         for k, v in fracs.items():
             num[k - lo] = v.numerator * (den // v.denominator)
-        self._lo, self._num, self._den, self._canonical = lo, num, den, True
+        self._lo, self._num, self._den = lo, num, den
 
     @classmethod
-    def _raw(cls, lo: int, num: list[int], den: int,
-             canonical: bool = True) -> "LaurentPoly":
+    def _raw(cls, lo: int, num: list[int], den: int) -> "LaurentPoly":
         # internal fast path: num's end entries are nonzero (or num is zero's
-        # empty list from lo = 0), den is nonzero, and the triple is in
-        # canonical form unless canonical is False
+        # empty list from lo = 0) and den is nonzero
         self = object.__new__(cls)
-        self._lo, self._num, self._den, self._canonical = lo, num, den, canonical
+        self._lo, self._num, self._den = lo, num, den
         return self
 
     @classmethod
-    def _trimmed(cls, lo: int, num: list[int], den: int,
-                 canonical: bool = True) -> "LaurentPoly":
+    def _trimmed(cls, lo: int, num: list[int], den: int) -> "LaurentPoly":
         """num/den from degree lo up, with its zero end entries dropped."""
         top = len(num)
         while top and not num[top - 1]:
@@ -119,19 +115,14 @@ class LaurentPoly:
             bottom += 1
         if bottom or top < len(num):
             num = num[bottom:top]
-        return cls._raw(lo + bottom, num, den, canonical)
+        return cls._raw(lo + bottom, num, den)
 
     def canonical(self) -> "LaurentPoly":
-        """This value, brought to canonical form in place if it is not."""
-        if not self._canonical:
-            num, den = self._num, self._den
-            if den < 0:
-                den = -den
-                num = [-v for v in num]
-            g = gcd(den, *num)
-            if g != 1:
-                num, den = [v // g for v in num], den // g
-            self._num, self._den, self._canonical = num, den, True
+        """This value, brought to canonical form in place: the one reduction."""
+        num, den = self._num, self._den
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)  # den // g > 0
+        if g != 1:
+            self._num, self._den = [v // g for v in num], den // g
         return self
 
     @classmethod
@@ -187,27 +178,19 @@ class LaurentPoly:
         # a factor z^e shifts the other factor's degrees by e
         for mono, f in ((other, self), (self, other)):
             if mono._num == [1] and mono._den == 1:
-                return LaurentPoly._raw(f._lo + mono._lo, f._num, f._den, f._canonical)
+                return LaurentPoly._raw(f._lo + mono._lo, f._num, f._den)
         # the product of nonzero end entries is nonzero: no trimming
         return LaurentPoly._raw(self._lo + other._lo, _times(self._num, other._num),
-                                self._den * other._den, False).canonical()
+                                self._den * other._den)
 
     def scale(self, c) -> "LaurentPoly":
         if type(c) is not Fraction:
             c = as_scalar("c", c)
-        if not c:
+        if not c or not self._num:
             return LaurentPoly.zero()
-        n, d = c.numerator, c.denominator
-        if not self._canonical:
-            return LaurentPoly._raw(self._lo, [v * n for v in self._num],
-                                    self._den * d, False).canonical()
-        # both factors are in lowest terms, so the result's gcd splits into
-        # gcd(c's numerator, den) and gcd(content, c's denominator)
-        g_n = gcd(n, self._den)
-        g_d = gcd(d, *self._num)
-        n //= g_n
-        return LaurentPoly._raw(self._lo, [v // g_d * n for v in self._num],
-                                self._den // g_n * (d // g_d))
+        n = c.numerator
+        return LaurentPoly._raw(self._lo, [v * n for v in self._num],
+                                self._den * c.denominator)
 
     def reflect(self, u: Scalar) -> "LaurentPoly":
         """f(u/z) for a nonzero scalar u: z^k -> u^k z^-k."""
@@ -218,15 +201,14 @@ class LaurentPoly:
             return self
         top = self.max_deg
         if u == 1:
-            return LaurentPoly._raw(-top, self._num[::-1], self._den, self._canonical)
+            return LaurentPoly._raw(-top, self._num[::-1], self._den)
         # z^k picks up the factor (un/ud)^k and moves to degree -k, over one
         # denominator un^lo * ud^hi for every degree in [-lo, hi]
         un, ud = u.numerator, u.denominator
         lo, hi = max(0, -self._lo), max(0, top)
         num = [v * un ** (k + lo) * ud ** (hi - k) if v else 0
                for k, v in enumerate(self._num, self._lo)]
-        return LaurentPoly._raw(-top, num[::-1], self._den * un**lo * ud**hi,
-                                False).canonical()
+        return LaurentPoly._raw(-top, num[::-1], self._den * un**lo * ud**hi)
 
     def is_symmetric(self) -> bool:
         """True when the polynomial is invariant under z -> 1/z."""
@@ -288,7 +270,7 @@ def combination(terms) -> LaurentPoly:
         i = f_lo - lo
         j = i + len(num)
         out[i:j] = [a + m * v for a, v in zip(out[i:j], num)]
-    return LaurentPoly._trimmed(lo, out, den, False)
+    return LaurentPoly._trimmed(lo, out, den)
 
 
 class BasisImages:
@@ -356,7 +338,7 @@ class BasisImages:
 
     def read_off(self, f: LaurentPoly, lowest: int | None = None) -> LaurentPoly:
         """The sum of f_k op(basis(k)), unreduced."""
-        return LaurentPoly._trimmed(*self._sum(f, lowest), False)
+        return LaurentPoly._trimmed(*self._sum(f, lowest))
 
     def residual(self, value: LaurentPoly, f: LaurentPoly,
                  lowest: int | None = None) -> LaurentPoly:
@@ -372,7 +354,7 @@ class BasisImages:
         if (0 <= i and j <= len(out) and not any(out[:i]) and not any(out[j:])
                 and [v * den for v in vnum] == [a * vden for a in out[i:j]]):
             return LaurentPoly.zero()
-        return combination(((1, value), (-1, LaurentPoly._trimmed(lo, out, den, False))))
+        return combination(((1, value), (-1, LaurentPoly._trimmed(lo, out, den))))
 
 
 class Plan:
@@ -468,7 +450,7 @@ def reflection_difference(f: LaurentPoly, plan: Plan, diag: int) -> LaurentPoly:
     ds = diag * s
     out = [n0 * a + n1 * b + n2 * c + ds * v
            for a, b, c, v in zip(quot[2:], quot[1:], quot, fl)]
-    return LaurentPoly._trimmed(-K, out, plan.den * s * f._den, False)
+    return LaurentPoly._trimmed(-K, out, plan.den * s * f._den)
 
 
 def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
@@ -497,4 +479,4 @@ def q_difference(f: LaurentPoly, plan: Plan, one_sided: bool) -> LaurentPoly:
     g = [v * x - s * u for v, x, u in zip(fl, w, reversed(fl))]
     x = _times(plan.num, exact_quotient(g, -K, -plan.qn, plan.qd))
     out = exact_quotient([a - b for a, b in zip(x, reversed(x))], -K, -1, 1)
-    return LaurentPoly._trimmed(-K, out, f._den * s * plan.den, False)
+    return LaurentPoly._trimmed(-K, out, f._den * s * plan.den)

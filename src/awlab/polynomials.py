@@ -30,11 +30,13 @@ and verifies its triangular structure at runtime instead of assuming it.
 What is built at a point is kept on that point, in `ParamSet.memo`: the
 list P_0, P_1, ... that `askey_wilson_P` extends, and every E_n,
 (z + 1/z) P_n and closed-form scalar, through `memo`.  So each is built
-once per point object, and freed with it.  Each step sums its terms with
-`laurent.combination` and stores the result in canonical form, reduced
-once: every later step and check builds on it, and unreduced P_n would
-carry about twice the coefficient bits by n = 40.  This layer only
-builds; `awlab gen` writes a polynomial out as JSON.
+once per point object, and freed with it.  P_n and E_m are each one
+`laurent.combination`, and E_-m a `scale` of one, each made canonical
+explicitly before it is stored: every later step and check builds on it,
+and unreduced P_n would carry about twice the coefficient bits by n = 40.
+(z + 1/z) P_n needs no reduction: z + 1/z is primitive over 1, so by
+Gauss's lemma its product with a canonical P_n is canonical.  This layer
+only builds; `awlab gen` writes a polynomial out as JSON.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _spectral_E(n: int, p: ParamSet) -> LaurentPoly:
             raise EigenSolveError(
                 f"P_{m} - E_{m} has no z^-{m} term, so it is no multiple "
                 f"of E_-{m}")
-        return rest.scale(1 / c)  # scale brings rest to canonical form
+        return rest.scale(1 / c).canonical()
     top, other = mu_n(m, p), mu_n(-m, p)
     if top == other:
         raise EigenSolveError(
